@@ -8,6 +8,7 @@ import json
 import os
 import random
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Sequence
@@ -301,10 +302,7 @@ def _write_trace(config: RunConfig, results: Sequence[SessionResult]) -> None:
 
 
 def _finish(config: RunConfig, results: list[SessionResult]) -> int:
-    histogram: dict[str, int] = {}
-    for result in results:
-        tag = result.scenario.value
-        histogram[tag] = histogram.get(tag, 0) + 1
+    histogram = Counter(r.scenario.value for r in results)
     completed = sum(r.complete for r in results)
     report = {
         "generated_at": _timestamp(),

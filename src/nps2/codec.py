@@ -35,13 +35,22 @@ class CoefficientRows:
 
     row_sum is all ones. row_weighted holds generator^t at rank t, so any
     two columns form an invertible 2x2 minor; in sum-only mode both rows
-    are all ones (plain parity, single-erasure protection only).
+    are all ones (plain parity, single-erasure protection only). ``logs``
+    holds each row's coefficient logs for the int engine.
     """
 
     width: int
     row_sum: tuple[FieldElement, ...]
     row_weighted: tuple[FieldElement, ...]
     field: FieldSpec
+
+    def __post_init__(self):
+        self.field._check(*self.row_sum, *self.row_weighted)
+        if not all(self.row_sum + self.row_weighted):
+            raise ValueError("coefficients must be nonzero")
+        log = self.field._log
+        logs = {r: tuple(log[e.value] for e in self.row(r)) for r in Row}
+        object.__setattr__(self, "logs", logs)
 
     def row(self, which: Row) -> tuple[FieldElement, ...]:
         return self.row_sum if which is Row.SUM else self.row_weighted
@@ -80,12 +89,15 @@ def encode_pair(
     """Form the (sum, weighted) protection pair over one round's data."""
     if len(data) != rows.width:
         raise ValueError(f"expected {rows.width} data symbols, got {len(data)}")
-    y_sum = rows.field.zero()
-    y_weighted = rows.field.zero()
-    for w, d in zip(rows.row_weighted, data):
-        y_sum = y_sum + d
-        y_weighted = y_weighted + w * d
-    return y_sum, y_weighted
+    field = rows.field
+    exp, log, order = field._exp, field._log, field.q - 1
+    field._check(*data)
+    y_sum = y_weighted = 0
+    for lw, d in zip(rows.logs[Row.WEIGHTED], data):
+        if v := d.value:
+            y_sum ^= v
+            y_weighted ^= exp[(log[v] + lw) % order]
+    return field.element(y_sum), field.element(y_weighted)
 
 
 def residualize(
@@ -99,8 +111,11 @@ def residualize(
     What remains is the row's coefficient combination over the missing
     ranks only (subtraction is addition in characteristic 2).
     """
-    coeffs = rows.row(row)
-    residual = y_received
+    field = rows.field
+    field._check(y_received)
+    exp, log, order = field._exp, field._log, field.q - 1
+    logs = rows.logs[row]
+    residual = y_received.value
     seen: set[int] = set()
     for rank, value in known:
         if rank in seen:
@@ -108,8 +123,11 @@ def residualize(
         if not 0 <= rank < rows.width:
             raise ValueError(f"rank {rank} out of range for width {rows.width}")
         seen.add(rank)
-        residual = residual + coeffs[rank] * value
-    return residual
+        if value.spec is not field:
+            field._check(value)
+        if v := value.value:
+            residual ^= exp[(log[v] + logs[rank]) % order]
+    return field.element(residual)
 
 
 @dataclass(frozen=True)
@@ -153,8 +171,9 @@ def solve_one(problem: RecoveryProblem, rows: CoefficientRows) -> FieldElement:
     (rank,) = problem.missing_ranks
     if problem.residual_sum is not None:
         return problem.residual_sum
-    if problem.residual_weighted is not None:
-        return problem.residual_weighted * rows.field.inv(rows.row_weighted[rank])
+    if (rw := problem.residual_weighted) is not None:
+        rows.field._check(rw)
+        return rows.field.element(rows.field._div(rw.value, rows.row_weighted[rank].value))
     raise UnrecoverableError(f"no protection residual available for rank {rank}")
 
 
@@ -173,14 +192,15 @@ def solve_two(problem: RecoveryProblem, rows: CoefficientRows) -> tuple[FieldEle
         raise UnrecoverableError(
             f"two unknowns at ranks {problem.missing_ranks} but a residual is missing"
         )
+    field = rows.field
+    field._check(problem.residual_sum, problem.residual_weighted)
     t1, t2 = problem.missing_ranks
-    w1 = rows.row_weighted[t1]
-    w2 = rows.row_weighted[t2]
-    det = w1 + w2
+    w1 = rows.row_weighted[t1].value
+    det = w1 ^ rows.row_weighted[t2].value
     if not det:
         raise UnrecoverableError(
             f"protection rows are not independent over ranks {t1}, {t2}"
         )
-    x2 = (problem.residual_weighted + w1 * problem.residual_sum) * rows.field.inv(det)
-    x1 = problem.residual_sum + x2
-    return x1, x2
+    rs = problem.residual_sum.value
+    x2 = field._div(problem.residual_weighted.value ^ field._mul(w1, rs), det)
+    return field.element(rs ^ x2), field.element(x2)

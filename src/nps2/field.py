@@ -38,7 +38,7 @@ class FieldSpec:
     primitive, which the coefficient rows rely on for distinct weights.
     """
 
-    __slots__ = ("m", "q", "reduction_poly", "generator", "_exp", "_log", "_hex_digits")
+    __slots__ = ("m", "q", "reduction_poly", "generator", "_exp", "_log", "_elements")
 
     def __init__(
         self,
@@ -66,7 +66,7 @@ class FieldSpec:
         self.q = q
         self.reduction_poly = reduction_poly
         self.generator = generator
-        self._hex_digits = (m + 3) // 4
+        self._elements: dict[int, FieldElement] = {}  # filled on first use of each value
         self._build_tables()
 
     def _polymul(self, a: int, b: int) -> int:
@@ -107,29 +107,43 @@ class FieldSpec:
     # -- element construction -------------------------------------------
 
     def element(self, value: int) -> FieldElement:
-        if not 0 <= value < self.q:
-            raise ValueError(f"value 0x{value:x} is outside GF(2^{self.m})")
-        return FieldElement(value, self)
+        """The one shared, immutable element of this spec holding ``value``."""
+        try:
+            return self._elements[value]
+        except KeyError:
+            if not 0 <= value < self.q:
+                raise ValueError(f"value 0x{value:x} is outside GF(2^{self.m})") from None
+            return self._elements.setdefault(value, FieldElement(value, self))
 
     def zero(self) -> FieldElement:
-        return FieldElement(0, self)
+        return self.element(0)
 
     def one(self) -> FieldElement:
-        return FieldElement(1, self)
+        return self.element(1)
 
     def alpha(self) -> FieldElement:
         """The configured generator as an element."""
-        return FieldElement(self.generator, self)
+        return self.element(self.generator)
 
     def elements(self):
         """All q elements in value order."""
-        return (FieldElement(v, self) for v in range(self.q))
+        return (self.element(v) for v in range(self.q))
+
+    # -- arithmetic on int values, shared by the boxed operations and codec --
+
+    def _mul(self, a: int, b: int) -> int:
+        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)] if a and b else 0
+
+    def _div(self, a: int, b: int) -> int:
+        if b == 0:
+            raise ZeroDivisionError("0 has no multiplicative inverse")
+        return self._exp[(self._log[a] - self._log[b]) % (self.q - 1)] if a else 0
 
     # -- arithmetic on elements ------------------------------------------
 
     def _check(self, *elems: FieldElement) -> None:
         for e in elems:
-            if e.spec != self:
+            if e.spec is not self and e.spec != self:
                 raise FieldMismatchError(
                     f"element of GF(2^{e.spec.m})/0x{e.spec.reduction_poly:x} "
                     f"used in GF(2^{self.m})/0x{self.reduction_poly:x}"
@@ -138,21 +152,15 @@ class FieldSpec:
     def add(self, a: FieldElement, b: FieldElement) -> FieldElement:
         """Characteristic-2 sum; doubles as subtraction."""
         self._check(a, b)
-        return FieldElement(a.value ^ b.value, self)
+        return self.element(a.value ^ b.value)
 
     def mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
         self._check(a, b)
-        if a.value == 0 or b.value == 0:
-            return FieldElement(0, self)
-        i = (self._log[a.value] + self._log[b.value]) % (self.q - 1)
-        return FieldElement(self._exp[i], self)
+        return self.element(self._mul(a.value, b.value))
 
     def inv(self, a: FieldElement) -> FieldElement:
         self._check(a)
-        if a.value == 0:
-            raise ZeroDivisionError("0 has no multiplicative inverse")
-        i = (self.q - 1 - self._log[a.value]) % (self.q - 1)
-        return FieldElement(self._exp[i], self)
+        return self.element(self._div(1, a.value))
 
     def pow(self, a: FieldElement, e: int) -> FieldElement:
         """e-fold product; pow(a, 0) is 1 by convention, including a = 0."""
@@ -160,11 +168,8 @@ class FieldSpec:
         if e < 0:
             raise ValueError("exponent must be nonnegative")
         if e == 0:
-            return FieldElement(1, self)
-        if a.value == 0:
-            return FieldElement(0, self)
-        i = (self._log[a.value] * e) % (self.q - 1)
-        return FieldElement(self._exp[i], self)
+            return self.one()
+        return self.element(self._exp[self._log[a.value] * e % (self.q - 1)] if a else 0)
 
     # -- identity ----------------------------------------------------------
 
@@ -187,9 +192,10 @@ class FieldSpec:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FieldElement:
-    """A value of the ambient FieldSpec, kept reduced below 2^m."""
+    """A value of the ambient FieldSpec, kept reduced below 2^m: the boundary
+    type of the library, whose engine computes on the int values."""
 
     value: int
     spec: FieldSpec
@@ -216,7 +222,7 @@ class FieldElement:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, FieldElement):
-            return self.value == other.value and self.spec == other.spec
+            return self is other or (self.value == other.value and self.spec == other.spec)
         if isinstance(other, int):
             return self.value == other
         return NotImplemented
@@ -227,7 +233,7 @@ class FieldElement:
     @property
     def hex(self) -> str:
         """Zero-padded lowercase hex, width fixed by the field degree."""
-        return f"{self.value:0{self.spec._hex_digits}x}"
+        return f"{self.value:0{(self.spec.m + 3) // 4}x}"
 
     def __repr__(self) -> str:
         return f"FieldElement(0x{self.hex})"

@@ -12,9 +12,10 @@ protection symbols and let the other n-2 carry fresh data, yielding the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 
@@ -47,9 +48,33 @@ class Slot:
 
 
 class ProtectedSlot(NamedTuple):
+    """A working slot of one round; equal to its (source, data_index) key,
+    as source path and carrying path are the same."""
+
     path: int
-    source: int
     data_index: int
+
+
+class ScheduleLayout:
+    """A grid with its per-round protection carriers and ranked working slots,
+    its emitted (source, data_index) pairs and its working share. The grid
+    depends only on (scheme, n, rounds, protection pair), so each such key
+    has one immutable layout, shared by every session schedule with it."""
+
+    __slots__ = ("grid", "pairs", "protected", "emitted", "capacity")
+
+    def __init__(self, grid: tuple[tuple[Slot, ...], ...]):
+        self.grid = grid
+        carriers = [{s.kind: p for p, s in enumerate(row, 1)} for row in grid]
+        kinds = SlotKind.PROTECTION_SUM, SlotKind.PROTECTION_WEIGHTED
+        self.pairs = tuple(tuple(c[k] for k in kinds) for c in carriers)
+        work = SlotKind.WORKING
+        self.protected = tuple(
+            tuple(ProtectedSlot(p, s.data_index) for p, s in enumerate(row, 1) if s.kind is work)
+            for row in grid
+        )
+        self.emitted = frozenset(s for row in self.protected for s in row)
+        self.capacity = Fraction(sum(map(len, self.protected)), len(grid) * len(grid[0]))
 
 
 @dataclass(frozen=True)
@@ -64,9 +89,13 @@ class SessionSchedule:
     scheme: Scheme
     n: int
     rounds: int
-    grid: tuple[tuple[Slot, ...], ...]
+    layout: ScheduleLayout = dc_field(repr=False, compare=False)
     protection_paths: tuple[int, int] | None = None
     session_index: int = 0
+
+    @property
+    def grid(self) -> tuple[tuple[Slot, ...], ...]:
+        return self.layout.grid
 
     def slot(self, round_index: int, path: int) -> Slot:
         self._check_round(round_index)
@@ -77,23 +106,43 @@ class SessionSchedule:
     def protection_pair(self, round_index: int) -> tuple[int, int]:
         """The (sum, weighted) protection carriers of one round."""
         self._check_round(round_index)
-        row = self.grid[round_index - 1]
-        p_sum = next(p for p, s in enumerate(row, 1) if s.kind is SlotKind.PROTECTION_SUM)
-        p_wtd = next(p for p, s in enumerate(row, 1) if s.kind is SlotKind.PROTECTION_WEIGHTED)
-        return p_sum, p_wtd
+        return self.layout.pairs[round_index - 1]
 
-    def emitted(self) -> set[tuple[int, int]]:
+    def emitted(self) -> frozenset[ProtectedSlot]:
         """All (source, data_index) pairs this schedule transmits."""
-        return {
-            (path, slot.data_index)
-            for row in self.grid
-            for path, slot in enumerate(row, 1)
-            if slot.kind is SlotKind.WORKING
-        }
+        return self.layout.emitted
 
     def _check_round(self, round_index: int) -> None:
         if not 1 <= round_index <= self.rounds:
             raise ValueError(f"round {round_index} out of range 1..{self.rounds}")
+
+
+@lru_cache(maxsize=16)
+def _nps2i_layout(n: int, rounds: int, p_sum: int, p_wtd: int) -> ScheduleLayout:
+    grid = []
+    for r in range(1, rounds + 1):
+        row = [Slot(SlotKind.WORKING, data_index=r)] * n
+        row[p_sum - 1] = Slot(SlotKind.PROTECTION_SUM)
+        row[p_wtd - 1] = Slot(SlotKind.PROTECTION_WEIGHTED)
+        grid.append(tuple(row))
+    return ScheduleLayout(tuple(grid))
+
+
+@lru_cache(maxsize=16)
+def _nps2ii_layout(n: int) -> ScheduleLayout:
+    grid = []
+    for r in range(1, n // 2 + 1):
+        row = []
+        for path in range(1, n + 1):
+            protection_round = (path + 1) // 2
+            if r == protection_round:
+                kind = SlotKind.PROTECTION_SUM if path % 2 else SlotKind.PROTECTION_WEIGHTED
+                row.append(Slot(kind))
+            else:
+                unit = r if r < protection_round else r - 1
+                row.append(Slot(SlotKind.WORKING, data_index=unit))
+        grid.append(tuple(row))
+    return ScheduleLayout(tuple(grid))
 
 
 def nps2i_schedule(
@@ -128,22 +177,11 @@ def nps2i_schedule(
         p_sum, p_wtd = protection_pair
         if p_sum == p_wtd or not all(1 <= p <= n for p in (p_sum, p_wtd)):
             raise ValueError(f"protection pair must be two distinct paths in 1..{n}")
-    grid = []
-    for r in range(1, rounds + 1):
-        row = []
-        for path in range(1, n + 1):
-            if path == p_sum:
-                row.append(Slot(SlotKind.PROTECTION_SUM))
-            elif path == p_wtd:
-                row.append(Slot(SlotKind.PROTECTION_WEIGHTED))
-            else:
-                row.append(Slot(SlotKind.WORKING, data_index=r))
-        grid.append(tuple(row))
     return SessionSchedule(
         scheme=Scheme.NPS2_I,
         n=n,
         rounds=rounds,
-        grid=tuple(grid),
+        layout=_nps2i_layout(n, rounds, p_sum, p_wtd),
         protection_paths=(p_sum, p_wtd),
         session_index=session_index,
     )
@@ -164,26 +202,11 @@ def nps2ii_schedule(n: int, session_index: int = 0) -> SessionSchedule:
         raise ValueError(f"n must be at least 4, got {n}")
     if session_index < 0:
         raise ValueError(f"session_index must be nonnegative, got {session_index}")
-    rounds = n // 2
-    grid = []
-    for r in range(1, rounds + 1):
-        row = []
-        for path in range(1, n + 1):
-            protection_round = (path + 1) // 2
-            if r == protection_round:
-                kind = SlotKind.PROTECTION_SUM if path % 2 else SlotKind.PROTECTION_WEIGHTED
-                row.append(Slot(kind))
-            elif r < protection_round:
-                row.append(Slot(SlotKind.WORKING, data_index=r))
-            else:
-                row.append(Slot(SlotKind.WORKING, data_index=r - 1))
-        grid.append(tuple(row))
     return SessionSchedule(
         scheme=Scheme.NPS2_II,
         n=n,
-        rounds=rounds,
-        grid=tuple(grid),
-        protection_paths=None,
+        rounds=n // 2,
+        layout=_nps2ii_layout(n),
         session_index=session_index,
     )
 
@@ -201,19 +224,12 @@ def protected_slots(schedule: SessionSchedule, round_index: int) -> tuple[Protec
     coefficient row, so coefficients are a pure function of the schedule.
     """
     schedule._check_round(round_index)
-    out = []
-    for path, slot in enumerate(schedule.grid[round_index - 1], 1):
-        if slot.kind is SlotKind.WORKING:
-            out.append(ProtectedSlot(path=path, source=path, data_index=slot.data_index))
-    return tuple(out)
+    return schedule.layout.protected[round_index - 1]
 
 
 def schedule_capacity(schedule: SessionSchedule) -> Fraction:
     """Fraction of path-slots carrying working data; (n-2)/n for both schemes."""
-    working = sum(
-        1 for row in schedule.grid for slot in row if slot.kind is SlotKind.WORKING
-    )
-    return Fraction(working, schedule.n * schedule.rounds)
+    return schedule.layout.capacity
 
 
 def slot_label(slot: Slot, path: int, round_index: int) -> str:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
 from fractions import Fraction
@@ -63,15 +64,19 @@ class Outcome(Enum):
 
 
 class RoundUnrecoverableError(UnrecoverableError):
-    """A round lost more working symbols than its surviving protection rows cover."""
+    """A round lost more working symbols than its surviving protection rows
+    cover; ``delivered`` holds the working symbols that arrived directly."""
 
-    def __init__(self, message: str, round_index: int, failed_paths: tuple[int, ...]):
+    def __init__(self, message: str, round_index: int, failed_paths: tuple[int, ...],
+                 scenario: Scenario, delivered: dict[tuple[int, int], FieldElement]):
         super().__init__(message)
         self.round_index = round_index
         self.failed_paths = failed_paths
+        self.scenario = scenario
+        self.delivered = delivered
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Packet:
     """One symbol on one path; sender i owns path i."""
 
@@ -81,16 +86,12 @@ class Packet:
     session: int
     kind: SlotKind
 
-    @property
-    def path(self) -> int:
-        return self.sender_id
-
     def record(self) -> dict:
         return {
             "session": self.session,
             "round": self.round,
             "sender": self.sender_id,
-            "path": self.path,
+            "path": self.sender_id,
             "kind": self.kind.value,
             "payload_hex": self.payload.hex,
         }
@@ -104,7 +105,7 @@ class FailurePattern:
     def __init__(self, failed_paths: Iterable[int] = ()):
         paths = frozenset(failed_paths)
         for p in paths:
-            if not isinstance(p, int) or p < 1:
+            if not isinstance(p, int) or isinstance(p, bool) or p < 1:
                 raise ValueError(f"path labels are positive integers, got {p!r}")
         self.failed_paths = paths
 
@@ -188,19 +189,11 @@ def generate_source_data(
 ) -> list[list[list[FieldElement]]]:
     """Deterministic symbol tensor indexed [session][source-1][data_index-1]."""
     rng = random.Random(seed)
-    zero = field.zero()
-    tensor = []
-    for _ in range(sessions):
-        per_source = []
-        for _ in range(n):
-            if all_zero:
-                per_source.append([zero] * rounds_per_session)
-            else:
-                per_source.append(
-                    [field.element(rng.randrange(field.q)) for _ in range(rounds_per_session)]
-                )
-        tensor.append(per_source)
-    return tensor
+    draw = (lambda: 0) if all_zero else (lambda: rng.randrange(field.q))
+    return [
+        [[field.element(draw()) for _ in range(rounds_per_session)] for _ in range(n)]
+        for _ in range(sessions)
+    ]
 
 
 def transmit_round(
@@ -216,49 +209,53 @@ def transmit_round(
     protection payloads exist even when some sources' own paths failed.
     """
     prot = protected_slots(schedule, round_index)
-    y_sum, y_weighted = encode_pair(
-        [data[s.source - 1][s.data_index - 1] for s in prot], rows
-    )
+    y_sum, y_weighted = encode_pair([data[p - 1][d - 1] for p, d in prot], rows)
+    failed = failure.failed_paths
+    session = schedule.session_index
     packets = []
-    for path in range(1, schedule.n + 1):
-        if path in failure:
+    for path, slot in enumerate(schedule.grid[round_index - 1], 1):
+        if path in failed:
             continue
-        slot = schedule.grid[round_index - 1][path - 1]
-        if slot.kind is SlotKind.WORKING:
+        kind = slot.kind
+        if kind is SlotKind.WORKING:
             payload = data[path - 1][slot.data_index - 1]
-        elif slot.kind is SlotKind.PROTECTION_SUM:
-            payload = y_sum
         else:
-            payload = y_weighted
-        packets.append(
-            Packet(
-                sender_id=path,
-                payload=payload,
-                round=round_index,
-                session=schedule.session_index,
-                kind=slot.kind,
-            )
-        )
+            payload = y_sum if kind is SlotKind.PROTECTION_SUM else y_weighted
+        packets.append(Packet(path, payload, round_index, session, kind))
     return packets
+
+
+def _round_case(
+    schedule: SessionSchedule, round_index: int, failure: FailurePattern
+) -> tuple[Scenario, tuple[int, ...], bool, bool]:
+    """The one case analysis of a round, from its layout and the failed
+    paths: scenario, ascending ranks of the failed working slots, and
+    whether the sum and the weighted row survive."""
+    schedule._check_round(round_index)
+    p_sum, p_wtd = schedule.layout.pairs[round_index - 1]
+    failed = failure.failed_paths
+    # every other path is working, so a working path's rank is its position
+    # once the two protection carriers are left out
+    missing = tuple(sorted(
+        p - 1 - (p > p_sum) - (p > p_wtd)
+        for p in failed
+        if p <= schedule.n and p != p_sum and p != p_wtd
+    ))
+    sum_alive, weighted_alive = p_sum not in failed, p_wtd not in failed
+    if not missing:
+        scenario = Scenario.NO_FAILURE if sum_alive and weighted_alive else Scenario.PROTECTION_ONLY
+    elif len(missing) > sum_alive + weighted_alive:
+        scenario = Scenario.EXCESS_LOSS
+    else:
+        scenario = Scenario.SINGLE_WORKING if len(missing) == 1 else Scenario.DOUBLE_WORKING
+    return scenario, missing, sum_alive, weighted_alive
 
 
 def classify_round(
     schedule: SessionSchedule, round_index: int, failure: FailurePattern
 ) -> Scenario:
     """Scenario tag from the failed paths' slot kinds in this round."""
-    row = schedule.grid[round_index - 1]
-    failed = [p for p in range(1, schedule.n + 1) if p in failure]
-    if not failed:
-        return Scenario.NO_FAILURE
-    unknowns = sum(1 for p in failed if row[p - 1].kind is SlotKind.WORKING)
-    rows_alive = 2 - (len(failed) - unknowns)
-    if unknowns == 0:
-        return Scenario.PROTECTION_ONLY
-    if unknowns > rows_alive:
-        return Scenario.EXCESS_LOSS
-    if unknowns == 1:
-        return Scenario.SINGLE_WORKING
-    return Scenario.DOUBLE_WORKING
+    return _round_case(schedule, round_index, failure)[0]
 
 
 @dataclass
@@ -282,63 +279,38 @@ def recover_round(
     rows. Raises RoundUnrecoverableError when the unknowns outnumber the
     usable rows.
     """
-    scenario = classify_round(schedule, round_index, failure)
-    by_path = {p.sender_id: p for p in packets}
+    scenario, missing, sum_alive, weighted_alive = _round_case(schedule, round_index, failure)
+    by_path = {p.sender_id: p.payload for p in packets}
     prot = protected_slots(schedule, round_index)
-
-    delivered = {
-        (s.source, s.data_index): by_path[s.path].payload
-        for s in prot
-        if s.path in by_path
-    }
-    missing = [(rank, s) for rank, s in enumerate(prot) if s.path in failure]
+    known = [(rank, by_path[s.path]) for rank, s in enumerate(prot) if s.path in by_path]
+    delivered = {prot[rank]: payload for rank, payload in known}
     if not missing:
         return RoundRecovery(delivered=delivered, scenario=scenario, recovered=())
 
-    p_sum, p_weighted = schedule.protection_pair(round_index)
-    failed_paths = tuple(sorted(s.path for _, s in missing))
-    rows_alive = (p_sum in by_path) + (p_weighted in by_path)
-    if len(missing) > rows_alive or len(missing) > 2:
+    failed_paths = tuple(prot[t].path for t in missing)
+    if scenario is Scenario.EXCESS_LOSS:
         raise RoundUnrecoverableError(
             f"round {round_index}: {len(missing)} erased working symbols but only "
-            f"{rows_alive} surviving protection rows",
+            f"{sum_alive + weighted_alive} surviving protection rows",
             round_index,
             failed_paths,
+            scenario,
+            delivered,
         )
-
-    known = [(rank, by_path[s.path].payload) for rank, s in enumerate(prot) if s.path in by_path]
-    residual_sum = (
-        residualize(by_path[p_sum].payload, known, Row.SUM, rows)
-        if p_sum in by_path
-        else None
-    )
-    residual_weighted = (
-        residualize(by_path[p_weighted].payload, known, Row.WEIGHTED, rows)
-        if p_weighted in by_path
-        else None
-    )
-    problem = RecoveryProblem(
-        missing_ranks=tuple(rank for rank, _ in missing),
-        residual_sum=residual_sum,
-        residual_weighted=residual_weighted,
-    )
+    p_sum, p_wtd = schedule.protection_pair(round_index)
+    rs = residualize(by_path[p_sum], known, Row.SUM, rows) if sum_alive else None
+    rw = residualize(by_path[p_wtd], known, Row.WEIGHTED, rows) if weighted_alive else None
+    problem = RecoveryProblem(missing, rs, rw)
     try:
-        if len(missing) == 1:
-            values = (solve_one(problem, rows),)
-        else:
-            values = solve_two(problem, rows)
+        values = (solve_one(problem, rows),) if len(missing) == 1 else solve_two(problem, rows)
     except UnrecoverableError as exc:
         raise RoundUnrecoverableError(
-            f"round {round_index}: {exc}", round_index, failed_paths
+            f"round {round_index}: {exc}", round_index, failed_paths, scenario, delivered
         ) from exc
 
-    recovered = []
-    for (_, slot), value in zip(missing, values):
-        delivered[(slot.source, slot.data_index)] = value
-        recovered.append((slot.source, slot.data_index))
-    return RoundRecovery(
-        delivered=delivered, scenario=scenario, recovered=tuple(recovered)
-    )
+    recovered = tuple(prot[t] for t in missing)
+    delivered.update(zip(recovered, values))
+    return RoundRecovery(delivered=delivered, scenario=scenario, recovered=recovered)
 
 
 def run_session(
@@ -387,21 +359,17 @@ def run_session(
         try:
             rec = recover_round(packets, schedule, r, rows, failure)
         except RoundUnrecoverableError as exc:
-            round_scenarios[r] = classify_round(schedule, r, failure)
+            round_scenarios[r] = exc.scenario
             unrecoverable.append((exc.round_index, exc.failed_paths))
-            # the round's direct survivors still reach the collector
-            for pkt in packets:
-                if pkt.kind is SlotKind.WORKING:
-                    slot = schedule.grid[r - 1][pkt.sender_id - 1]
-                    delivered[(pkt.sender_id, slot.data_index)] = pkt.payload
+            delivered.update(exc.delivered)  # direct survivors still reach the collector
             continue
         delivered.update(rec.delivered)
         recovered_count += len(rec.recovered)
         round_scenarios[r] = rec.scenario
 
     emitted = schedule.emitted()
-    ok = set(delivered) == emitted and all(
-        delivered[(s, d)] == data[s - 1][d - 1] for (s, d) in emitted
+    ok = delivered.keys() == emitted and all(
+        delivered[s].value == data[s.path - 1][s.data_index - 1].value for s in emitted
     )
     return SessionResult(
         schedule=schedule,
@@ -463,27 +431,19 @@ def sweep_failures(
     rows = build_rows(n - 2, field, sum_only=sum_only)
     data = generate_source_data(n, build_schedule(scheme, n, session_index).rounds,
                                 session_index + 1, seed, field)[session_index]
-    results = []
-    histogram: dict[str, int] = {}
-    recovered_total = 0
-    for pattern in all_patterns(n):
-        result = run_session(
-            scheme, n, field, pattern, seed=seed, session_index=session_index,
-            data=data, rows=rows,
-        )
-        results.append(result)
-        tag = result.scenario.value
-        histogram[tag] = histogram.get(tag, 0) + 1
-        recovered_total += result.recovered_count
-    complete = sum(1 for r in results if r.complete)
+    results = tuple(
+        run_session(scheme, n, field, pattern, seed=seed, session_index=session_index,
+                    data=data, rows=rows)
+        for pattern in all_patterns(n)
+    )
     return SweepReport(
         scheme=scheme,
         n=n,
         session_index=session_index,
-        results=tuple(results),
-        complete_rate=complete / len(results),
-        scenario_histogram=histogram,
-        recovered_total=recovered_total,
+        results=results,
+        complete_rate=sum(r.complete for r in results) / len(results),
+        scenario_histogram=dict(Counter(r.scenario.value for r in results)),
+        recovered_total=sum(r.recovered_count for r in results),
     )
 
 

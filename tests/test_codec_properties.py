@@ -1,0 +1,157 @@
+"""Property tests: the int-valued field and codec agree with boxed
+FieldElement arithmetic and with a schoolbook oracle, for every degree
+m = 1..16, and mixed fields are still rejected at the codec entry points."""
+
+import functools
+import operator
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from nps2.codec import (
+    CoefficientRows,
+    RecoveryProblem,
+    Row,
+    build_rows,
+    encode_pair,
+    residualize,
+    solve_one,
+    solve_two,
+)
+from nps2.field import FieldMismatchError, FieldSpec
+
+# primitive polynomials with generator x (generator 1 for GF(2)), as tabulated
+# in Plank's Reed-Solomon tutorial; m = 16 is the CLI benchmark's 0x1100b
+PRIMITIVE_POLYS = {
+    1: 0x3, 2: 0x7, 3: 0xB, 4: 0x13, 5: 0x25, 6: 0x43, 7: 0x89, 8: 0x11D,
+    9: 0x211, 10: 0x409, 11: 0x805, 12: 0x1053, 13: 0x201B, 14: 0x4443,
+    15: 0x8003, 16: 0x1100B,
+}
+FIELDS = {m: FieldSpec(m, poly, 1 if m == 1 else 2) for m, poly in PRIMITIVE_POLYS.items()}
+MAX_WIDTH = 64
+
+
+def schoolbook_mul(a: int, b: int, field: FieldSpec) -> int:
+    """Carryless multiply, then long division by the field polynomial."""
+    prod = 0
+    for shift in range(b.bit_length()):
+        if b >> shift & 1:
+            prod ^= a << shift
+    for bit in range(prod.bit_length() - 1, field.m - 1, -1):
+        if prod >> bit & 1:
+            prod ^= field.reduction_poly << (bit - field.m)
+    return prod
+
+
+def boxed_sum(elements, field):
+    return functools.reduce(operator.add, elements, field.zero())
+
+
+@st.composite
+def coded_round(draw, sum_only=False):
+    """A field, its coefficient rows over a drawn width, and one round of data."""
+    field = FIELDS[draw(st.integers(1, 16))]
+    limit = MAX_WIDTH if sum_only else min(field.q - 1, MAX_WIDTH)
+    width = draw(st.integers(1, limit))
+    rows = build_rows(width, field, sum_only=sum_only)
+    values = draw(st.lists(st.integers(0, field.q - 1), min_size=width, max_size=width))
+    return field, rows, [field.element(v) for v in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_field_ops_match_schoolbook(data):
+    field = FIELDS[data.draw(st.integers(1, 16))]
+    a, b = (field.element(data.draw(st.integers(0, field.q - 1))) for _ in range(2))
+    assert (a * b).value == schoolbook_mul(a.value, b.value, field)
+    assert (a + b).value == a.value ^ b.value
+    if b:
+        assert schoolbook_mul(b.inverse().value, b.value, field) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(coded_round())
+def test_encode_pair_matches_boxed_sum(case):
+    field, rows, data = case
+    y_sum, y_weighted = encode_pair(data, rows)
+    assert y_sum == boxed_sum(data, field)
+    assert y_weighted == boxed_sum((w * d for w, d in zip(rows.row_weighted, data)), field)
+
+
+@settings(max_examples=200, deadline=None)
+@given(coded_round(), st.data())
+def test_one_and_two_erasures_round_trip(case, data):
+    field, rows, values = case
+    erased = sorted(data.draw(
+        st.sets(st.integers(0, rows.width - 1), min_size=1, max_size=min(2, rows.width))
+    ))
+    y_sum, y_weighted = encode_pair(values, rows)
+    known = [(r, v) for r, v in enumerate(values) if r not in erased]
+    residual_sum = residualize(y_sum, known, Row.SUM, rows)
+    residual_weighted = residualize(y_weighted, known, Row.WEIGHTED, rows)
+    assert residual_weighted == boxed_sum(
+        (rows.row_weighted[t] * values[t] for t in erased), field
+    )
+    expect = tuple(values[t] for t in erased)
+    if len(erased) == 1:
+        for problem in (
+            RecoveryProblem(tuple(erased), residual_sum=residual_sum),
+            RecoveryProblem(tuple(erased), residual_weighted=residual_weighted),
+        ):
+            assert (solve_one(problem, rows),) == expect
+    else:
+        problem = RecoveryProblem(tuple(erased), residual_sum, residual_weighted)
+        assert solve_two(problem, rows) == expect
+
+
+@settings(max_examples=200, deadline=None)
+@given(coded_round(sum_only=True), st.data())
+def test_sum_only_recovers_single_erasures(case, data):
+    field, rows, values = case
+    rank = data.draw(st.integers(0, rows.width - 1))
+    y_sum, y_weighted = encode_pair(values, rows)
+    assert y_sum == y_weighted == boxed_sum(values, field)
+    known = [(r, v) for r, v in enumerate(values) if r != rank]
+    rs = residualize(y_sum, known, Row.SUM, rows)
+    rw = residualize(y_weighted, known, Row.WEIGHTED, rows)
+    assert solve_one(RecoveryProblem((rank,), residual_sum=rs), rows) == values[rank]
+    assert solve_one(RecoveryProblem((rank,), residual_weighted=rw), rows) == values[rank]
+
+
+GF8 = FIELDS[3]
+GF16 = FIELDS[4]
+
+
+def test_mixed_fields_rejected_at_codec_entry_points():
+    rows = build_rows(3, GF8)
+    good = [GF8.element(v) for v in (1, 2, 3)]
+    stranger = GF16.element(2)
+    with pytest.raises(FieldMismatchError):
+        encode_pair([good[0], stranger, good[2]], rows)
+    with pytest.raises(FieldMismatchError):
+        residualize(stranger, [(0, good[0])], Row.SUM, rows)
+    with pytest.raises(FieldMismatchError):
+        residualize(good[0], [(0, good[0]), (1, stranger)], Row.WEIGHTED, rows)
+    with pytest.raises(FieldMismatchError):
+        solve_one(RecoveryProblem((1,), residual_weighted=stranger), rows)
+    with pytest.raises(FieldMismatchError):
+        solve_two(RecoveryProblem((0, 1), good[0], stranger), rows)
+    gf16_rows = build_rows(3, GF16)
+    with pytest.raises(FieldMismatchError):
+        CoefficientRows(3, gf16_rows.row_sum, gf16_rows.row_weighted, GF8)
+
+
+def test_equal_field_from_another_instance_is_accepted():
+    twin = FieldSpec(3, GF8.reduction_poly, GF8.generator)
+    assert twin is not GF8 and twin == GF8
+    rows = build_rows(3, GF8)
+    data = [twin.element(v) for v in (5, 0, 7)]
+    assert encode_pair(data, rows) == encode_pair([GF8.element(v) for v in (5, 0, 7)], rows)
+    y = residualize(twin.element(4), [(0, twin.element(5))], Row.SUM, rows)
+    assert y == GF8.element(4 ^ 5)
+
+
+def test_zero_coefficient_rejected():
+    one, zero = GF8.one(), GF8.zero()
+    with pytest.raises(ValueError, match="nonzero"):
+        CoefficientRows(2, (one, one), (one, zero), GF8)

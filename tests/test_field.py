@@ -192,3 +192,15 @@ def test_equality_and_hex():
     assert GF8.element(5).hex == "5"
     assert FieldSpec().element(0x1D).hex == "1d"
     assert FieldSpec(16, 0x1100B, 0x02).element(0xBEEF).hex == "beef"
+
+
+def test_elements_are_shared_instances():
+    gf = FieldSpec(16, 0x1100B, 0x02)
+    assert gf.element(0xBEEF) is gf.element(0xBEEF)
+    assert gf.zero() is gf.element(0) and gf.one() is gf.element(1)
+    assert gf.alpha() is gf.element(gf.generator)
+    assert gf.mul(gf.alpha(), gf.one()) is gf.alpha()
+    assert list(GF8.elements()) == [GF8.element(v) for v in range(8)]
+    assert all(a is b for a, b in zip(GF8.elements(), GF8.elements()))
+    with pytest.raises(ValueError):
+        gf.element(1 << 16)

@@ -145,12 +145,12 @@ def test_nps2ii_data_index_consecutive():
 def test_protected_slots_nps2ii_n4():
     sched = nps2ii_schedule(4)
     assert protected_slots(sched, 1) == (
-        ProtectedSlot(3, 3, 1),
-        ProtectedSlot(4, 4, 1),
+        ProtectedSlot(3, 1),
+        ProtectedSlot(4, 1),
     )
     assert protected_slots(sched, 2) == (
-        ProtectedSlot(1, 1, 1),
-        ProtectedSlot(2, 2, 1),
+        ProtectedSlot(1, 1),
+        ProtectedSlot(2, 1),
     )
 
 
@@ -159,9 +159,9 @@ def test_protected_slots_nps2i_dedicated():
     assert sched.protection_paths == (4, 5)
     for r in range(1, 6):
         assert protected_slots(sched, r) == (
-            ProtectedSlot(1, 1, r),
-            ProtectedSlot(2, 2, r),
-            ProtectedSlot(3, 3, r),
+            ProtectedSlot(1, r),
+            ProtectedSlot(2, r),
+            ProtectedSlot(3, r),
         )
 
 
@@ -180,10 +180,10 @@ def test_rotating_protection_coverage():
         sched = nps2ii_schedule(n)
         for ell in range(1, sched.rounds + 1):
             for slot in protected_slots(sched, ell):
-                if slot.source <= 2 * (ell - 1):
+                if slot.path <= 2 * (ell - 1):
                     assert slot.data_index == ell - 1
                 else:
-                    assert slot.source >= 2 * ell + 1
+                    assert slot.path >= 2 * ell + 1
                     assert slot.data_index == ell
 
 
@@ -216,3 +216,14 @@ def test_schedule_lookup_validation():
     with pytest.raises(ValueError):
         sched.slot(5, 1)
     assert sched.scheme is Scheme.NPS2_I
+
+
+def test_schedules_share_one_layout_per_key():
+    assert nps2ii_schedule(8, 0).grid is nps2ii_schedule(8, 5).grid
+    assert nps2i_schedule(8, 0).grid is nps2i_schedule(8, 4).grid  # pair (1, 2) again
+    assert nps2i_schedule(8, 0).grid is not nps2i_schedule(8, 1).grid
+    custom = nps2i_schedule(8, 3, rounds=2, protection_pair=(1, 2))
+    assert custom.grid is not nps2i_schedule(8, 0).grid
+    assert protected_slots(custom, 1) is protected_slots(
+        nps2i_schedule(8, 0, rounds=2, protection_pair=(1, 2)), 1
+    )

@@ -159,6 +159,9 @@ def test_run_session_three_failures_unrecoverable():
     assert result.outcome is Outcome.UNRECOVERABLE
     assert result.unrecoverable_rounds
     assert "round" in result.detail and "failed paths" in result.detail
+    # every round is lost, yet each round's direct survivors still arrive
+    assert set(result.round_scenarios.values()) == {Scenario.EXCESS_LOSS}
+    assert set(result.delivered) == {(p, d) for p in (2, 4, 6) for d in (1, 2)}
     result = run_session(Scheme.NPS2_I, 5, GF256, FailurePattern({1, 2, 3}), seed=2)
     assert result.outcome is Outcome.UNRECOVERABLE
 
@@ -248,7 +251,7 @@ def test_trace_record_shape():
     assert len(lines) == 3 * 2  # three survivors per round, two rounds
     first = result.packets[0].record()
     assert set(first) == {"session", "round", "sender", "path", "kind", "payload_hex"}
-    keys = [(p.session, p.round, p.path) for p in result.packets]
+    keys = [(p.session, p.round, p.sender_id) for p in result.packets]
     assert keys == sorted(keys)
 
 
@@ -354,3 +357,22 @@ def test_concurrent_sessions_share_immutable_state():
         assert result.delivered == again.delivered
         assert result.outcome is again.outcome
         assert result.complete
+
+
+def test_failure_pattern_rejects_bool_paths():
+    with pytest.raises(ValueError):
+        FailurePattern({True})
+    with pytest.raises(ValueError):
+        FailurePattern([2, False])
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_sweep_sessions_share_grid_but_not_delivered(scheme):
+    report = sweep_failures(scheme, 6, GF256, seed=21)
+    assert len({id(r.schedule.grid) for r in report.results}) == 1
+    assert len({id(r.delivered) for r in report.results}) == len(report.results)
+    first, second = report.results[:2]
+    key = next(iter(first.delivered))
+    before = second.delivered[key]
+    first.delivered[key] = GF256.element(first.delivered[key].value ^ 1)
+    assert second.delivered[key] is before
