@@ -4,6 +4,7 @@ schedules and coefficient rows, and emit JSON reports plus packet traces."""
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import random
@@ -11,11 +12,11 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .codec import build_rows
+from .codec import build_rows, check_width
 from .field import DEFAULT_GENERATOR, DEFAULT_M, DEFAULT_REDUCTION_POLY, FieldSpec
-from .schemes import Scheme, build_schedule, schedule_labels
+from .schemes import Scheme, build_schedule, check_path_count, schedule_labels
 from .simnet import (
     NO_FAILURES,
     FailurePattern,
@@ -86,19 +87,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", metavar="PATH", help="JSON config file; flags win")
     parser.add_argument("--scheme", choices=[s.value for s in Scheme])
-    parser.add_argument("--n", type=int, help="number of disjoint paths")
-    parser.add_argument("--field-m", type=int, help="extension degree of GF(2^m)")
+    parser.add_argument("--n", help="number of disjoint paths")
+    parser.add_argument("--field-m", help="extension degree of GF(2^m)")
     parser.add_argument("--field-poly", metavar="HEX", help="reduction polynomial")
     parser.add_argument("--field-gen", metavar="HEX", help="field generator")
-    parser.add_argument("--sessions", type=int, help="sessions to simulate")
+    parser.add_argument("--sessions", help="sessions to simulate")
     parser.add_argument("--fail", metavar="PATHS", help="comma list of failed paths")
     parser.add_argument(
-        "--fail-random", type=int, metavar="K", help="fail K random paths per session"
+        "--fail-random", metavar="K", help="fail K random paths per session"
     )
     parser.add_argument(
         "--sweep", action="store_true", help="run every 0/1/2-failure pattern"
     )
-    parser.add_argument("--seed", type=int, help="RNG seed (fallback: env NPS2_SEED)")
+    parser.add_argument("--seed", help="RNG seed (fallback: env NPS2_SEED)")
     parser.add_argument("--trace", metavar="PATH", help="write a JSON-lines packet trace")
     parser.add_argument("--report", metavar="PATH", help="write the JSON report here")
     parser.add_argument(
@@ -111,13 +112,64 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_hex(parser: argparse.ArgumentParser, label: str, text) -> int:
-    if isinstance(text, int):
-        return text
-    try:
-        return int(str(text), 16)
-    except ValueError:
-        parser.error(f"malformed hex value {text!r} for {label}")
+def _int(value) -> int:
+    """An int, or a decimal string holding one; bools and floats are refused
+    rather than read as 1 or truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _hex(value) -> int:
+    """An int, or a hex string such as "11d" or "0x11d"."""
+    if isinstance(value, str):
+        try:
+            return int(value, 16)
+        except ValueError:
+            raise ValueError(f"malformed hex value {value!r}") from None
+    return _int(value)
+
+
+def _paths(value) -> tuple[int, ...]:
+    """Path numbers from a comma list, a JSON list or a single number."""
+    if isinstance(value, str):
+        value = [p for p in value.split(",") if p.strip()]
+    elif not isinstance(value, list):
+        value = [value]
+    return tuple(_int(p) for p in value)
+
+
+def _path(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a file path, got {value!r}")
+    return value
+
+
+def _mode(value) -> str:
+    if value not in MODES:
+        raise ValueError(f"unknown mode {value!r}")
+    return value
+
+
+# config key, also its flag's dest -> (its key inside the file's nested
+# "field" object, which has the report's echo shape; coercion; default).
+# parse_config resolves each key from the flag, then the file's flat key,
+# then the nested key, then the environment (NPS2_SEED for the seed), then
+# the default; JSON null counts as absent.
+CONFIG_KEYS = {
+    "scheme": (None, Scheme, DEFAULT_SCHEME),
+    "n": (None, _int, DEFAULT_N),
+    "field_m": ("m", _int, DEFAULT_M),
+    "field_poly": ("reduction_poly", _hex, DEFAULT_REDUCTION_POLY),
+    "field_gen": ("generator", _hex, DEFAULT_GENERATOR),
+    "sessions": (None, _int, DEFAULT_SESSIONS),
+    "seed": (None, _int, 0),
+    "fail": (None, _paths, None),
+    "fail_random": (None, _int, None),
+    "trace": (None, _path, None),
+    "report": (None, _path, None),
+    "mode": (None, _mode, None),
+}
 
 
 def _load_config_file(parser: argparse.ArgumentParser, path: str) -> dict:
@@ -138,71 +190,22 @@ def parse_config(argv: Sequence[str] | None = None) -> RunConfig:
     parser = _build_parser()
     args = parser.parse_args(argv)
     file_cfg = _load_config_file(parser, args.config) if args.config else {}
-
-    def pick(flag_value, key, default):
-        if flag_value is not None:
-            return flag_value
-        if key in file_cfg:
-            return file_cfg[key]
-        return default
-
-    # a nested {"field": {"m", "reduction_poly", "generator"}} object (the
-    # report's config echo shape) is accepted alongside the flat keys
-    field_cfg = file_cfg.get("field", {})
-    if not isinstance(field_cfg, dict):
+    field_cfg = file_cfg.get("field")
+    if field_cfg is None:
+        field_cfg = {}
+    elif not isinstance(field_cfg, dict):
         parser.error("config key 'field' must be an object")
+    env = {"seed": os.environ.get("NPS2_SEED")}
 
-    scheme_name = pick(args.scheme, "scheme", DEFAULT_SCHEME.value)
-    try:
-        scheme = Scheme(scheme_name)
-    except ValueError:
-        parser.error(f"unknown scheme {scheme_name!r}")
-    n = int(pick(args.n, "n", DEFAULT_N))
-    m = int(pick(args.field_m, "field_m", field_cfg.get("m", DEFAULT_M)))
-    poly = _parse_hex(
-        parser,
-        "--field-poly",
-        pick(args.field_poly, "field_poly",
-             field_cfg.get("reduction_poly", DEFAULT_REDUCTION_POLY)),
-    )
-    gen = _parse_hex(
-        parser,
-        "--field-gen",
-        pick(args.field_gen, "field_gen",
-             field_cfg.get("generator", DEFAULT_GENERATOR)),
-    )
-    sessions = int(pick(args.sessions, "sessions", DEFAULT_SESSIONS))
-
-    seed = args.seed
-    if seed is None and "seed" in file_cfg:
-        seed = int(file_cfg["seed"])
-    if seed is None:
-        env_seed = os.environ.get("NPS2_SEED")
-        if env_seed is not None:
-            try:
-                seed = int(env_seed)
-            except ValueError:
-                parser.error(f"NPS2_SEED must be an integer, got {env_seed!r}")
-    if seed is None:
-        seed = 0
-
-    fail_raw = pick(args.fail, "fail", None)
-    fail_random = pick(args.fail_random, "fail_random", None)
-    if fail_random is not None:
+    cfg = {}
+    for key, (nested, coerce, default) in CONFIG_KEYS.items():
+        sources = (getattr(args, key, None), file_cfg.get(key), field_cfg.get(nested), env.get(key))
+        value = next((v for v in sources if v is not None), default)
         try:
-            fail_random = int(fail_random)
-        except (TypeError, ValueError):
-            parser.error(f"fail_random must be an integer, got {fail_random!r}")
-    fail_paths = None
-    if fail_raw is not None:
-        if isinstance(fail_raw, (list, tuple)):
-            parts = [str(p) for p in fail_raw]
-        else:
-            parts = str(fail_raw).split(",")
-        try:
-            fail_paths = tuple(int(p) for p in parts if p.strip() != "")
-        except ValueError:
-            parser.error(f"--fail expects a comma list of path numbers, got {fail_raw!r}")
+            cfg[key] = None if value is None else coerce(value)
+        except (TypeError, ValueError) as exc:
+            parser.error(f"{key}: {exc}")
+    n, fail_paths, fail_random = cfg["n"], cfg["fail"], cfg["fail_random"]
     if fail_paths is not None and fail_random is not None:
         parser.error("--fail and --fail-random are mutually exclusive")
 
@@ -217,53 +220,39 @@ def parse_config(argv: Sequence[str] | None = None) -> RunConfig:
         elif fail_paths is not None or fail_random is not None:
             mode = "run"
         else:
-            mode = pick(None, "mode", "sweep")
-            if mode not in MODES:
-                parser.error(f"unknown mode {mode!r} in config file")
+            mode = cfg["mode"] or "sweep"
 
     # -- cross-field validation -------------------------------------------
-    if scheme is Scheme.NPS2_II and n % 2:
-        parser.error(f"nps2-ii needs an even number of paths, got n={n}")
-    min_n = 4 if scheme is Scheme.NPS2_II else 3
-    if n < min_n:
-        parser.error(f"{scheme.value} needs n >= {min_n}, got n={n}")
     try:
-        field = FieldSpec(m, poly, gen)
+        check_path_count(cfg["scheme"], n)
+        field = FieldSpec(cfg["field_m"], cfg["field_poly"], cfg["field_gen"])
+        check_width(n - 2, field)
     except ValueError as exc:
         parser.error(str(exc))
-    if n - 2 > field.q - 1:
-        parser.error(
-            f"n-2 = {n - 2} protected slots exceed the {field.q - 1} distinct "
-            f"coefficients of GF(2^{m}); raise --field-m"
-        )
-    if sessions < 1:
-        parser.error(f"--sessions must be positive, got {sessions}")
+    if cfg["sessions"] < 1:
+        parser.error(f"--sessions must be positive, got {cfg['sessions']}")
     if fail_paths is not None:
         bad = [p for p in fail_paths if not 1 <= p <= n]
         if bad:
             parser.error(f"failed paths out of range 1..{n}: {bad}")
         if len(set(fail_paths)) != len(fail_paths):
-            parser.error(f"duplicate paths in --fail: {fail_raw!r}")
+            parser.error(f"duplicate paths in --fail: {list(fail_paths)}")
     if fail_random is not None and not 0 <= fail_random <= n:
         parser.error(f"--fail-random must be in 0..{n}, got {fail_random}")
 
     return RunConfig(
         mode=mode,
-        scheme=scheme,
+        scheme=cfg["scheme"],
         n=n,
         field=field,
-        sessions=sessions,
+        sessions=cfg["sessions"],
         fail_paths=fail_paths,
         fail_random=fail_random,
-        seed=seed,
-        trace_path=pick(args.trace, "trace", None),
-        report_path=pick(args.report, "report", None),
+        seed=cfg["seed"],
+        trace_path=cfg["trace"],
+        report_path=cfg["report"],
         as_json=args.json,
     )
-
-
-def _capacity_str(numerator: int, denominator: int) -> str:
-    return f"{numerator}/{denominator}"
 
 
 def _session_entry(result: SessionResult) -> dict:
@@ -277,51 +266,71 @@ def _session_entry(result: SessionResult) -> dict:
             str(r): s.value for r, s in sorted(result.round_scenarios.items())
         },
         "recovered_count": result.recovered_count,
-        "normalized_capacity": _capacity_str(n - len(result.failure), n),
+        "normalized_capacity": f"{n - len(result.failure)}/{n}",
         "detail": result.detail,
     }
 
 
-def _write_report(config: RunConfig, report: dict) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if config.report_path:
-        with open(config.report_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _write_files(outputs: Sequence[tuple[str, Iterable[str]]]) -> None:
+    """Write each (path, chunks) output so that none appears before all are
+    written. A regular or new file is streamed to a temp file beside the file
+    its path resolves to, and renamed over it once every write has
+    succeeded; a device or pipe such as /dev/null, which a rename would
+    replace, is written in place. On an OSError no renamed output and no temp
+    file is left, and the error names the path."""
+    staged: list[tuple[str, str, str]] = []  # (path, temp file, target)
+    placed: list[str] = []
+    path = None
+    try:
+        for path, chunks in outputs:
+            target = os.path.realpath(path)
+            in_place = os.path.exists(target) and not os.path.isfile(target)
+            tmp = target if in_place else f"{target}.{os.urandom(4).hex()}.tmp"
+            with open(tmp, "w" if in_place else "x", encoding="utf-8") as fh:
+                if not in_place:
+                    staged.append((path, tmp, target))
+                fh.writelines(chunks)
+        for path, tmp, target in staged:
+            os.replace(tmp, target)
+            placed.append(target)
+    except OSError as exc:
+        for leftover in [tmp for _, tmp, _ in staged] + placed:
+            with contextlib.suppress(OSError):
+                os.remove(leftover)
+        raise OSError(exc.errno, exc.strerror, path) from exc
 
 
-def _write_trace(config: RunConfig, results: Sequence[SessionResult]) -> None:
-    if not config.trace_path:
-        return
-    lines = []
-    for result in results:
-        lines.extend(trace_lines(result.packets))
-    with open(config.trace_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + ("\n" if lines else ""))
+def _json(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def _finish(config: RunConfig, results: list[SessionResult]) -> int:
-    histogram = Counter(r.scenario.value for r in results)
     completed = sum(r.complete for r in results)
-    report = {
-        "generated_at": _timestamp(),
+    capacity = f"{config.n - 2}/{config.n}"
+    text = _json({
+        "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "config": config.echo(),
-        "schedule_capacity": _capacity_str(config.n - 2, config.n),
+        "schedule_capacity": capacity,
         "results": [_session_entry(r) for r in results],
-        "scenario_histogram": histogram,
+        "scenario_histogram": Counter(r.scenario.value for r in results),
         "recovered_count_total": sum(r.recovered_count for r in results),
         "complete_rate": completed / len(results),
         "all_complete": completed == len(results),
-    }
-    _write_trace(config, results)
+    })
+    outputs = []
+    if config.trace_path:
+        trace = (line + "\n" for r in results for line in trace_lines(r.packets))
+        outputs.append((config.trace_path, trace))
+    if config.report_path:
+        outputs.append((config.report_path, [text]))
+    _write_files(outputs)
     if config.report_path:
         print(
             f"{config.mode}: {completed}/{len(results)} sessions complete, "
-            f"schedule capacity {report['schedule_capacity']}, "
-            f"report written to {config.report_path}"
+            f"schedule capacity {capacity}, report written to {config.report_path}"
         )
-    _write_report(config, report)
+    else:
+        sys.stdout.write(text)
     return 0 if completed == len(results) else 1
 
 
@@ -371,18 +380,10 @@ def _cmd_dump_schedule(config: RunConfig) -> int:
     schedule = build_schedule(config.scheme, config.n)
     labels = schedule_labels(schedule)
     if config.as_json:
-        print(
-            json.dumps(
-                {
-                    "scheme": config.scheme.value,
-                    "n": config.n,
-                    "rounds": schedule.rounds,
-                    "matrix": labels,
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
+        sys.stdout.write(_json(
+            {"scheme": config.scheme.value, "n": config.n, "rounds": schedule.rounds,
+             "matrix": labels}
+        ))
         return 0
     width = max(
         max(len(cell) for row in labels for cell in row),
@@ -403,18 +404,10 @@ def _cmd_dump_rows(config: RunConfig) -> int:
     sum_hex = [e.hex for e in rows.row_sum]
     weighted_hex = [e.hex for e in rows.row_weighted]
     if config.as_json:
-        print(
-            json.dumps(
-                {
-                    "width": rows.width,
-                    "field": config.field_echo(),
-                    "row_sum": sum_hex,
-                    "row_weighted": weighted_hex,
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
+        sys.stdout.write(_json(
+            {"width": rows.width, "field": config.field_echo(), "row_sum": sum_hex,
+             "row_weighted": weighted_hex}
+        ))
         return 0
     print(
         f"width={rows.width} over GF(2^{config.field.m}), "
@@ -425,29 +418,20 @@ def _cmd_dump_rows(config: RunConfig) -> int:
     return 0
 
 
-def _timestamp() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
-
-
 def run(config: RunConfig) -> int:
     """Execute the configured mode; 0 exit only if every session completed."""
+    commands = {"run": _cmd_run, "sweep": _cmd_sweep,
+                "dump-schedule": _cmd_dump_schedule, "dump-rows": _cmd_dump_rows}
     try:
-        if config.mode == "run":
-            return _cmd_run(config)
-        if config.mode == "sweep":
-            return _cmd_sweep(config)
-        if config.mode == "dump-schedule":
-            return _cmd_dump_schedule(config)
-        return _cmd_dump_rows(config)
+        return commands[config.mode](config)
     except OSError as exc:
-        target = getattr(exc, "filename", None) or config.report_path or config.trace_path
-        print(f"nps2: cannot write {target}: {exc}", file=sys.stderr)
+        target = exc.filename or "standard output"
+        print(f"nps2: error: cannot write {target}: {exc.strerror}", file=sys.stderr)
         return 2
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    code = run(parse_config(argv))
-    sys.exit(code)
+    sys.exit(run(parse_config(argv)))
 
 
 if __name__ == "__main__":

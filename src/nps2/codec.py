@@ -60,6 +60,16 @@ class CoefficientRows:
         return len({e.value for e in self.row_weighted}) == self.width
 
 
+def check_width(width: int, field: FieldSpec) -> None:
+    """Raise FieldCapacityError unless the weighted row over ``width`` slots
+    can have pairwise distinct entries: width <= 2^m - 1."""
+    if width > field.q - 1:
+        raise FieldCapacityError(
+            f"width {width} exceeds the {field.q - 1} distinct nonzero elements "
+            f"of GF(2^{field.m}); needs m >= {width.bit_length()}"
+        )
+
+
 def build_rows(width: int, field: FieldSpec, *, sum_only: bool = False) -> CoefficientRows:
     """Build the coefficient rows for ``width`` protected slots.
 
@@ -69,11 +79,8 @@ def build_rows(width: int, field: FieldSpec, *, sum_only: bool = False) -> Coeff
     """
     if width < 1:
         raise ValueError(f"width must be positive, got {width}")
-    if not sum_only and width > field.q - 1:
-        raise FieldCapacityError(
-            f"width {width} exceeds the {field.q - 1} distinct nonzero elements "
-            f"of GF(2^{field.m}); needs m >= {width.bit_length()}"
-        )
+    if not sum_only:
+        check_width(width, field)
     one = field.one()
     row_sum = (one,) * width
     if sum_only:

@@ -48,7 +48,7 @@ class FieldSpec:
     ):
         if not 1 <= m <= 16:
             raise ValueError(f"extension degree must be in 1..16, got {m}")
-        if reduction_poly.bit_length() != m + 1:
+        if reduction_poly < 0 or reduction_poly.bit_length() != m + 1:
             raise ValueError(
                 f"reduction polynomial 0x{reduction_poly:x} does not have degree {m}"
             )

@@ -117,6 +117,17 @@ class SessionSchedule:
             raise ValueError(f"round {round_index} out of range 1..{self.rounds}")
 
 
+def check_path_count(scheme: Scheme, n: int) -> None:
+    """Raise ValueError unless ``scheme`` can run on n paths: NPS2-I needs
+    its two protection paths plus a working path, NPS2-II an even n >= 4
+    for its (2L-1, 2L) pairs."""
+    if scheme is Scheme.NPS2_II and n % 2:
+        raise ValueError(f"{scheme.value} needs an even number of paths, got n={n}")
+    min_n = 4 if scheme is Scheme.NPS2_II else 3
+    if n < min_n:
+        raise ValueError(f"{scheme.value} needs n >= {min_n}, got n={n}")
+
+
 @lru_cache(maxsize=16)
 def _nps2i_layout(n: int, rounds: int, p_sum: int, p_wtd: int) -> ScheduleLayout:
     grid = []
@@ -160,10 +171,7 @@ def nps2i_schedule(
     path sends its round-r data unit in round r. Nothing in recovery
     depends on the session length, so ``rounds`` is adjustable.
     """
-    if n < 3:
-        raise ValueError(
-            f"n must be at least 3 (two protection paths plus a working path), got {n}"
-        )
+    check_path_count(Scheme.NPS2_I, n)
     if session_index < 0:
         raise ValueError(f"session_index must be nonnegative, got {session_index}")
     if rounds is None:
@@ -194,12 +202,7 @@ def nps2ii_schedule(n: int, session_index: int = 0) -> SessionSchedule:
     round it sends data unit r in round r; afterwards unit r-1, so each
     source contributes units 1 .. n/2 - 1 with no gaps.
     """
-    if n % 2:
-        raise ValueError(
-            f"n must be even for the rotating protection pair, got {n}"
-        )
-    if n < 4:
-        raise ValueError(f"n must be at least 4, got {n}")
+    check_path_count(Scheme.NPS2_II, n)
     if session_index < 0:
         raise ValueError(f"session_index must be nonnegative, got {session_index}")
     return SessionSchedule(

@@ -35,7 +35,6 @@ from .schemes import (
     SlotKind,
     build_schedule,
     protected_slots,
-    schedule_capacity,
 )
 
 SessionData = Sequence[Sequence[FieldElement]]  # [source-1][data_index-1]
@@ -130,20 +129,6 @@ class FailurePattern:
 NO_FAILURES = FailurePattern()
 
 
-@dataclass(frozen=True)
-class PathState:
-    """Unit capacity indicator: 1 while the path is active, else 0."""
-
-    path: int
-    capacity: int
-
-
-def path_states(n: int, failure: FailurePattern) -> tuple[PathState, ...]:
-    return tuple(
-        PathState(path=p, capacity=0 if p in failure else 1) for p in range(1, n + 1)
-    )
-
-
 @dataclass
 class SessionResult:
     schedule: SessionSchedule
@@ -151,9 +136,7 @@ class SessionResult:
     delivered: dict[tuple[int, int], FieldElement]
     recovered_count: int
     round_scenarios: dict[int, Scenario]
-    states: tuple[PathState, ...]
     normalized_capacity: Fraction
-    schedule_capacity: Fraction
     outcome: Outcome
     unrecoverable_rounds: tuple[tuple[int, tuple[int, ...]], ...] = ()
     packets: tuple[Packet, ...] = dc_field(default=(), repr=False)
@@ -377,9 +360,7 @@ def run_session(
         delivered=delivered,
         recovered_count=recovered_count,
         round_scenarios=round_scenarios,
-        states=path_states(n, failure),
         normalized_capacity=Fraction(n - len(failure), n),
-        schedule_capacity=schedule_capacity(schedule),
         outcome=Outcome.COMPLETE if ok else Outcome.UNRECOVERABLE,
         unrecoverable_rounds=tuple(unrecoverable),
         packets=tuple(all_packets),

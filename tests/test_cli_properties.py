@@ -1,0 +1,185 @@
+"""The CLI's exit contract over drawn configs: parse_config plus run ends in
+status 0, 1 or 2 for every input, 2 always comes with an ``nps2: error:``
+line, and a run that ends in 2 leaves no report, trace or temp file."""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from nps2.cli import MODES, parse_config, run
+
+# no digits, so no drawn string can name an n above the bound
+JUNK = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), st.booleans(), st.none(),
+    st.text(alphabet="xyab,.- ", max_size=4), st.lists(st.integers(0, 9), max_size=3),
+)
+# (m, reduction polynomial, generator) of valid fields
+FIELDS = [(1, 0x3, 1), (3, 0xB, 2), (4, 0x13, 2), (8, 0x11D, 2)]
+
+
+def mostly(good, bad, odds: int):
+    """``bad`` one time in ``odds``, else ``good``."""
+    return st.integers(1, odds).flatmap(lambda k: bad if k == 1 else good)
+
+
+def values(good):
+    """A good value, or one time in twenty a junk one."""
+    return mostly(good, JUNK, 20)
+
+
+def ints(lo: int, hi: int):
+    return st.integers(lo, hi) | st.integers(lo, hi).map(str)
+
+
+def hexes(valid: int):
+    forms = st.sampled_from([valid, f"{valid:x}", hex(valid)])
+    return mostly(forms, st.sampled_from(["zz", -valid]) | st.integers(0, 1 << 17), 5)
+
+
+OUTPUT_NAMES = ("out.json", "out.jsonl", "missing/out.json", "")
+
+
+@st.composite
+def configs(draw):
+    """A config dict and the names of the outputs it asks for under the
+    example's directory; n is at most 16 and sessions at most 3."""
+    m, poly, gen = draw(st.sampled_from(FIELDS))
+    field = {
+        "m": values(mostly(st.just(m), ints(0, 17), 5)),
+        "reduction_poly": values(hexes(poly)),
+        "generator": values(hexes(gen)),
+    }
+    keys = {
+        "scheme": values(st.sampled_from(["nps2-i", "nps2-ii"])),
+        "n": values(ints(-1, 16)),
+        "sessions": values(ints(-1, 3)),
+        "seed": values(ints(-5, 1 << 40)),
+        "fail": values(
+            st.lists(st.integers(0, 17), max_size=4)
+            | st.lists(st.integers(1, 6), max_size=4).map(lambda ps: ",".join(map(str, ps)))
+        ),
+        "fail_random": values(ints(-1, 5)),
+        "mode": values(st.sampled_from(MODES)),
+    }
+    if draw(st.booleans()):
+        keys.update({"field_m": field["m"], "field_poly": field["reduction_poly"],
+                     "field_gen": field["generator"]})
+    cfg = draw(st.fixed_dictionaries({}, optional=keys))
+    if {"fail", "fail_random"} <= cfg.keys() and draw(mostly(st.just(True), st.just(False), 5)):
+        del cfg[draw(st.sampled_from(["fail", "fail_random"]))]
+    if draw(st.booleans()):
+        cfg["field"] = draw(values(st.fixed_dictionaries({}, optional=field)))
+    outputs = {}
+    for key in ("trace", "report"):
+        kind = draw(st.sampled_from(["absent", "absent", "path", "path", "path", "other"]))
+        if kind == "other":
+            cfg[key] = draw(JUNK.filter(lambda v: not isinstance(v, str)))
+        elif kind == "path":
+            outputs[key] = draw(st.sampled_from(OUTPUT_NAMES))
+    return cfg, outputs
+
+
+def _files(root: str) -> set[str]:
+    return {
+        os.path.relpath(os.path.join(d, f), root)
+        for d, _, files in os.walk(root) for f in files
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(configs())
+def test_exit_status_is_total(case):
+    cfg, outputs = case
+    with tempfile.TemporaryDirectory() as root:
+        for key, name in outputs.items():
+            cfg[key] = os.path.join(root, name)
+        config_path = os.path.join(root, "config.json")
+        with open(config_path, "w", encoding="utf-8") as fh:
+            json.dump(cfg, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                config = parse_config(["--config", config_path])
+                code = run(config)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2)
+        left = _files(root) - {"config.json"}
+        if code == 2:
+            assert "nps2: error:" in err.getvalue()
+            assert not left
+        elif config.mode in ("run", "sweep"):  # the dumps write no files
+            assert left == set(outputs.values())
+        else:
+            assert not left
+
+
+BAD_CONFIGS = [
+    {"n": "abc"},
+    {"field": {"m": "x"}},
+    {"sessions": "x"},
+    {"seed": "x"},
+    {"n": 4.5},
+    {"sessions": 2.5},
+    {"seed": 1.9},
+    {"fail_random": True},
+    {"n": True},
+    {"trace": 5},
+    {"report": 7},
+    {"field_poly": -0x11D},
+]
+
+
+@pytest.mark.parametrize("cfg", BAD_CONFIGS, ids=json.dumps)
+def test_malformed_config_value_exits_2(cfg, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(SystemExit) as exc:
+        parse_config(["--config", str(path)])
+    assert exc.value.code == 2
+    assert "nps2: error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--n", "4.5"], ["--seed", "1.9"], ["--sessions", "x"]])
+def test_malformed_flag_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse_config(argv)
+    assert exc.value.code == 2
+    assert "nps2: error:" in capsys.readouterr().err
+
+
+def test_null_counts_as_absent(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"n": None, "field": {"m": None}, "seed": None}))
+    cfg = parse_config(["--config", str(path)])
+    assert (cfg.n, cfg.field.m, cfg.seed) == (8, 8, 0)
+
+
+@pytest.mark.parametrize("report", ["nodir/r.json", "."])
+def test_failed_write_leaves_no_output(report, tmp_path, capsys, monkeypatch):
+    # "nodir" fails before anything is placed; "." fails after the trace is
+    monkeypatch.chdir(tmp_path)
+    cfg = parse_config(["sweep", "--n", "4", "--trace", "t.jsonl", "--report", report])
+    assert run(cfg) == 2
+    out, err = capsys.readouterr()
+    assert "written" not in out
+    assert f"nps2: error: cannot write {report}" in err
+    assert os.listdir(tmp_path) == []
+
+
+def test_outputs_follow_symlinks_and_devices(tmp_path, capsys):
+    # a symlinked report is written through the link; /dev/null stays a device
+    real = tmp_path / "real.json"
+    real.write_text("old")
+    link = tmp_path / "link.json"
+    link.symlink_to(real)
+    cfg = parse_config(["sweep", "--n", "4", "--trace", os.devnull, "--report", str(link)])
+    assert run(cfg) == 0
+    assert link.is_symlink() and json.loads(real.read_text())["all_complete"] is True
+    assert not os.path.isfile(os.devnull)
+    assert sorted(os.listdir(tmp_path)) == ["link.json", "real.json"]

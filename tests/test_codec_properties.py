@@ -1,6 +1,7 @@
-"""Property tests: the int-valued field and codec agree with boxed
-FieldElement arithmetic and with a schoolbook oracle, for every degree
-m = 1..16, and mixed fields are still rejected at the codec entry points."""
+"""Property tests: the field axioms hold, and the int-valued field and
+codec agree with boxed FieldElement arithmetic and with a schoolbook
+oracle, for every degree m = 1..16; mixed fields are still rejected at the
+codec entry points."""
 
 import functools
 import operator
@@ -67,6 +68,23 @@ def test_field_ops_match_schoolbook(data):
     assert (a + b).value == a.value ^ b.value
     if b:
         assert schoolbook_mul(b.inverse().value, b.value, field) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_field_axioms(data):
+    field = FIELDS[data.draw(st.integers(1, 16))]
+    a, b, c = (field.element(data.draw(st.integers(0, field.q - 1))) for _ in range(3))
+    zero, one = field.zero(), field.one()
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a + b == b + a and a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert a + zero == a and a * one == a and a * zero == zero
+    assert a + a == zero  # every element is its own additive inverse
+    if a:
+        assert a * a.inverse() == one
+        assert (b / a) * a == b
 
 
 @settings(max_examples=200, deadline=None)

@@ -158,6 +158,8 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         FieldSpec(3, 0b1010, 2)  # no constant term
     with pytest.raises(ValueError):
+        FieldSpec(3, -0b1011, 2)  # negative bitmask
+    with pytest.raises(ValueError):
         FieldSpec(3, 0b1011, 0)
     with pytest.raises(ValueError):
         FieldSpec(3, 0b1011, 1)  # 1 only generates itself when m > 1

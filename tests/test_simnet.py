@@ -6,7 +6,7 @@ import pytest
 
 from nps2.codec import build_rows, encode_pair
 from nps2.field import FieldSpec
-from nps2.schemes import Scheme, SlotKind, build_schedule, nps2ii_schedule
+from nps2.schemes import Scheme, SlotKind, build_schedule, nps2ii_schedule, schedule_capacity
 from nps2.simnet import (
     NO_FAILURES,
     FailurePattern,
@@ -15,7 +15,6 @@ from nps2.simnet import (
     all_patterns,
     classify_round,
     generate_source_data,
-    path_states,
     recover_round,
     run_session,
     sweep_failures,
@@ -186,9 +185,7 @@ def test_capacity_accounting():
     for pattern in (NO_FAILURES, FailurePattern({2}), FailurePattern({1, 5})):
         result = run_session(Scheme.NPS2_II, 6, GF256, pattern, seed=7)
         assert result.normalized_capacity == Fraction(6 - len(pattern), 6)
-        assert result.schedule_capacity == Fraction(4, 6)
-        for state in result.states:
-            assert state.capacity == (0 if state.path in pattern else 1)
+        assert schedule_capacity(result.schedule) == Fraction(4, 6)
 
 
 def test_scenario_tag_matches_slot_kinds():
@@ -311,11 +308,6 @@ def test_failure_pattern_validation():
 def test_failed_path_out_of_range():
     with pytest.raises(ValueError, match="exceeds"):
         run_session(Scheme.NPS2_II, 4, GF256, FailurePattern({9}), seed=1)
-
-
-def test_path_states():
-    states = path_states(4, FailurePattern({2, 4}))
-    assert [s.capacity for s in states] == [1, 0, 1, 0]
 
 
 def test_classify_round_direct():
