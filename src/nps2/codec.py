@@ -97,13 +97,13 @@ def encode_pair(
     if len(data) != rows.width:
         raise ValueError(f"expected {rows.width} data symbols, got {len(data)}")
     field = rows.field
-    exp, log, order = field._exp, field._log, field.q - 1
+    exp, log = field._exp, field._log
     field._check(*data)
     y_sum = y_weighted = 0
     for lw, d in zip(rows.logs[Row.WEIGHTED], data):
         if v := d.value:
             y_sum ^= v
-            y_weighted ^= exp[(log[v] + lw) % order]
+            y_weighted ^= exp[log[v] + lw]
     return field.element(y_sum), field.element(y_weighted)
 
 
@@ -120,20 +120,20 @@ def residualize(
     """
     field = rows.field
     field._check(y_received)
-    exp, log, order = field._exp, field._log, field.q - 1
+    exp, log = field._exp, field._log
     logs = rows.logs[row]
     residual = y_received.value
-    seen: set[int] = set()
+    seen = [False] * rows.width
     for rank, value in known:
-        if rank in seen:
-            raise ValueError(f"duplicate rank {rank} in known contributions")
         if not 0 <= rank < rows.width:
             raise ValueError(f"rank {rank} out of range for width {rows.width}")
-        seen.add(rank)
+        if seen[rank]:
+            raise ValueError(f"duplicate rank {rank} in known contributions")
+        seen[rank] = True
         if value.spec is not field:
             field._check(value)
         if v := value.value:
-            residual ^= exp[(log[v] + logs[rank]) % order]
+            residual ^= exp[log[v] + logs[rank]]
     return field.element(residual)
 
 

@@ -101,7 +101,7 @@ class FieldSpec:
                 f"generator 0x{self.generator:x} does not have order {order}; "
                 f"0x{self.reduction_poly:x} may be reducible"
             )
-        self._exp = exp
+        self._exp = exp + exp  # doubled, so a sum of two logs needs no reduction
         self._log = log
 
     # -- element construction -------------------------------------------
@@ -132,12 +132,12 @@ class FieldSpec:
     # -- arithmetic on int values, shared by the boxed operations and codec --
 
     def _mul(self, a: int, b: int) -> int:
-        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)] if a and b else 0
+        return self._exp[self._log[a] + self._log[b]] if a and b else 0
 
     def _div(self, a: int, b: int) -> int:
         if b == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        return self._exp[(self._log[a] - self._log[b]) % (self.q - 1)] if a else 0
+        return self._exp[self._log[a] - self._log[b] + self.q - 1] if a else 0
 
     # -- arithmetic on elements ------------------------------------------
 

@@ -9,13 +9,12 @@ round by which slot kinds were lost and solves for the erased symbols.
 
 from __future__ import annotations
 
-import json
 import random
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .codec import (
     CoefficientRows,
@@ -139,7 +138,25 @@ class SessionResult:
     normalized_capacity: Fraction
     outcome: Outcome
     unrecoverable_rounds: tuple[tuple[int, tuple[int, ...]], ...] = ()
-    packets: tuple[Packet, ...] = dc_field(default=(), repr=False)
+    # per round, the arrived (sum, weighted) protection payloads; None if lost
+    protection: tuple[tuple[FieldElement | None, FieldElement | None], ...] = dc_field(
+        default=(), repr=False)
+
+    @property
+    def packets(self) -> tuple[Packet, ...]:
+        """The surviving packets in (round, path) order, rebuilt on each read:
+        a working slot on a live path holds its directly delivered symbol,
+        since recovery only fills slots of failed paths."""
+        failed, session = self.failure.failed_paths, self.schedule.session_index
+        packets = []
+        for r, (row, (y_sum, y_weighted)) in enumerate(zip(self.schedule.grid, self.protection), 1):
+            for path, slot in enumerate(row, 1):
+                if path not in failed:
+                    kind = slot.kind
+                    payload = (self.delivered[path, slot.data_index] if kind is SlotKind.WORKING
+                               else y_sum if kind is SlotKind.PROTECTION_SUM else y_weighted)
+                    packets.append(Packet(path, payload, r, session, kind))
+        return tuple(packets)
 
     @property
     def complete(self) -> bool:
@@ -154,11 +171,8 @@ class SessionResult:
     def detail(self) -> str | None:
         if not self.unrecoverable_rounds:
             return None
-        parts = [
-            f"round {r}: failed paths {sorted(paths)}"
-            for r, paths in self.unrecoverable_rounds
-        ]
-        return "; ".join(parts)
+        return "; ".join(
+            f"round {r}: failed paths {sorted(paths)}" for r, paths in self.unrecoverable_rounds)
 
 
 def generate_source_data(
@@ -185,27 +199,22 @@ def transmit_round(
     data: SessionData,
     failure: FailurePattern,
     rows: CoefficientRows,
-) -> list[Packet]:
-    """Surviving packets of one round, ascending path order.
+) -> dict[int, FieldElement]:
+    """Payloads of one round's surviving packets by path, ascending.
 
     The distributor is an ideal oracle over all sources' data, so the
     protection payloads exist even when some sources' own paths failed.
     """
     prot = protected_slots(schedule, round_index)
-    y_sum, y_weighted = encode_pair([data[p - 1][d - 1] for p, d in prot], rows)
-    failed = failure.failed_paths
-    session = schedule.session_index
-    packets = []
-    for path, slot in enumerate(schedule.grid[round_index - 1], 1):
-        if path in failed:
-            continue
-        kind = slot.kind
-        if kind is SlotKind.WORKING:
-            payload = data[path - 1][slot.data_index - 1]
-        else:
-            payload = y_sum if kind is SlotKind.PROTECTION_SUM else y_weighted
-        packets.append(Packet(path, payload, round_index, session, kind))
-    return packets
+    payloads = [data[p - 1][d - 1] for p, d in prot]
+    y_sum, y_weighted = encode_pair(payloads, rows)
+    # the working slots are every other path, so the carriers slot in by path
+    for path, y in sorted(zip(schedule.layout.pairs[round_index - 1], (y_sum, y_weighted))):
+        payloads.insert(path - 1, y)
+    survivors = dict(enumerate(payloads, 1))
+    for path in failure.failed_paths:
+        survivors.pop(path, None)
+    return survivors
 
 
 def _round_case(
@@ -249,13 +258,14 @@ class RoundRecovery:
 
 
 def recover_round(
-    packets: Sequence[Packet],
+    survivors: Mapping[int, FieldElement],
     schedule: SessionSchedule,
     round_index: int,
     rows: CoefficientRows,
     failure: FailurePattern,
 ) -> RoundRecovery:
-    """Collector-side case analysis for one round.
+    """Collector-side case analysis for one round, from ``survivors``, the
+    path -> payload map transmit_round returned under the same failure.
 
     Failed protection slots need no action; each failed working slot adds
     one unknown, solved from the residuals of the surviving protection
@@ -263,12 +273,13 @@ def recover_round(
     usable rows.
     """
     scenario, missing, sum_alive, weighted_alive = _round_case(schedule, round_index, failure)
-    by_path = {p.sender_id: p.payload for p in packets}
     prot = protected_slots(schedule, round_index)
-    known = [(rank, by_path[s.path]) for rank, s in enumerate(prot) if s.path in by_path]
-    delivered = {prot[rank]: payload for rank, payload in known}
+    delivered = {s: survivors.get(s.path) for s in prot}
     if not missing:
         return RoundRecovery(delivered=delivered, scenario=scenario, recovered=())
+    known = list(enumerate(delivered.values()))  # (rank, payload)
+    for t in reversed(missing):  # the failed paths' slots arrived as None
+        del known[t], delivered[prot[t]]
 
     failed_paths = tuple(prot[t].path for t in missing)
     if scenario is Scenario.EXCESS_LOSS:
@@ -281,8 +292,8 @@ def recover_round(
             delivered,
         )
     p_sum, p_wtd = schedule.protection_pair(round_index)
-    rs = residualize(by_path[p_sum], known, Row.SUM, rows) if sum_alive else None
-    rw = residualize(by_path[p_wtd], known, Row.WEIGHTED, rows) if weighted_alive else None
+    rs = residualize(survivors[p_sum], known, Row.SUM, rows) if sum_alive else None
+    rw = residualize(survivors[p_wtd], known, Row.WEIGHTED, rows) if weighted_alive else None
     problem = RecoveryProblem(missing, rs, rw)
     try:
         values = (solve_one(problem, rows),) if len(missing) == 1 else solve_two(problem, rows)
@@ -333,14 +344,14 @@ def run_session(
     delivered: dict[tuple[int, int], FieldElement] = {}
     round_scenarios: dict[int, Scenario] = {}
     unrecoverable: list[tuple[int, tuple[int, ...]]] = []
-    all_packets: list[Packet] = []
+    protection = []
     recovered_count = 0
 
-    for r in range(1, schedule.rounds + 1):
-        packets = transmit_round(schedule, r, data, failure, rows)
-        all_packets.extend(packets)
+    for r, (p_sum, p_wtd) in enumerate(schedule.layout.pairs, 1):
+        survivors = transmit_round(schedule, r, data, failure, rows)
+        protection.append((survivors.get(p_sum), survivors.get(p_wtd)))
         try:
-            rec = recover_round(packets, schedule, r, rows, failure)
+            rec = recover_round(survivors, schedule, r, rows, failure)
         except RoundUnrecoverableError as exc:
             round_scenarios[r] = exc.scenario
             unrecoverable.append((exc.round_index, exc.failed_paths))
@@ -350,10 +361,9 @@ def run_session(
         recovered_count += len(rec.recovered)
         round_scenarios[r] = rec.scenario
 
-    emitted = schedule.emitted()
-    ok = delivered.keys() == emitted and all(
-        delivered[s].value == data[s.path - 1][s.data_index - 1].value for s in emitted
-    )
+    # only emitted slots are ever delivered, so equal sizes mean equal key sets
+    ok = len(delivered) == len(schedule.emitted()) and [
+        v.value for v in delivered.values()] == [data[p - 1][d - 1].value for p, d in delivered]
     return SessionResult(
         schedule=schedule,
         failure=failure,
@@ -363,7 +373,7 @@ def run_session(
         normalized_capacity=Fraction(n - len(failure), n),
         outcome=Outcome.COMPLETE if ok else Outcome.UNRECOVERABLE,
         unrecoverable_rounds=tuple(unrecoverable),
-        packets=tuple(all_packets),
+        protection=tuple(protection),
     )
 
 
@@ -429,7 +439,10 @@ def sweep_failures(
 
 
 def trace_lines(packets: Iterable[Packet]) -> list[str]:
-    """JSON-lines records, one per surviving packet, byte-stable."""
+    """JSON-lines records, one per surviving packet, byte-stable: each line is
+    ``json.dumps(p.record(), sort_keys=True, separators=(",", ":"))``."""
     return [
-        json.dumps(p.record(), sort_keys=True, separators=(",", ":")) for p in packets
+        f'{{"kind":"{p.kind.value}","path":{p.sender_id},"payload_hex":"{p.payload.hex}",'
+        f'"round":{p.round},"sender":{p.sender_id},"session":{p.session}}}'
+        for p in packets
     ]

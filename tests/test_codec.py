@@ -21,7 +21,7 @@ from nps2.codec import (
     solve_one,
     solve_two,
 )
-from nps2.field import FieldSpec
+from nps2.field import FieldMismatchError, FieldSpec
 
 GF4 = FieldSpec(2, 0b111, 0b10)
 GF8 = FieldSpec(3, 0b1011, 0b010)
@@ -147,6 +147,44 @@ def test_residualize_duplicate_rank_rejected():
         residualize(one, [(0, one), (0, one)], Row.SUM, rows)
     with pytest.raises(ValueError, match="range"):
         residualize(one, [(3, one)], Row.SUM, rows)
+
+
+GF16 = FieldSpec(4, 0x13, 0x2)
+
+
+@pytest.mark.parametrize("known, error, message", [
+    ([(0, GF8.one()), (1, GF8.one()), (2, GF16.one())], FieldMismatchError,
+     "element of GF(2^4)/0x13 used in GF(2^3)/0xb"),
+    ([(2, GF8.one()), (0, GF8.one()), (2, GF8.one())], ValueError,
+     "duplicate rank 2 in known contributions"),
+    ([(0, GF8.one()), (-1, GF8.one())], ValueError, "rank -1 out of range for width 3"),
+    ([(1, GF8.one()), (3, GF8.one())], ValueError, "rank 3 out of range for width 3"),
+    # with several faults, the first entry in list order is the one named
+    ([(1, GF16.one()), (1, GF8.one()), (7, GF8.one())], FieldMismatchError,
+     "element of GF(2^4)/0x13 used in GF(2^3)/0xb"),
+    ([(0, GF8.one()), (5, GF8.one()), (5, GF8.one())], ValueError,
+     "rank 5 out of range for width 3"),
+    ([(0, GF8.one()), (0, GF8.one()), (9, GF8.one())], ValueError,
+     "duplicate rank 0 in known contributions"),
+])
+def test_residualize_names_the_first_bad_entry(known, error, message):
+    rows = build_rows(3, GF8)
+    for row in Row:
+        with pytest.raises(error) as info:
+            residualize(GF8.one(), known, row, rows)
+        assert type(info.value) is error and str(info.value) == message
+
+
+def test_field_check_names_the_mismatched_element():
+    good = [GF8.element(v) for v in range(8)]
+    GF8._check()
+    GF8._check(*good, FieldSpec(3, 0b1011, 0b010).element(3))  # equal spec, other instance
+    with pytest.raises(FieldMismatchError) as info:
+        GF8._check(*good, GF4.element(2))
+    assert str(info.value) == "element of GF(2^2)/0x7 used in GF(2^3)/0xb"
+    with pytest.raises(FieldMismatchError) as info:  # same degree, other polynomial
+        GF8._check(*good, FieldSpec(3, 0b1101, 0b010).element(1))
+    assert str(info.value) == "element of GF(2^3)/0xd used in GF(2^3)/0xb"
 
 
 def test_recovery_problem_validation():

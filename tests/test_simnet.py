@@ -49,27 +49,24 @@ def test_transmit_round_nps2ii_n4_round1():
     sched = nps2ii_schedule(4)
     rows = build_rows(2, GF256)
     data = generate_source_data(4, 2, 1, 5, GF256)[0]
-    packets = transmit_round(sched, 1, data, NO_FAILURES, rows)
-    assert [p.sender_id for p in packets] == [1, 2, 3, 4]
-    assert [p.kind for p in packets] == [
+    survivors = transmit_round(sched, 1, data, NO_FAILURES, rows)
+    assert list(survivors) == [1, 2, 3, 4]
+    assert [sched.slot(1, p).kind for p in survivors] == [
         SlotKind.PROTECTION_SUM,
         SlotKind.PROTECTION_WEIGHTED,
         SlotKind.WORKING,
         SlotKind.WORKING,
     ]
     y_sum, y_weighted = encode_pair([data[2][0], data[3][0]], rows)
-    assert packets[0].payload == y_sum
-    assert packets[1].payload == y_weighted
-    assert packets[2].payload == data[2][0]
-    assert packets[3].payload == data[3][0]
+    assert survivors == {1: y_sum, 2: y_weighted, 3: data[2][0], 4: data[3][0]}
 
 
 def test_transmit_round_erases_failed_path():
     sched = nps2ii_schedule(4)
     rows = build_rows(2, GF256)
     data = generate_source_data(4, 2, 1, 5, GF256)[0]
-    packets = transmit_round(sched, 1, data, FailurePattern({3}), rows)
-    assert [p.sender_id for p in packets] == [1, 2, 4]
+    survivors = transmit_round(sched, 1, data, FailurePattern({3}), rows)
+    assert list(survivors) == [1, 2, 4]
 
 
 def test_transmit_round_zero_tensor_zero_protection():
@@ -77,8 +74,9 @@ def test_transmit_round_zero_tensor_zero_protection():
     rows = build_rows(4, GF256)
     data = generate_source_data(6, 3, 1, 5, GF256, all_zero=True)[0]
     for r in (1, 2, 3):
-        for p in transmit_round(sched, r, data, NO_FAILURES, rows):
-            assert p.payload == 0
+        survivors = transmit_round(sched, r, data, NO_FAILURES, rows)
+        assert len(survivors) == 6
+        assert all(payload == 0 for payload in survivors.values())
 
 
 def test_recover_round_protection_only():
