@@ -9,7 +9,6 @@ import json
 import os
 import random
 import sys
-from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Iterable, Sequence
@@ -21,6 +20,7 @@ from .simnet import (
     NO_FAILURES,
     FailurePattern,
     SessionResult,
+    SweepReport,
     generate_source_data,
     run_session,
     sweep_failures,
@@ -305,17 +305,18 @@ def _json(obj) -> str:
 
 
 def _finish(config: RunConfig, results: list[SessionResult]) -> int:
-    completed = sum(r.complete for r in results)
+    report = SweepReport(tuple(results))
+    completed, total = report.complete_count, report.session_count
     capacity = f"{config.n - 2}/{config.n}"
     text = _json({
         "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "config": config.echo(),
         "schedule_capacity": capacity,
         "results": [_session_entry(r) for r in results],
-        "scenario_histogram": Counter(r.scenario.value for r in results),
-        "recovered_count_total": sum(r.recovered_count for r in results),
-        "complete_rate": completed / len(results),
-        "all_complete": completed == len(results),
+        "scenario_histogram": report.scenario_histogram,
+        "recovered_count_total": report.recovered_total,
+        "complete_rate": report.complete_rate,
+        "all_complete": completed == total,
     })
     outputs = []
     if config.trace_path:
@@ -326,12 +327,12 @@ def _finish(config: RunConfig, results: list[SessionResult]) -> int:
     _write_files(outputs)
     if config.report_path:
         print(
-            f"{config.mode}: {completed}/{len(results)} sessions complete, "
+            f"{config.mode}: {completed}/{total} sessions complete, "
             f"schedule capacity {capacity}, report written to {config.report_path}"
         )
     else:
         sys.stdout.write(text)
-    return 0 if completed == len(results) else 1
+    return 0 if completed == total else 1
 
 
 def _cmd_run(config: RunConfig) -> int:

@@ -69,23 +69,11 @@ class FieldSpec:
         self._elements: dict[int, FieldElement] = {}  # filled on first use of each value
         self._build_tables()
 
-    def _polymul(self, a: int, b: int) -> int:
-        """Carryless polynomial product reduced modulo the field polynomial."""
-        prod = 0
-        while b:
-            if b & 1:
-                prod ^= a
-            b >>= 1
-            a <<= 1
-        for bit in range(prod.bit_length() - 1, self.m - 1, -1):
-            if prod >> bit & 1:
-                prod ^= self.reduction_poly << (bit - self.m)
-        return prod
-
     def _build_tables(self) -> None:
-        order = self.q - 1
+        q, poly, g = self.q, self.reduction_poly, self.generator
+        order = q - 1
         exp = [0] * order
-        log = [0] * self.q
+        log = [0] * q
         x = 1
         for i in range(order):
             if x == 1 and i > 0:
@@ -95,7 +83,16 @@ class FieldSpec:
                 )
             exp[i] = x
             log[x] = i
-            x = self._polymul(x, self.generator)
+            # x * g by shift-and-add, reducing x each time it reaches degree m
+            prod, rest = 0, g
+            while rest:
+                if rest & 1:
+                    prod ^= x
+                rest >>= 1
+                x <<= 1
+                if x & q:
+                    x ^= poly
+            x = prod
         if x != 1:
             raise ValueError(
                 f"generator 0x{self.generator:x} does not have order {order}; "

@@ -61,19 +61,6 @@ class Outcome(Enum):
     UNRECOVERABLE = "unrecoverable"
 
 
-class RoundUnrecoverableError(UnrecoverableError):
-    """A round lost more working symbols than its surviving protection rows
-    cover; ``delivered`` holds the working symbols that arrived directly."""
-
-    def __init__(self, message: str, round_index: int, failed_paths: tuple[int, ...],
-                 scenario: Scenario, delivered: dict[tuple[int, int], FieldElement]):
-        super().__init__(message)
-        self.round_index = round_index
-        self.failed_paths = failed_paths
-        self.scenario = scenario
-        self.delivered = delivered
-
-
 @dataclass(slots=True)
 class Packet:
     """One symbol on one path; sender i owns path i."""
@@ -135,7 +122,6 @@ class SessionResult:
     delivered: dict[tuple[int, int], FieldElement]
     recovered_count: int
     round_scenarios: dict[int, Scenario]
-    normalized_capacity: Fraction
     outcome: Outcome
     unrecoverable_rounds: tuple[tuple[int, tuple[int, ...]], ...] = ()
     # per round, the arrived (sum, weighted) protection payloads; None if lost
@@ -163,6 +149,12 @@ class SessionResult:
         return self.outcome is Outcome.COMPLETE
 
     @property
+    def normalized_capacity(self) -> Fraction:
+        """The share of the n paths that stayed active for the session."""
+        n = self.schedule.n
+        return Fraction(n - len(self.failure), n)
+
+    @property
     def scenario(self) -> Scenario:
         """Highest-severity round scenario; the session's summary tag."""
         return max(self.round_scenarios.values(), key=lambda s: s.severity)
@@ -181,14 +173,12 @@ def generate_source_data(
     sessions: int,
     seed: int,
     field: FieldSpec,
-    *,
-    all_zero: bool = False,
 ) -> list[list[list[FieldElement]]]:
     """Deterministic symbol tensor indexed [session][source-1][data_index-1]."""
     rng = random.Random(seed)
-    draw = (lambda: 0) if all_zero else (lambda: rng.randrange(field.q))
     return [
-        [[field.element(draw()) for _ in range(rounds_per_session)] for _ in range(n)]
+        [[field.element(rng.randrange(field.q)) for _ in range(rounds_per_session)]
+         for _ in range(n)]
         for _ in range(sessions)
     ]
 
@@ -219,10 +209,10 @@ def transmit_round(
 
 def _round_case(
     schedule: SessionSchedule, round_index: int, failure: FailurePattern
-) -> tuple[Scenario, tuple[int, ...], bool, bool]:
+) -> tuple[Scenario, tuple[int, ...], int | None, int | None]:
     """The one case analysis of a round, from its layout and the failed
-    paths: scenario, ascending ranks of the failed working slots, and
-    whether the sum and the weighted row survive."""
+    paths: scenario, ascending ranks of the failed working slots, and the
+    paths of the sum and the weighted carrier, each None if it failed."""
     schedule._check_round(round_index)
     p_sum, p_wtd = schedule.layout.pairs[round_index - 1]
     failed = failure.failed_paths
@@ -240,7 +230,7 @@ def _round_case(
         scenario = Scenario.EXCESS_LOSS
     else:
         scenario = Scenario.SINGLE_WORKING if len(missing) == 1 else Scenario.DOUBLE_WORKING
-    return scenario, missing, sum_alive, weighted_alive
+    return scenario, missing, p_sum if sum_alive else None, p_wtd if weighted_alive else None
 
 
 def classify_round(
@@ -255,6 +245,7 @@ class RoundRecovery:
     delivered: dict[tuple[int, int], FieldElement]
     scenario: Scenario
     recovered: tuple[tuple[int, int], ...]
+    lost: tuple[int, ...] = ()  # failed working paths left unsolved, in rank order
 
 
 def recover_round(
@@ -269,42 +260,32 @@ def recover_round(
 
     Failed protection slots need no action; each failed working slot adds
     one unknown, solved from the residuals of the surviving protection
-    rows. Raises RoundUnrecoverableError when the unknowns outnumber the
-    usable rows.
+    rows. When they are too few (or, sum-only, two unknowns share a row),
+    nothing is solved: ``lost`` names the failed working paths and
+    ``delivered`` holds only the symbols that arrived directly.
     """
-    scenario, missing, sum_alive, weighted_alive = _round_case(schedule, round_index, failure)
+    scenario, missing, p_sum, p_wtd = _round_case(schedule, round_index, failure)
     prot = protected_slots(schedule, round_index)
     delivered = {s: survivors.get(s.path) for s in prot}
     if not missing:
-        return RoundRecovery(delivered=delivered, scenario=scenario, recovered=())
+        return RoundRecovery(delivered, scenario, ())
     known = list(enumerate(delivered.values()))  # (rank, payload)
     for t in reversed(missing):  # the failed paths' slots arrived as None
         del known[t], delivered[prot[t]]
 
-    failed_paths = tuple(prot[t].path for t in missing)
-    if scenario is Scenario.EXCESS_LOSS:
-        raise RoundUnrecoverableError(
-            f"round {round_index}: {len(missing)} erased working symbols but only "
-            f"{sum_alive + weighted_alive} surviving protection rows",
-            round_index,
-            failed_paths,
-            scenario,
-            delivered,
-        )
-    p_sum, p_wtd = schedule.protection_pair(round_index)
-    rs = residualize(survivors[p_sum], known, Row.SUM, rows) if sum_alive else None
-    rw = residualize(survivors[p_wtd], known, Row.WEIGHTED, rows) if weighted_alive else None
-    problem = RecoveryProblem(missing, rs, rw)
-    try:
-        values = (solve_one(problem, rows),) if len(missing) == 1 else solve_two(problem, rows)
-    except UnrecoverableError as exc:
-        raise RoundUnrecoverableError(
-            f"round {round_index}: {exc}", round_index, failed_paths, scenario, delivered
-        ) from exc
-
-    recovered = tuple(prot[t] for t in missing)
-    delivered.update(zip(recovered, values))
-    return RoundRecovery(delivered=delivered, scenario=scenario, recovered=recovered)
+    if scenario is not Scenario.EXCESS_LOSS:
+        rs = residualize(survivors[p_sum], known, Row.SUM, rows) if p_sum else None
+        rw = residualize(survivors[p_wtd], known, Row.WEIGHTED, rows) if p_wtd else None
+        problem = RecoveryProblem(missing, rs, rw)
+        try:
+            values = (solve_one(problem, rows),) if len(missing) == 1 else solve_two(problem, rows)
+        except UnrecoverableError:  # sum-only rows cannot tell two unknowns apart
+            pass
+        else:
+            recovered = tuple(prot[t] for t in missing)
+            delivered.update(zip(recovered, values))
+            return RoundRecovery(delivered, scenario, recovered)
+    return RoundRecovery(delivered, scenario, (), tuple(prot[t].path for t in missing))
 
 
 def run_session(
@@ -350,16 +331,12 @@ def run_session(
     for r, (p_sum, p_wtd) in enumerate(schedule.layout.pairs, 1):
         survivors = transmit_round(schedule, r, data, failure, rows)
         protection.append((survivors.get(p_sum), survivors.get(p_wtd)))
-        try:
-            rec = recover_round(survivors, schedule, r, rows, failure)
-        except RoundUnrecoverableError as exc:
-            round_scenarios[r] = exc.scenario
-            unrecoverable.append((exc.round_index, exc.failed_paths))
-            delivered.update(exc.delivered)  # direct survivors still reach the collector
-            continue
-        delivered.update(rec.delivered)
+        rec = recover_round(survivors, schedule, r, rows, failure)
+        delivered.update(rec.delivered)  # a lost round still delivers its direct survivors
         recovered_count += len(rec.recovered)
         round_scenarios[r] = rec.scenario
+        if rec.lost:
+            unrecoverable.append((r, rec.lost))
 
     # only emitted slots are ever delivered, so equal sizes mean equal key sets
     ok = len(delivered) == len(schedule.emitted()) and [
@@ -370,7 +347,6 @@ def run_session(
         delivered=delivered,
         recovered_count=recovered_count,
         round_scenarios=round_scenarios,
-        normalized_capacity=Fraction(n - len(failure), n),
         outcome=Outcome.COMPLETE if ok else Outcome.UNRECOVERABLE,
         unrecoverable_rounds=tuple(unrecoverable),
         protection=tuple(protection),
@@ -393,17 +369,30 @@ def all_patterns(n: int, max_failures: int = 2) -> list[FailurePattern]:
 
 @dataclass
 class SweepReport:
-    scheme: Scheme
-    n: int
-    session_index: int
+    """A batch of sessions; every total is derived from ``results``."""
+
     results: tuple[SessionResult, ...]
-    complete_rate: float
-    scenario_histogram: dict[str, int]
-    recovered_total: int
 
     @property
     def session_count(self) -> int:
         return len(self.results)
+
+    @property
+    def complete_count(self) -> int:
+        return sum(r.complete for r in self.results)
+
+    @property
+    def complete_rate(self) -> float:
+        return self.complete_count / len(self.results)
+
+    @property
+    def scenario_histogram(self) -> dict[str, int]:
+        """Sessions per summary scenario, each session counted once."""
+        return dict(Counter(r.scenario.value for r in self.results))
+
+    @property
+    def recovered_total(self) -> int:
+        return sum(r.recovered_count for r in self.results)
 
 
 def sweep_failures(
@@ -415,10 +404,7 @@ def sweep_failures(
     *,
     sum_only: bool = False,
 ) -> SweepReport:
-    """Run one session per failure pattern of size 0, 1, and 2.
-
-    The histogram counts each session once, under its summary scenario.
-    """
+    """Run one session per failure pattern of size 0, 1, and 2."""
     rows = build_rows(n - 2, field, sum_only=sum_only)
     data = generate_source_data(n, build_schedule(scheme, n, session_index).rounds,
                                 session_index + 1, seed, field)[session_index]
@@ -427,15 +413,7 @@ def sweep_failures(
                     data=data, rows=rows)
         for pattern in all_patterns(n)
     )
-    return SweepReport(
-        scheme=scheme,
-        n=n,
-        session_index=session_index,
-        results=results,
-        complete_rate=sum(r.complete for r in results) / len(results),
-        scenario_histogram=dict(Counter(r.scenario.value for r in results)),
-        recovered_total=sum(r.recovered_count for r in results),
-    )
+    return SweepReport(results)
 
 
 def trace_lines(packets: Iterable[Packet]) -> list[str]:

@@ -1,5 +1,6 @@
 """Session engine: transmission, per-round recovery, sweeps."""
 
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -40,11 +41,6 @@ def test_generate_source_data_seed_sensitivity():
     assert a != b
 
 
-def test_generate_source_data_all_zero():
-    tensor = generate_source_data(4, 2, 1, 77, GF256, all_zero=True)
-    assert all(v == 0 for src in tensor[0] for v in src)
-
-
 def test_transmit_round_nps2ii_n4_round1():
     sched = nps2ii_schedule(4)
     rows = build_rows(2, GF256)
@@ -72,7 +68,7 @@ def test_transmit_round_erases_failed_path():
 def test_transmit_round_zero_tensor_zero_protection():
     sched = nps2ii_schedule(6)
     rows = build_rows(4, GF256)
-    data = generate_source_data(6, 3, 1, 5, GF256, all_zero=True)[0]
+    data = [[GF256.zero()] * 3 for _ in range(6)]
     for r in (1, 2, 3):
         survivors = transmit_round(sched, r, data, NO_FAILURES, rows)
         assert len(survivors) == 6
@@ -130,6 +126,64 @@ def test_recover_round_sum_row_failed_uses_weighted():
     rec = recover_round(packets, sched, 1, rows, failure)
     assert rec.scenario is Scenario.SINGLE_WORKING
     assert rec.delivered[(4, 1)] == data[3][0]
+
+
+def test_recover_round_excess_loss_keeps_direct_survivors():
+    # NPS2-I session 0 protects on paths 1 and 2; three working losses leave
+    # three unknowns for two rows
+    sched = build_schedule(Scheme.NPS2_I, 6)
+    rows = build_rows(4, GF256)
+    data = generate_source_data(6, 6, 1, 11, GF256)[0]
+    failure = FailurePattern({3, 4, 5})
+    rec = recover_round(transmit_round(sched, 2, data, failure, rows), sched, 2, rows, failure)
+    assert rec.scenario is Scenario.EXCESS_LOSS
+    assert rec.recovered == ()
+    assert rec.lost == (3, 4, 5)
+    assert rec.delivered == {(6, 2): data[5][1]}
+    result = run_session(Scheme.NPS2_I, 6, GF256, failure, seed=11)
+    assert result.unrecoverable_rounds == tuple((r, (3, 4, 5)) for r in range(1, 7))
+    assert result.recovered_count == 0
+
+
+def test_recover_round_sum_only_double_working_is_lost():
+    # over GF(2) with sum-only rows, two unknowns share one independent row
+    sched = nps2ii_schedule(6)
+    rows = build_rows(4, GF2, sum_only=True)
+    data = generate_source_data(6, 3, 1, 12, GF2)[0]
+    failure = FailurePattern({3, 5})
+    rec = recover_round(transmit_round(sched, 1, data, failure, rows), sched, 1, rows, failure)
+    assert rec.scenario is Scenario.DOUBLE_WORKING
+    assert rec.recovered == ()
+    assert rec.lost == (3, 5)
+    assert rec.delivered == {(4, 1): data[3][0], (6, 1): data[5][0]}
+
+
+def test_recovered_round_loses_nothing():
+    sched = nps2ii_schedule(6)
+    rows = build_rows(4, GF256)
+    data = generate_source_data(6, 3, 1, 13, GF256)[0]
+    for failure in (NO_FAILURES, FailurePattern({1}), FailurePattern({3}), FailurePattern({3, 5})):
+        rec = recover_round(transmit_round(sched, 1, data, failure, rows), sched, 1, rows, failure)
+        assert rec.lost == ()
+        assert rec.delivered == {s: data[s.path - 1][s.data_index - 1] for s in rec.delivered}
+        assert len(rec.delivered) == 4
+
+
+def test_sweep_report_totals_follow_results():
+    report = sweep_failures(Scheme.NPS2_II, 6, GF2, seed=14, sum_only=True)
+    results = report.results
+    assert [f.name for f in fields(report)] == ["results"]
+    lost = [r for r in results if not r.complete]
+    assert lost and all(r.unrecoverable_rounds for r in lost)
+    assert report.complete_count == len(results) - len(lost)
+    assert report.complete_rate == (len(results) - len(lost)) / len(results)
+    histogram = {}
+    for r in results:
+        histogram[r.scenario.value] = histogram.get(r.scenario.value, 0) + 1
+    assert report.scenario_histogram == histogram
+    assert "double-working" in histogram
+    # recovery writes only to failed paths' slots
+    assert report.recovered_total == sum(p in r.failure for r in results for p, _ in r.delivered)
 
 
 def test_run_session_no_failures():
