@@ -335,12 +335,16 @@ def _finish(config: RunConfig, results: list[SessionResult]) -> int:
     return 0 if completed == total else 1
 
 
+def _draw_tensor(config: RunConfig) -> list:
+    """All sessions' source data in one draw; row idx holds what a draw of
+    idx + 1 sessions gives session idx."""
+    rounds = build_schedule(config.scheme, config.n).rounds
+    return generate_source_data(config.n, rounds, config.sessions, config.seed, config.field)
+
+
 def _cmd_run(config: RunConfig) -> int:
     rows = build_rows(config.n - 2, config.field)
-    rounds = build_schedule(config.scheme, config.n).rounds
-    tensor = generate_source_data(
-        config.n, rounds, config.sessions, config.seed, config.field
-    )
+    tensor = _draw_tensor(config)
     pattern_rng = random.Random(config.seed)
     results = []
     for idx in range(config.sessions):
@@ -368,11 +372,11 @@ def _cmd_run(config: RunConfig) -> int:
 
 
 def _cmd_sweep(config: RunConfig) -> int:
+    tensor = _draw_tensor(config)
     results = []
     for idx in range(config.sessions):
-        report = sweep_failures(
-            config.scheme, config.n, config.field, seed=config.seed, session_index=idx
-        )
+        report = sweep_failures(config.scheme, config.n, config.field, seed=config.seed,
+                                session_index=idx, data=tensor[idx])
         results.extend(report.results)
     return _finish(config, results)
 

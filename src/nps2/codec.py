@@ -137,77 +137,63 @@ def residualize(
     return field.element(residual)
 
 
-@dataclass(frozen=True)
-class RecoveryProblem:
-    """Residual protection symbols plus the ranks they must explain.
-
-    Ranks are normalized to ascending order; a residual is None when the
-    corresponding protection symbol did not survive.
-    """
-
-    missing_ranks: tuple[int, ...]
-    residual_sum: FieldElement | None = None
-    residual_weighted: FieldElement | None = None
-
-    def __post_init__(self):
-        ranks = tuple(sorted(self.missing_ranks))
-        if len(ranks) not in (1, 2):
-            raise ValueError(f"expected 1 or 2 missing ranks, got {len(ranks)}")
-        if len(set(ranks)) != len(ranks):
-            raise ValueError(f"missing ranks must be distinct, got {self.missing_ranks}")
-        if any(r < 0 for r in ranks):
-            raise ValueError(f"ranks must be nonnegative, got {self.missing_ranks}")
-        object.__setattr__(self, "missing_ranks", ranks)
-
-
-def _check_ranks(problem: RecoveryProblem, rows: CoefficientRows) -> None:
-    for r in problem.missing_ranks:
-        if r >= rows.width:
+def _check_ranks(ranks: Sequence[int], count: int, rows: CoefficientRows) -> tuple[int, ...]:
+    """``ranks`` in ascending order, once each is known to be one of
+    ``count`` distinct ranks in 0..width-1."""
+    if len(ranks) != count:
+        raise ValueError(f"expected {count} missing rank(s), got {len(ranks)}")
+    if len(set(ranks)) != count:
+        raise ValueError(f"missing ranks must be distinct, got {tuple(ranks)}")
+    for r in ranks:
+        if not 0 <= r < rows.width:
             raise ValueError(f"rank {r} out of range for width {rows.width}")
+    return tuple(sorted(ranks))
 
 
-def solve_one(problem: RecoveryProblem, rows: CoefficientRows) -> FieldElement:
-    """Recover a single erased symbol from whichever residual survived.
+def solve_one(
+    rank: int,
+    residual_sum: FieldElement | None,
+    residual_weighted: FieldElement | None,
+    rows: CoefficientRows,
+) -> FieldElement:
+    """Recover a single erased symbol from whichever residual survived
+    (None marks a lost protection symbol).
 
     The sum row is preferred when both are available (its coefficient is
     1, no inversion needed).
     """
-    if len(problem.missing_ranks) != 1:
-        raise ValueError("solve_one requires exactly one missing rank")
-    _check_ranks(problem, rows)
-    (rank,) = problem.missing_ranks
-    if problem.residual_sum is not None:
-        return problem.residual_sum
-    if (rw := problem.residual_weighted) is not None:
-        rows.field._check(rw)
-        return rows.field.element(rows.field._div(rw.value, rows.row_weighted[rank].value))
+    _check_ranks((rank,), 1, rows)
+    if residual_sum is not None:
+        return residual_sum
+    if residual_weighted is not None:
+        rows.field._check(residual_weighted)
+        return rows.field.element(
+            rows.field._div(residual_weighted.value, rows.row_weighted[rank].value))
     raise UnrecoverableError(f"no protection residual available for rank {rank}")
 
 
-def solve_two(problem: RecoveryProblem, rows: CoefficientRows) -> tuple[FieldElement, FieldElement]:
+def solve_two(
+    ranks: Sequence[int],
+    residual_sum: FieldElement | None,
+    residual_weighted: FieldElement | None,
+    rows: CoefficientRows,
+) -> tuple[FieldElement, FieldElement]:
     """Recover two erased symbols by closed-form 2x2 elimination.
 
     With w1, w2 the weighted coefficients of the missing ranks, the first
     equation (x1 + x2 = rs) is scaled by w1 and subtracted from the
     second (w1*x1 + w2*x2 = rw), leaving (w1 + w2)*x2 = rw + w1*rs.
-    Results come back in rank order.
+    Results come back in ascending rank order.
     """
-    if len(problem.missing_ranks) != 2:
-        raise ValueError("solve_two requires exactly two missing ranks")
-    _check_ranks(problem, rows)
-    if problem.residual_sum is None or problem.residual_weighted is None:
-        raise UnrecoverableError(
-            f"two unknowns at ranks {problem.missing_ranks} but a residual is missing"
-        )
+    t1, t2 = _check_ranks(ranks, 2, rows)
+    if residual_sum is None or residual_weighted is None:
+        raise UnrecoverableError(f"two unknowns at ranks {(t1, t2)} but a residual is missing")
     field = rows.field
-    field._check(problem.residual_sum, problem.residual_weighted)
-    t1, t2 = problem.missing_ranks
+    field._check(residual_sum, residual_weighted)
     w1 = rows.row_weighted[t1].value
     det = w1 ^ rows.row_weighted[t2].value
     if not det:
-        raise UnrecoverableError(
-            f"protection rows are not independent over ranks {t1}, {t2}"
-        )
-    rs = problem.residual_sum.value
-    x2 = field._div(problem.residual_weighted.value ^ field._mul(w1, rs), det)
+        raise UnrecoverableError(f"protection rows are not independent over ranks {t1}, {t2}")
+    rs = residual_sum.value
+    x2 = field._div(residual_weighted.value ^ field._mul(w1, rs), det)
     return field.element(rs ^ x2), field.element(x2)

@@ -225,7 +225,7 @@ class FieldElement:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.value, self.spec))
+        return hash(self.value)  # equal to the int it equals, as __eq__ requires
 
     @property
     def hex(self) -> str:

@@ -29,10 +29,6 @@ class SlotKind(Enum):
     PROTECTION_SUM = "protection-sum"
     PROTECTION_WEIGHTED = "protection-weighted"
 
-    @property
-    def is_protection(self) -> bool:
-        return self is not SlotKind.WORKING
-
 
 @dataclass(frozen=True)
 class Slot:
@@ -58,7 +54,7 @@ class ProtectedSlot(NamedTuple):
 class ScheduleLayout:
     """A grid with its per-round protection carriers and ranked working slots,
     its emitted (source, data_index) pairs and its working share. The grid
-    depends only on (scheme, n, rounds, protection pair), so each such key
+    depends only on (scheme, n, protection pair), so each such key
     has one immutable layout, shared by every session schedule with it."""
 
     __slots__ = ("grid", "pairs", "protected", "emitted", "capacity")
@@ -129,9 +125,9 @@ def check_path_count(scheme: Scheme, n: int) -> None:
 
 
 @lru_cache(maxsize=16)
-def _nps2i_layout(n: int, rounds: int, p_sum: int, p_wtd: int) -> ScheduleLayout:
+def _nps2i_layout(n: int, p_sum: int, p_wtd: int) -> ScheduleLayout:
     grid = []
-    for r in range(1, rounds + 1):
+    for r in range(1, n + 1):
         row = [Slot(SlotKind.WORKING, data_index=r)] * n
         row[p_sum - 1] = Slot(SlotKind.PROTECTION_SUM)
         row[p_wtd - 1] = Slot(SlotKind.PROTECTION_WEIGHTED)
@@ -156,40 +152,24 @@ def _nps2ii_layout(n: int) -> ScheduleLayout:
     return ScheduleLayout(tuple(grid))
 
 
-def nps2i_schedule(
-    n: int,
-    session_index: int = 0,
-    *,
-    rounds: int | None = None,
-    protection_pair: tuple[int, int] | None = None,
-) -> SessionSchedule:
-    """Dedicated-pair schedule: n rounds by default, fixed protection paths.
+def nps2i_schedule(n: int, session_index: int = 0) -> SessionSchedule:
+    """Dedicated-pair schedule: n rounds, fixed protection paths.
 
     The pair for session d is paths (2d mod n, 2d+1 mod n) in 1-based
-    labels, a deterministic round-robin over adjacent pairs; recovery
-    works for any explicit ``protection_pair`` override. Every other
-    path sends its round-r data unit in round r. Nothing in recovery
-    depends on the session length, so ``rounds`` is adjustable.
+    labels, a deterministic round-robin over adjacent pairs; for odd n it
+    wraps to (n, 1) once per n sessions. Every other path sends its
+    round-r data unit in round r.
     """
     check_path_count(Scheme.NPS2_I, n)
     if session_index < 0:
         raise ValueError(f"session_index must be nonnegative, got {session_index}")
-    if rounds is None:
-        rounds = n
-    if rounds < 1:
-        raise ValueError(f"rounds must be positive, got {rounds}")
-    if protection_pair is None:
-        p_sum = (2 * session_index) % n + 1
-        p_wtd = (2 * session_index + 1) % n + 1
-    else:
-        p_sum, p_wtd = protection_pair
-        if p_sum == p_wtd or not all(1 <= p <= n for p in (p_sum, p_wtd)):
-            raise ValueError(f"protection pair must be two distinct paths in 1..{n}")
+    p_sum = (2 * session_index) % n + 1
+    p_wtd = (2 * session_index + 1) % n + 1
     return SessionSchedule(
         scheme=Scheme.NPS2_I,
         n=n,
-        rounds=rounds,
-        layout=_nps2i_layout(n, rounds, p_sum, p_wtd),
+        rounds=n,
+        layout=_nps2i_layout(n, p_sum, p_wtd),
         protection_paths=(p_sum, p_wtd),
         session_index=session_index,
     )

@@ -18,7 +18,6 @@ from typing import Iterable, Mapping, Sequence
 
 from .codec import (
     CoefficientRows,
-    RecoveryProblem,
     Row,
     UnrecoverableError,
     build_rows,
@@ -233,13 +232,6 @@ def _round_case(
     return scenario, missing, p_sum if sum_alive else None, p_wtd if weighted_alive else None
 
 
-def classify_round(
-    schedule: SessionSchedule, round_index: int, failure: FailurePattern
-) -> Scenario:
-    """Scenario tag from the failed paths' slot kinds in this round."""
-    return _round_case(schedule, round_index, failure)[0]
-
-
 @dataclass
 class RoundRecovery:
     delivered: dict[tuple[int, int], FieldElement]
@@ -276,9 +268,9 @@ def recover_round(
     if scenario is not Scenario.EXCESS_LOSS:
         rs = residualize(survivors[p_sum], known, Row.SUM, rows) if p_sum else None
         rw = residualize(survivors[p_wtd], known, Row.WEIGHTED, rows) if p_wtd else None
-        problem = RecoveryProblem(missing, rs, rw)
         try:
-            values = (solve_one(problem, rows),) if len(missing) == 1 else solve_two(problem, rows)
+            values = ((solve_one(missing[0], rs, rw, rows),) if len(missing) == 1
+                      else solve_two(missing, rs, rw, rows))
         except UnrecoverableError:  # sum-only rows cannot tell two unknowns apart
             pass
         else:
@@ -299,19 +291,12 @@ def run_session(
     sum_only: bool = False,
     data: SessionData | None = None,
     rows: CoefficientRows | None = None,
-    schedule: SessionSchedule | None = None,
 ) -> SessionResult:
     """Transmit and recover one full session, then verify every delivered
     symbol against the source tensor. The outcome is Complete only if all
     emitted (source, data_index) pairs arrive with their original values.
-
-    A prebuilt ``schedule`` (custom protection pair or session length)
-    may replace the default construction; it must agree with scheme/n.
     """
-    if schedule is None:
-        schedule = build_schedule(scheme, n, session_index)
-    elif schedule.scheme is not scheme or schedule.n != n:
-        raise ValueError("schedule does not match the requested scheme and n")
+    schedule = build_schedule(scheme, n, session_index)
     for p in failure.failed_paths:
         if p > n:
             raise ValueError(f"failed path {p} exceeds path count {n}")
@@ -353,18 +338,11 @@ def run_session(
     )
 
 
-def all_patterns(n: int, max_failures: int = 2) -> list[FailurePattern]:
+def all_patterns(n: int) -> list[FailurePattern]:
     """The empty pattern, all singles, and all pairs, in deterministic order."""
-    patterns = [NO_FAILURES]
-    if max_failures >= 1:
-        patterns.extend(FailurePattern({p}) for p in range(1, n + 1))
-    if max_failures >= 2:
-        patterns.extend(
-            FailurePattern({a, b})
-            for a in range(1, n + 1)
-            for b in range(a + 1, n + 1)
-        )
-    return patterns
+    paths = range(1, n + 1)
+    return [NO_FAILURES, *(FailurePattern({p}) for p in paths),
+            *(FailurePattern({a, b}) for a in paths for b in range(a + 1, n + 1))]
 
 
 @dataclass
@@ -403,11 +381,14 @@ def sweep_failures(
     session_index: int = 0,
     *,
     sum_only: bool = False,
+    data: SessionData | None = None,
 ) -> SweepReport:
-    """Run one session per failure pattern of size 0, 1, and 2."""
+    """Run one session per failure pattern of size 0, 1, and 2, all on one
+    data tensor: ``data`` if given, else the one run_session would draw."""
     rows = build_rows(n - 2, field, sum_only=sum_only)
-    data = generate_source_data(n, build_schedule(scheme, n, session_index).rounds,
-                                session_index + 1, seed, field)[session_index]
+    if data is None:
+        data = generate_source_data(n, build_schedule(scheme, n, session_index).rounds,
+                                    session_index + 1, seed, field)[session_index]
     results = tuple(
         run_session(scheme, n, field, pattern, seed=seed, session_index=session_index,
                     data=data, rows=rows)

@@ -15,7 +15,6 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from nps2.codec import (
-    RecoveryProblem,
     Row,
     build_rows,
     encode_pair,
@@ -137,17 +136,12 @@ def test_criterion_6_codec_oracle_equivalence():
                 y_sum, y_weighted = encode_pair(list(data), rows)
                 for erased in erasures:
                     known = [(r, d) for r, d in enumerate(data) if r not in erased]
-                    problem = RecoveryProblem(
-                        missing_ranks=erased,
-                        residual_sum=residualize(y_sum, known, Row.SUM, rows),
-                        residual_weighted=residualize(
-                            y_weighted, known, Row.WEIGHTED, rows
-                        ),
-                    )
+                    rs = residualize(y_sum, known, Row.SUM, rows)
+                    rw = residualize(y_weighted, known, Row.WEIGHTED, rows)
                     if len(erased) == 1:
-                        solved = (solve_one(problem, rows),)
+                        solved = (solve_one(erased[0], rs, rw, rows),)
                     else:
-                        solved = solve_two(problem, rows)
+                        solved = solve_two(erased, rs, rw, rows)
                     matches = []
                     for candidate in itertools.product(
                         GF8.elements(), repeat=len(erased)

@@ -113,6 +113,32 @@ def test_sweep_report_to_stdout(capsys):
     assert report["all_complete"] is True
 
 
+def test_sweep_draws_each_session_tensor_once(tmp_path, monkeypatch):
+    import nps2.cli
+    import nps2.simnet
+
+    original = nps2.simnet.generate_source_data
+    drawn = []  # sessions per draw
+
+    def counting(n, rounds, sessions, seed, field):
+        drawn.append(sessions)
+        return original(n, rounds, sessions, seed, field)
+
+    monkeypatch.setattr(nps2.cli, "generate_source_data", counting)
+    monkeypatch.setattr(nps2.simnet, "generate_source_data", counting)
+    trace = tmp_path / "trace.jsonl"
+    cfg = parse_config(["sweep", "--scheme", "nps2-i", "--n", "5", "--sessions", "5",
+                        "--seed", "8", "--trace", str(trace), "--report", str(tmp_path / "r")])
+    assert run(cfg) == 0
+    assert sum(drawn) == 5  # S session tensors, not S(S+1)/2
+    # each session sees the data a sweep drawing its own idx + 1 sessions sees
+    own = [line + "\n" for idx in range(5)
+           for r in nps2.simnet.sweep_failures(Scheme.NPS2_I, 5, cfg.field, seed=8,
+                                               session_index=idx).results
+           for line in nps2.simnet.trace_lines(r.packets)]
+    assert trace.read_text().splitlines(keepends=True) == own
+
+
 def test_run_three_failures_nonzero_exit(tmp_path):
     report_path = tmp_path / "report.json"
     cfg = parse_config(

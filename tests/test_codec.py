@@ -12,7 +12,6 @@ import pytest
 
 from nps2.codec import (
     FieldCapacityError,
-    RecoveryProblem,
     Row,
     UnrecoverableError,
     build_rows,
@@ -187,31 +186,36 @@ def test_field_check_names_the_mismatched_element():
     assert str(info.value) == "element of GF(2^3)/0xd used in GF(2^3)/0xb"
 
 
-def test_recovery_problem_validation():
-    one = GF8.one()
-    with pytest.raises(ValueError):
-        RecoveryProblem(missing_ranks=(), residual_sum=one)
-    with pytest.raises(ValueError):
-        RecoveryProblem(missing_ranks=(1, 1), residual_sum=one, residual_weighted=one)
-    with pytest.raises(ValueError):
-        RecoveryProblem(missing_ranks=(0, 1, 2), residual_sum=one)
-    assert RecoveryProblem(missing_ranks=(2, 0), residual_sum=one).missing_ranks == (0, 2)
+def test_solver_argument_validation():
+    rows, y = build_rows(3, GF8), GF8.one()
+    cases = [
+        (lambda: solve_one(-1, y, y, rows), "rank -1 out of range"),
+        (lambda: solve_one(3, y, y, rows), "rank 3 out of range"),
+        (lambda: solve_two((), y, y, rows), "expected 2 missing rank"),
+        (lambda: solve_two((1,), y, y, rows), "expected 2 missing rank"),
+        (lambda: solve_two((0, 1, 2), y, y, rows), "expected 2 missing rank"),
+        (lambda: solve_two((1, 1), y, y, rows), "must be distinct"),
+        (lambda: solve_two((-1, 0), y, y, rows), "rank -1 out of range"),
+        (lambda: solve_two((0, 3), y, y, rows), "rank 3 out of range"),
+        # the ranks are checked before the residuals
+        (lambda: solve_one(5, None, None, rows), "rank 5 out of range"),
+        (lambda: solve_two((2, 2), None, None, rows), "must be distinct"),
+    ]
+    for call, message in cases:
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_solve_one_prefers_sum_row():
     rows = build_rows(3, GF8)
     d = GF8.element(6)
-    problem = RecoveryProblem(
-        missing_ranks=(1,), residual_sum=d, residual_weighted=GF8.element(1)
-    )
-    assert solve_one(problem, rows) == d
+    assert solve_one(1, d, GF8.element(1), rows) == d
 
 
 def test_solve_one_weighted_only():
     rows = build_rows(4, GF8)
     # frozen: the unique x with alpha^2 * x == 0b110 is 0b100
-    problem = RecoveryProblem(missing_ranks=(2,), residual_weighted=GF8.element(0b110))
-    assert solve_one(problem, rows) == 0b100
+    assert solve_one(2, None, GF8.element(0b110), rows) == 0b100
     candidates = [
         x for x in range(8)
         if GF8.mul(rows.row_weighted[2], GF8.element(x)) == 0b110
@@ -219,26 +223,20 @@ def test_solve_one_weighted_only():
     assert candidates == [0b100]
     # rank 0 has unit coefficient on both rows
     r = GF8.element(5)
-    assert solve_one(RecoveryProblem(missing_ranks=(0,), residual_weighted=r), rows) == r
+    assert solve_one(0, None, r, rows) == r
 
 
 def test_solve_one_without_residuals():
     rows = build_rows(3, GF8)
-    with pytest.raises(UnrecoverableError):
-        solve_one(RecoveryProblem(missing_ranks=(1,)), rows)
-    with pytest.raises(ValueError):
-        solve_one(RecoveryProblem(missing_ranks=(0, 1), residual_sum=GF8.one()), rows)
+    with pytest.raises(UnrecoverableError, match="no protection residual"):
+        solve_one(1, None, None, rows)
 
 
 def test_solve_two_gf4_example():
     # frozen: substituting all 16 pairs leaves only (1, a)
     rows = build_rows(2, GF4)
-    problem = RecoveryProblem(
-        missing_ranks=(0, 1),
-        residual_sum=GF4.element(0b11),
-        residual_weighted=GF4.alpha(),
-    )
-    assert solve_two(problem, rows) == (GF4.one(), GF4.alpha())
+    for ranks in ((0, 1), (1, 0)):  # answers come in ascending rank order either way
+        assert solve_two(ranks, GF4.element(0b11), GF4.alpha(), rows) == (GF4.one(), GF4.alpha())
 
 
 def test_solve_two_decode_matrix_coefficients():
@@ -252,16 +250,14 @@ def test_solve_two_decode_matrix_coefficients():
 
 def test_solve_two_homogeneous():
     rows = build_rows(2, GF4)
-    problem = RecoveryProblem(
-        missing_ranks=(0, 1), residual_sum=GF4.zero(), residual_weighted=GF4.zero()
-    )
-    assert solve_two(problem, rows) == (GF4.zero(), GF4.zero())
+    assert solve_two((0, 1), GF4.zero(), GF4.zero(), rows) == (GF4.zero(), GF4.zero())
 
 
 def test_solve_two_missing_residual():
     rows = build_rows(3, GF8)
-    with pytest.raises(UnrecoverableError):
-        solve_two(RecoveryProblem(missing_ranks=(0, 2), residual_sum=GF8.one()), rows)
+    for rs, rw in ((GF8.one(), None), (None, GF8.one()), (None, None)):
+        with pytest.raises(UnrecoverableError, match="a residual is missing"):
+            solve_two((0, 2), rs, rw, rows)
 
 
 def test_round_trip_exhaustive_small():
@@ -274,15 +270,12 @@ def test_round_trip_exhaustive_small():
                 y_sum, y_weighted = encode_pair(list(data), rows)
                 for erased in erasures:
                     known = [(r, d) for r, d in enumerate(data) if r not in erased]
-                    problem = RecoveryProblem(
-                        missing_ranks=erased,
-                        residual_sum=residualize(y_sum, known, Row.SUM, rows),
-                        residual_weighted=residualize(y_weighted, known, Row.WEIGHTED, rows),
-                    )
+                    rs = residualize(y_sum, known, Row.SUM, rows)
+                    rw = residualize(y_weighted, known, Row.WEIGHTED, rows)
                     if len(erased) == 1:
-                        got = (solve_one(problem, rows),)
+                        got = (solve_one(erased[0], rs, rw, rows),)
                     else:
-                        got = solve_two(problem, rows)
+                        got = solve_two(erased, rs, rw, rows)
                     assert got == tuple(data[t] for t in erased)
 
 
@@ -296,12 +289,9 @@ def test_round_trip_randomized_wide():
         y_sum, y_weighted = encode_pair(data, rows)
         for t1, t2 in itertools.combinations(range(width), 2):
             known = [(r, d) for r, d in enumerate(data) if r not in (t1, t2)]
-            problem = RecoveryProblem(
-                missing_ranks=(t1, t2),
-                residual_sum=residualize(y_sum, known, Row.SUM, rows),
-                residual_weighted=residualize(y_weighted, known, Row.WEIGHTED, rows),
-            )
-            assert solve_two(problem, rows) == (data[t1], data[t2])
+            rs = residualize(y_sum, known, Row.SUM, rows)
+            rw = residualize(y_weighted, known, Row.WEIGHTED, rows)
+            assert solve_two((t1, t2), rs, rw, rows) == (data[t1], data[t2])
 
 
 def test_exhaustive_substitution_agrees():
@@ -324,20 +314,14 @@ def test_binary_parity_mode():
         y_sum, _ = encode_pair(list(data), rows)
         for t in range(width):
             known = [(r, d) for r, d in enumerate(data) if r != t]
-            problem = RecoveryProblem(
-                missing_ranks=(t,),
-                residual_sum=residualize(y_sum, known, Row.SUM, rows),
-            )
-            assert solve_one(problem, rows) == data[t]
+            rs = residualize(y_sum, known, Row.SUM, rows)
+            assert solve_one(t, rs, None, rows) == data[t]
 
 
 def test_binary_parity_mode_cannot_solve_two():
     rows = build_rows(4, GF2, sum_only=True)
-    problem = RecoveryProblem(
-        missing_ranks=(0, 1), residual_sum=GF2.one(), residual_weighted=GF2.one()
-    )
     with pytest.raises(UnrecoverableError, match="not independent"):
-        solve_two(problem, rows)
+        solve_two((0, 1), GF2.one(), GF2.one(), rows)
 
 
 def test_sum_only_waives_capacity_bound():

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from nps2.codec import (
     CoefficientRows,
-    RecoveryProblem,
     Row,
     build_rows,
     encode_pair,
@@ -112,14 +111,11 @@ def test_one_and_two_erasures_round_trip(case, data):
     )
     expect = tuple(values[t] for t in erased)
     if len(erased) == 1:
-        for problem in (
-            RecoveryProblem(tuple(erased), residual_sum=residual_sum),
-            RecoveryProblem(tuple(erased), residual_weighted=residual_weighted),
-        ):
-            assert (solve_one(problem, rows),) == expect
-    else:
-        problem = RecoveryProblem(tuple(erased), residual_sum, residual_weighted)
-        assert solve_two(problem, rows) == expect
+        for rs, rw in ((residual_sum, None), (None, residual_weighted)):
+            assert (solve_one(erased[0], rs, rw, rows),) == expect
+    else:  # the answer is in ascending rank order, whatever order the ranks come in
+        for ranks in (erased, erased[::-1]):
+            assert solve_two(ranks, residual_sum, residual_weighted, rows) == expect
 
 
 @settings(max_examples=200, deadline=None)
@@ -132,8 +128,8 @@ def test_sum_only_recovers_single_erasures(case, data):
     known = [(r, v) for r, v in enumerate(values) if r != rank]
     rs = residualize(y_sum, known, Row.SUM, rows)
     rw = residualize(y_weighted, known, Row.WEIGHTED, rows)
-    assert solve_one(RecoveryProblem((rank,), residual_sum=rs), rows) == values[rank]
-    assert solve_one(RecoveryProblem((rank,), residual_weighted=rw), rows) == values[rank]
+    assert solve_one(rank, rs, None, rows) == values[rank]
+    assert solve_one(rank, None, rw, rows) == values[rank]
 
 
 GF8 = FIELDS[3]
@@ -151,9 +147,9 @@ def test_mixed_fields_rejected_at_codec_entry_points():
     with pytest.raises(FieldMismatchError):
         residualize(good[0], [(0, good[0]), (1, stranger)], Row.WEIGHTED, rows)
     with pytest.raises(FieldMismatchError):
-        solve_one(RecoveryProblem((1,), residual_weighted=stranger), rows)
+        solve_one(1, None, stranger, rows)
     with pytest.raises(FieldMismatchError):
-        solve_two(RecoveryProblem((0, 1), good[0], stranger), rows)
+        solve_two((0, 1), good[0], stranger, rows)
     gf16_rows = build_rows(3, GF16)
     with pytest.raises(FieldMismatchError):
         CoefficientRows(3, gf16_rows.row_sum, gf16_rows.row_weighted, GF8)

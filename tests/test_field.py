@@ -196,6 +196,14 @@ def test_equality_and_hex():
     assert FieldSpec(16, 0x1100B, 0x02).element(0xBEEF).hex == "beef"
 
 
+def test_equal_elements_and_ints_hash_alike():
+    five, other_five = GF8.element(5), FieldSpec(3, 0b1011, 0b010).element(5)
+    assert 5 in {five} and five in {5} and other_five in {five}
+    assert {five: "x"}[5] == {5: "x"}[five] == {five: "x"}[other_five] == "x"
+    assert hash(five) == hash(5) == hash(other_five)
+    assert len({GF8.element(1), GF4.element(1)}) == 2  # equal hash, unequal elements
+
+
 def test_elements_are_shared_instances():
     gf = FieldSpec(16, 0x1100B, 0x02)
     assert gf.element(0xBEEF) is gf.element(0xBEEF)

@@ -1,5 +1,5 @@
 """Property tests: the schedule invariants of both schemes for n up to 64,
-with random NPS2-I protection pairs and session lengths."""
+across sessions, so NPS2-I's rotated protection pair takes every value."""
 
 from fractions import Fraction
 
@@ -20,10 +20,7 @@ def schedules(draw):
     session = draw(st.integers(0, 100))
     if draw(st.booleans()):
         return nps2ii_schedule(2 * draw(st.integers(2, 32)), session)
-    n = draw(st.integers(3, 64))
-    pair = draw(st.none() | st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
-    rounds = draw(st.none() | st.integers(1, 2 * n))
-    return nps2i_schedule(n, session, rounds=rounds, protection_pair=pair and tuple(pair))
+    return nps2i_schedule(draw(st.integers(3, 64)), session)
 
 
 @settings(max_examples=200, deadline=None)
@@ -48,7 +45,7 @@ def test_schedule_invariants(sched):
     if sched.scheme is Scheme.NPS2_II:
         for path in range(1, n + 1):
             protecting = [r for r in range(1, sched.rounds + 1)
-                          if sched.slot(r, path).kind.is_protection]
+                          if sched.slot(r, path).kind is not SlotKind.WORKING]
             assert protecting == [(path + 1) // 2]
         expected = {(p, d) for p in range(1, n + 1) for d in range(1, n // 2)}
     else:

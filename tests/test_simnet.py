@@ -14,7 +14,6 @@ from nps2.simnet import (
     Outcome,
     Scenario,
     all_patterns,
-    classify_round,
     generate_source_data,
     recover_round,
     run_session,
@@ -340,12 +339,20 @@ def test_field_limit_width():
 
 
 def test_sweep_rotates_dedicated_pair_across_sessions():
-    pairs = []
-    for idx in range(3):
-        report = sweep_failures(Scheme.NPS2_I, 6, GF256, seed=4, session_index=idx)
-        assert report.complete_rate == 1.0
-        pairs.append(report.results[0].schedule.protection_paths)
-    assert pairs == [(1, 2), (3, 4), (5, 6)]
+    # every rotation of a full cycle; odd n wraps to (n, 1), whose sum
+    # carrier is the higher path
+    expected = {
+        5: [(1, 2), (3, 4), (5, 1), (2, 3), (4, 5)],
+        6: [(1, 2), (3, 4), (5, 6)] * 2,
+        7: [(1, 2), (3, 4), (5, 6), (7, 1), (2, 3), (4, 5), (6, 7)],
+    }
+    for n, pairs in expected.items():
+        rotated = []
+        for idx in range(n):
+            report = sweep_failures(Scheme.NPS2_I, n, GF256, seed=4, session_index=idx)
+            assert report.complete_rate == 1.0, (n, idx)
+            rotated.append(report.results[0].schedule.protection_paths)
+        assert rotated == pairs
 
 
 def test_failure_pattern_validation():
@@ -363,24 +370,12 @@ def test_failed_path_out_of_range():
 
 
 def test_classify_round_direct():
-    sched = nps2ii_schedule(4)
-    assert classify_round(sched, 1, FailurePattern({1, 2})) is Scenario.PROTECTION_ONLY
-    assert classify_round(sched, 2, FailurePattern({1, 2})) is Scenario.DOUBLE_WORKING
-    assert classify_round(sched, 1, FailurePattern({1, 2, 3})) is Scenario.EXCESS_LOSS
+    # NPS2-II, n=4: paths 1, 2 protect in round 1 and carry data in round 2
+    def tags(*failed):
+        return run_session(Scheme.NPS2_II, 4, GF256, FailurePattern(failed)).round_scenarios
 
-
-def test_custom_protection_pair_recovers():
-    # the dedicated pair's position is arbitrary; recovery only needs two rows
-    from nps2.schemes import nps2i_schedule
-
-    sched = nps2i_schedule(6, 0, rounds=3, protection_pair=(2, 5))
-    for pattern in all_patterns(6):
-        result = run_session(
-            Scheme.NPS2_I, 6, GF256, pattern, seed=60, schedule=sched
-        )
-        assert result.complete, pattern
-    with pytest.raises(ValueError, match="does not match"):
-        run_session(Scheme.NPS2_II, 6, GF256, schedule=sched)
+    assert tags(1, 2) == {1: Scenario.PROTECTION_ONLY, 2: Scenario.DOUBLE_WORKING}
+    assert tags(1, 2, 3) == {1: Scenario.EXCESS_LOSS, 2: Scenario.EXCESS_LOSS}
 
 
 def test_concurrent_sessions_share_immutable_state():
