@@ -258,7 +258,7 @@ def parse_config(argv: Sequence[str] | None = None) -> RunConfig:
 def _session_entry(result: SessionResult) -> dict:
     n = result.schedule.n
     return {
-        "session": result.schedule.session_index,
+        "session": result.session_index,
         "failed_paths": sorted(result.failure.failed_paths),
         "outcome": result.outcome.value,
         "scenario": result.scenario.value,

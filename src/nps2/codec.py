@@ -164,6 +164,7 @@ def solve_one(
     """
     _check_ranks((rank,), 1, rows)
     if residual_sum is not None:
+        rows.field._check(residual_sum)
         return residual_sum
     if residual_weighted is not None:
         rows.field._check(residual_weighted)

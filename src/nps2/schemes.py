@@ -51,62 +51,52 @@ class ProtectedSlot(NamedTuple):
     data_index: int
 
 
-class ScheduleLayout:
-    """A grid with its per-round protection carriers and ranked working slots,
-    its emitted (source, data_index) pairs and its working share. The grid
-    depends only on (scheme, n, protection pair), so each such key
-    has one immutable layout, shared by every session schedule with it."""
-
-    __slots__ = ("grid", "pairs", "protected", "emitted", "capacity")
-
-    def __init__(self, grid: tuple[tuple[Slot, ...], ...]):
-        self.grid = grid
-        carriers = [{s.kind: p for p, s in enumerate(row, 1)} for row in grid]
-        kinds = SlotKind.PROTECTION_SUM, SlotKind.PROTECTION_WEIGHTED
-        self.pairs = tuple(tuple(c[k] for k in kinds) for c in carriers)
-        work = SlotKind.WORKING
-        self.protected = tuple(
-            tuple(ProtectedSlot(p, s.data_index) for p, s in enumerate(row, 1) if s.kind is work)
-            for row in grid
-        )
-        self.emitted = frozenset(s for row in self.protected for s in row)
-        self.capacity = Fraction(sum(map(len, self.protected)), len(grid) * len(grid[0]))
-
-
 @dataclass(frozen=True)
 class SessionSchedule:
-    """Which path carries which symbol at each round of one session.
+    """Which path carries which symbol at each round of a session.
 
-    grid[r-1][p-1] is path p's slot in round r. protection_paths is the
-    dedicated pair for NPS2-I and None for NPS2-II, where the pair moves
-    every round.
+    grid[r-1][p-1] is path p's slot in round r; the other attributes are
+    derived from it. The grid depends only on (scheme, n, protection pair),
+    and build_schedule shares one schedule per such key. Equality and hash
+    are by (scheme, grid), so a rebuilt schedule equals the shared one.
     """
 
     scheme: Scheme
-    n: int
-    rounds: int
-    layout: ScheduleLayout = dc_field(repr=False, compare=False)
-    protection_paths: tuple[int, int] | None = None
-    session_index: int = 0
+    grid: tuple[tuple[Slot, ...], ...] = dc_field(repr=False)
+    # per round: the (sum, weighted) protection carriers, the ranked working slots
+    pairs: tuple[tuple[int, int], ...] = dc_field(init=False, compare=False)
+    protected: tuple[tuple[ProtectedSlot, ...], ...] = dc_field(
+        init=False, repr=False, compare=False)
+    capacity: Fraction = dc_field(init=False, repr=False, compare=False)
+    _emitted: frozenset[ProtectedSlot] = dc_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        carriers = [{s.kind: p for p, s in enumerate(row, 1)} for row in self.grid]
+        kinds = SlotKind.PROTECTION_SUM, SlotKind.PROTECTION_WEIGHTED
+        work = SlotKind.WORKING
+        protected = tuple(
+            tuple(ProtectedSlot(p, s.data_index) for p, s in enumerate(row, 1) if s.kind is work)
+            for row in self.grid
+        )
+        for name, value in (
+            ("pairs", tuple(tuple(c[k] for k in kinds) for c in carriers)),
+            ("protected", protected),
+            ("capacity", Fraction(sum(map(len, protected)), self.rounds * self.n)),
+            ("_emitted", frozenset(s for row in protected for s in row)),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
-    def grid(self) -> tuple[tuple[Slot, ...], ...]:
-        return self.layout.grid
+    def n(self) -> int:
+        return len(self.grid[0])
 
-    def slot(self, round_index: int, path: int) -> Slot:
-        self._check_round(round_index)
-        if not 1 <= path <= self.n:
-            raise ValueError(f"path {path} out of range 1..{self.n}")
-        return self.grid[round_index - 1][path - 1]
-
-    def protection_pair(self, round_index: int) -> tuple[int, int]:
-        """The (sum, weighted) protection carriers of one round."""
-        self._check_round(round_index)
-        return self.layout.pairs[round_index - 1]
+    @property
+    def rounds(self) -> int:
+        return len(self.grid)
 
     def emitted(self) -> frozenset[ProtectedSlot]:
         """All (source, data_index) pairs this schedule transmits."""
-        return self.layout.emitted
+        return self._emitted
 
     def _check_round(self, round_index: int) -> None:
         if not 1 <= round_index <= self.rounds:
@@ -125,18 +115,18 @@ def check_path_count(scheme: Scheme, n: int) -> None:
 
 
 @lru_cache(maxsize=16)
-def _nps2i_layout(n: int, p_sum: int, p_wtd: int) -> ScheduleLayout:
+def _shared_nps2i(n: int, p_sum: int, p_wtd: int) -> SessionSchedule:
     grid = []
     for r in range(1, n + 1):
         row = [Slot(SlotKind.WORKING, data_index=r)] * n
         row[p_sum - 1] = Slot(SlotKind.PROTECTION_SUM)
         row[p_wtd - 1] = Slot(SlotKind.PROTECTION_WEIGHTED)
         grid.append(tuple(row))
-    return ScheduleLayout(tuple(grid))
+    return SessionSchedule(Scheme.NPS2_I, tuple(grid))
 
 
 @lru_cache(maxsize=16)
-def _nps2ii_layout(n: int) -> ScheduleLayout:
+def _shared_nps2ii(n: int) -> SessionSchedule:
     grid = []
     for r in range(1, n // 2 + 1):
         row = []
@@ -149,55 +139,23 @@ def _nps2ii_layout(n: int) -> ScheduleLayout:
                 unit = r if r < protection_round else r - 1
                 row.append(Slot(SlotKind.WORKING, data_index=unit))
         grid.append(tuple(row))
-    return ScheduleLayout(tuple(grid))
-
-
-def nps2i_schedule(n: int, session_index: int = 0) -> SessionSchedule:
-    """Dedicated-pair schedule: n rounds, fixed protection paths.
-
-    The pair for session d is paths (2d mod n, 2d+1 mod n) in 1-based
-    labels, a deterministic round-robin over adjacent pairs; for odd n it
-    wraps to (n, 1) once per n sessions. Every other path sends its
-    round-r data unit in round r.
-    """
-    check_path_count(Scheme.NPS2_I, n)
-    if session_index < 0:
-        raise ValueError(f"session_index must be nonnegative, got {session_index}")
-    p_sum = (2 * session_index) % n + 1
-    p_wtd = (2 * session_index + 1) % n + 1
-    return SessionSchedule(
-        scheme=Scheme.NPS2_I,
-        n=n,
-        rounds=n,
-        layout=_nps2i_layout(n, p_sum, p_wtd),
-        protection_paths=(p_sum, p_wtd),
-        session_index=session_index,
-    )
-
-
-def nps2ii_schedule(n: int, session_index: int = 0) -> SessionSchedule:
-    """Rotating-pair schedule: n/2 rounds, protection on (2L-1, 2L) in round L.
-
-    Path i is protection exactly once, in round ceil(i/2). Before that
-    round it sends data unit r in round r; afterwards unit r-1, so each
-    source contributes units 1 .. n/2 - 1 with no gaps.
-    """
-    check_path_count(Scheme.NPS2_II, n)
-    if session_index < 0:
-        raise ValueError(f"session_index must be nonnegative, got {session_index}")
-    return SessionSchedule(
-        scheme=Scheme.NPS2_II,
-        n=n,
-        rounds=n // 2,
-        layout=_nps2ii_layout(n),
-        session_index=session_index,
-    )
+    return SessionSchedule(Scheme.NPS2_II, tuple(grid))
 
 
 def build_schedule(scheme: Scheme, n: int, session_index: int = 0) -> SessionSchedule:
+    """Session ``session_index``'s schedule, one shared object per (scheme,
+    n, protection pair). NPS2-I runs n rounds on the pair (2d mod n,
+    2d+1 mod n), 1-based, of session d; for odd n it wraps to (n, 1) once
+    per n sessions. NPS2-II runs n/2 rounds, protection on (2L-1, 2L) in
+    round L, so path i protects once, in round ceil(i/2), and sends data
+    unit r before that round and unit r-1 after it.
+    """
+    check_path_count(scheme, n)
+    if session_index < 0:
+        raise ValueError(f"session_index must be nonnegative, got {session_index}")
     if scheme is Scheme.NPS2_I:
-        return nps2i_schedule(n, session_index)
-    return nps2ii_schedule(n, session_index)
+        return _shared_nps2i(n, (2 * session_index) % n + 1, (2 * session_index + 1) % n + 1)
+    return _shared_nps2ii(n)
 
 
 def protected_slots(schedule: SessionSchedule, round_index: int) -> tuple[ProtectedSlot, ...]:
@@ -207,12 +165,12 @@ def protected_slots(schedule: SessionSchedule, round_index: int) -> tuple[Protec
     coefficient row, so coefficients are a pure function of the schedule.
     """
     schedule._check_round(round_index)
-    return schedule.layout.protected[round_index - 1]
+    return schedule.protected[round_index - 1]
 
 
 def schedule_capacity(schedule: SessionSchedule) -> Fraction:
     """Fraction of path-slots carrying working data; (n-2)/n for both schemes."""
-    return schedule.layout.capacity
+    return schedule.capacity
 
 
 def slot_label(slot: Slot, path: int, round_index: int) -> str:

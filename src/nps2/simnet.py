@@ -117,6 +117,7 @@ NO_FAILURES = FailurePattern()
 @dataclass
 class SessionResult:
     schedule: SessionSchedule
+    session_index: int
     failure: FailurePattern
     delivered: dict[tuple[int, int], FieldElement]
     recovered_count: int
@@ -132,7 +133,7 @@ class SessionResult:
         """The surviving packets in (round, path) order, rebuilt on each read:
         a working slot on a live path holds its directly delivered symbol,
         since recovery only fills slots of failed paths."""
-        failed, session = self.failure.failed_paths, self.schedule.session_index
+        failed, session = self.failure.failed_paths, self.session_index
         packets = []
         for r, (row, (y_sum, y_weighted)) in enumerate(zip(self.schedule.grid, self.protection), 1):
             for path, slot in enumerate(row, 1):
@@ -198,7 +199,7 @@ def transmit_round(
     payloads = [data[p - 1][d - 1] for p, d in prot]
     y_sum, y_weighted = encode_pair(payloads, rows)
     # the working slots are every other path, so the carriers slot in by path
-    for path, y in sorted(zip(schedule.layout.pairs[round_index - 1], (y_sum, y_weighted))):
+    for path, y in sorted(zip(schedule.pairs[round_index - 1], (y_sum, y_weighted))):
         payloads.insert(path - 1, y)
     survivors = dict(enumerate(payloads, 1))
     for path in failure.failed_paths:
@@ -209,11 +210,11 @@ def transmit_round(
 def _round_case(
     schedule: SessionSchedule, round_index: int, failure: FailurePattern
 ) -> tuple[Scenario, tuple[int, ...], int | None, int | None]:
-    """The one case analysis of a round, from its layout and the failed
+    """The one case analysis of a round, from its schedule and the failed
     paths: scenario, ascending ranks of the failed working slots, and the
     paths of the sum and the weighted carrier, each None if it failed."""
     schedule._check_round(round_index)
-    p_sum, p_wtd = schedule.layout.pairs[round_index - 1]
+    p_sum, p_wtd = schedule.pairs[round_index - 1]
     failed = failure.failed_paths
     # every other path is working, so a working path's rank is its position
     # once the two protection carriers are left out
@@ -313,7 +314,7 @@ def run_session(
     protection = []
     recovered_count = 0
 
-    for r, (p_sum, p_wtd) in enumerate(schedule.layout.pairs, 1):
+    for r, (p_sum, p_wtd) in enumerate(schedule.pairs, 1):
         survivors = transmit_round(schedule, r, data, failure, rows)
         protection.append((survivors.get(p_sum), survivors.get(p_wtd)))
         rec = recover_round(survivors, schedule, r, rows, failure)
@@ -328,6 +329,7 @@ def run_session(
         v.value for v in delivered.values()] == [data[p - 1][d - 1].value for p, d in delivered]
     return SessionResult(
         schedule=schedule,
+        session_index=session_index,
         failure=failure,
         delivered=delivered,
         recovered_count=recovered_count,

@@ -210,6 +210,10 @@ def test_solve_one_prefers_sum_row():
     rows = build_rows(3, GF8)
     d = GF8.element(6)
     assert solve_one(1, d, GF8.element(1), rows) == d
+    # the sum residual is the answer itself, yet it is checked, not passed through
+    with pytest.raises(FieldMismatchError) as info:
+        solve_one(0, GF16.element(9), None, rows)
+    assert str(info.value) == "element of GF(2^4)/0x13 used in GF(2^3)/0xb"
 
 
 def test_solve_one_weighted_only():

@@ -2,13 +2,13 @@ from fractions import Fraction
 
 import pytest
 
+import nps2.schemes
 from nps2.schemes import (
     ProtectedSlot,
     Scheme,
     Slot,
     SlotKind,
-    nps2i_schedule,
-    nps2ii_schedule,
+    build_schedule,
     protected_slots,
     schedule_capacity,
     schedule_labels,
@@ -17,58 +17,57 @@ from nps2.schemes import (
 
 
 def test_nps2i_n4_session0():
-    sched = nps2i_schedule(4, 0)
-    assert sched.protection_paths == (1, 2)
+    sched = build_schedule(Scheme.NPS2_I, 4, 0)
+    assert sched.pairs[0] == (1, 2)
     assert sched.rounds == 4
     for r in range(1, 5):
-        assert sched.slot(r, 1).kind is SlotKind.PROTECTION_SUM
-        assert sched.slot(r, 2).kind is SlotKind.PROTECTION_WEIGHTED
+        assert sched.grid[r - 1][0].kind is SlotKind.PROTECTION_SUM
+        assert sched.grid[r - 1][1].kind is SlotKind.PROTECTION_WEIGHTED
         for path in (3, 4):
-            slot = sched.slot(r, path)
+            slot = sched.grid[r - 1][path - 1]
             assert slot.kind is SlotKind.WORKING
             assert slot.data_index == r
     assert sched.emitted() == {(p, d) for p in (3, 4) for d in range(1, 5)}
 
 
 def test_nps2i_minimal_n3():
-    sched = nps2i_schedule(3, 0)
+    sched = build_schedule(Scheme.NPS2_I, 3, 0)
     for r in range(1, 4):
         working = [s for s in sched.grid[r - 1] if s.kind is SlotKind.WORKING]
         assert len(working) == 1
 
 
 def test_nps2i_pair_rotation():
-    assert nps2i_schedule(4, 0).protection_paths == (1, 2)
-    assert nps2i_schedule(4, 1).protection_paths == (3, 4)
-    assert nps2i_schedule(4, 2).protection_paths == (1, 2)  # period n/2
+    assert build_schedule(Scheme.NPS2_I, 4, 0).pairs[0] == (1, 2)
+    assert build_schedule(Scheme.NPS2_I, 4, 1).pairs[0] == (3, 4)
+    assert build_schedule(Scheme.NPS2_I, 4, 2).pairs[0] == (1, 2)  # period n/2
     # odd n wraps the pair around the path ring
-    assert nps2i_schedule(5, 2).protection_paths == (5, 1)
-    assert nps2i_schedule(5, 4).protection_paths == (4, 5)
-    assert nps2i_schedule(5, 5).protection_paths == (1, 2)
+    assert build_schedule(Scheme.NPS2_I, 5, 2).pairs[0] == (5, 1)
+    assert build_schedule(Scheme.NPS2_I, 5, 4).pairs[0] == (4, 5)
+    assert build_schedule(Scheme.NPS2_I, 5, 5).pairs[0] == (1, 2)
 
 
 def test_nps2i_rejects_small_n():
-    with pytest.raises(ValueError):
-        nps2i_schedule(2, 0)
-    with pytest.raises(ValueError):
-        nps2i_schedule(4, -1)
+    with pytest.raises(ValueError, match=r"^nps2-i needs n >= 3, got n=2$"):
+        build_schedule(Scheme.NPS2_I, 2, 0)
+    with pytest.raises(ValueError, match=r"^session_index must be nonnegative, got -1$"):
+        build_schedule(Scheme.NPS2_I, 4, -1)
 
 
 def test_nps2ii_n4_matches_protection_matrix():
-    sched = nps2ii_schedule(4)
+    sched = build_schedule(Scheme.NPS2_II, 4)
     assert schedule_labels(sched) == [
         ["y_1^1", "x_1^1"],
         ["y_2^1", "x_2^1"],
         ["x_3^1", "y_3^2"],
         ["x_4^1", "y_4^2"],
     ]
-    assert sched.protection_pair(1) == (1, 2)
-    assert sched.protection_pair(2) == (3, 4)
+    assert sched.pairs == ((1, 2), (3, 4))
 
 
 def test_nps2ii_n6_path5_sequence():
-    sched = nps2ii_schedule(6)
-    kinds = [sched.slot(r, 5) for r in (1, 2, 3)]
+    sched = build_schedule(Scheme.NPS2_II, 6)
+    kinds = [sched.grid[r - 1][4] for r in (1, 2, 3)]
     assert kinds[0] == Slot(SlotKind.WORKING, 1)
     assert kinds[1] == Slot(SlotKind.WORKING, 2)
     assert kinds[2].kind is SlotKind.PROTECTION_SUM
@@ -76,18 +75,22 @@ def test_nps2ii_n6_path5_sequence():
 
 def test_nps2ii_rejects_bad_n():
     with pytest.raises(ValueError, match="even"):
-        nps2ii_schedule(7)
+        build_schedule(Scheme.NPS2_II, 7)
     with pytest.raises(ValueError):
-        nps2ii_schedule(2)
+        build_schedule(Scheme.NPS2_II, 2)
+
+
+ROUND_STRUCTURE_CASES = [(Scheme.NPS2_I, n, s) for n in (3, 4, 7) for s in (0, 3)] + [
+    (Scheme.NPS2_II, n, 0) for n in (4, 6, 10)]
 
 
 @pytest.mark.parametrize(
-    "sched",
-    [nps2i_schedule(n, s) for n in (3, 4, 7) for s in (0, 3)]
-    + [nps2ii_schedule(n) for n in (4, 6, 10)],
-    ids=lambda s: f"{s.scheme.value}-n{s.n}-s{s.session_index}",
+    "scheme, n, session_index",
+    ROUND_STRUCTURE_CASES,
+    ids=[f"{scheme.value}-n{n}-s{s}" for scheme, n, s in ROUND_STRUCTURE_CASES],
 )
-def test_round_structure(sched):
+def test_round_structure(scheme, n, session_index):
+    sched = build_schedule(scheme, n, session_index)
     for row in sched.grid:
         kinds = [slot.kind for slot in row]
         assert kinds.count(SlotKind.PROTECTION_SUM) == 1
@@ -97,18 +100,18 @@ def test_round_structure(sched):
 
 def test_nps2ii_fairness():
     for n in (4, 6, 8, 12):
-        sched = nps2ii_schedule(n)
+        sched = build_schedule(Scheme.NPS2_II, n)
         for path in range(1, n + 1):
             protection_rounds = [
                 r for r in range(1, sched.rounds + 1)
-                if sched.slot(r, path).kind is not SlotKind.WORKING
+                if sched.grid[r - 1][path - 1].kind is not SlotKind.WORKING
             ]
             assert protection_rounds == [(path + 1) // 2]
 
 
 def test_nps2ii_completeness():
     for n in (4, 6, 8, 10):
-        sched = nps2ii_schedule(n)
+        sched = build_schedule(Scheme.NPS2_II, n)
         expected = {(i, d) for i in range(1, n + 1) for d in range(1, n // 2)}
         assert sched.emitted() == expected
         # transmitted exactly once: count multiset size
@@ -119,18 +122,18 @@ def test_nps2ii_completeness():
 
 
 def test_nps2ii_data_index_consecutive():
-    sched = nps2ii_schedule(8)
+    sched = build_schedule(Scheme.NPS2_II, 8)
     for path in range(1, 9):
         seq = [
-            sched.slot(r, path).data_index
+            sched.grid[r - 1][path - 1].data_index
             for r in range(1, sched.rounds + 1)
-            if sched.slot(r, path).kind is SlotKind.WORKING
+            if sched.grid[r - 1][path - 1].kind is SlotKind.WORKING
         ]
         assert seq == list(range(1, len(seq) + 1))
 
 
 def test_protected_slots_nps2ii_n4():
-    sched = nps2ii_schedule(4)
+    sched = build_schedule(Scheme.NPS2_II, 4)
     assert protected_slots(sched, 1) == (
         ProtectedSlot(3, 1),
         ProtectedSlot(4, 1),
@@ -142,8 +145,8 @@ def test_protected_slots_nps2ii_n4():
 
 
 def test_protected_slots_nps2i_dedicated():
-    sched = nps2i_schedule(5, 4)  # protection pair (4, 5)
-    assert sched.protection_paths == (4, 5)
+    sched = build_schedule(Scheme.NPS2_I, 5, 4)  # protection pair (4, 5)
+    assert sched.pairs[0] == (4, 5)
     for r in range(1, 6):
         assert protected_slots(sched, r) == (
             ProtectedSlot(1, r),
@@ -153,7 +156,7 @@ def test_protected_slots_nps2i_dedicated():
 
 
 def test_protected_slots_round_range():
-    sched = nps2ii_schedule(4)
+    sched = build_schedule(Scheme.NPS2_II, 4)
     with pytest.raises(ValueError):
         protected_slots(sched, 0)
     with pytest.raises(ValueError):
@@ -164,7 +167,7 @@ def test_rotating_protection_coverage():
     # rounds L: sources up to 2(L-1) already sent unit L-1; sources from
     # 2L+1 up are concurrently sending unit L
     for n in (4, 6, 10):
-        sched = nps2ii_schedule(n)
+        sched = build_schedule(Scheme.NPS2_II, n)
         for ell in range(1, sched.rounds + 1):
             for slot in protected_slots(sched, ell):
                 if slot.path <= 2 * (ell - 1):
@@ -175,10 +178,10 @@ def test_rotating_protection_coverage():
 
 
 def test_schedule_capacity_exact():
-    assert schedule_capacity(nps2i_schedule(10, 0)) == Fraction(8, 10)
-    assert schedule_capacity(nps2ii_schedule(10)) == Fraction(8, 10)
-    assert schedule_capacity(nps2ii_schedule(4)) == Fraction(1, 2)
-    assert schedule_capacity(nps2i_schedule(3, 0)) == Fraction(1, 3)
+    assert schedule_capacity(build_schedule(Scheme.NPS2_I, 10, 0)) == Fraction(8, 10)
+    assert schedule_capacity(build_schedule(Scheme.NPS2_II, 10)) == Fraction(8, 10)
+    assert schedule_capacity(build_schedule(Scheme.NPS2_II, 4)) == Fraction(1, 2)
+    assert schedule_capacity(build_schedule(Scheme.NPS2_I, 3, 0)) == Fraction(1, 3)
 
 
 def test_slot_validation():
@@ -197,16 +200,28 @@ def test_slot_labels():
 
 
 def test_schedule_lookup_validation():
-    sched = nps2i_schedule(4, 0)
-    with pytest.raises(ValueError):
-        sched.slot(1, 5)
-    with pytest.raises(ValueError):
-        sched.slot(5, 1)
+    sched = build_schedule(Scheme.NPS2_I, 4, 0)
     assert sched.scheme is Scheme.NPS2_I
+    # n and rounds are read off the grid
+    assert (sched.n, sched.rounds) == (4, 4)
+    sched = build_schedule(Scheme.NPS2_II, 8)
+    assert (sched.n, sched.rounds) == (8, 4)
 
 
 def test_schedules_share_one_layout_per_key():
-    assert nps2ii_schedule(8, 0).grid is nps2ii_schedule(8, 5).grid
-    assert nps2i_schedule(8, 0).grid is nps2i_schedule(8, 4).grid  # pair (1, 2) again
-    assert nps2i_schedule(8, 0).grid is not nps2i_schedule(8, 1).grid
-    assert protected_slots(nps2i_schedule(8, 0), 1) is protected_slots(nps2i_schedule(8, 4), 1)
+    # one immutable object per (scheme, n, protection pair), whatever the session
+    assert build_schedule(Scheme.NPS2_II, 8, 0) is build_schedule(Scheme.NPS2_II, 8, 5)
+    shared = build_schedule(Scheme.NPS2_I, 8, 0)
+    assert shared is build_schedule(Scheme.NPS2_I, 8, 4)  # pair (1, 2) again
+    assert shared is not build_schedule(Scheme.NPS2_I, 8, 1)
+    assert shared != build_schedule(Scheme.NPS2_I, 8, 1)
+    assert protected_slots(shared, 1) is protected_slots(build_schedule(Scheme.NPS2_I, 8, 4), 1)
+    with pytest.raises(AttributeError):
+        shared.pairs = ()
+    # a schedule rebuilt after the cache forgot it equals the old one by value
+    nps2.schemes._shared_nps2i.cache_clear()
+    nps2.schemes._shared_nps2ii.cache_clear()
+    rebuilt = build_schedule(Scheme.NPS2_I, 8, 4)
+    assert rebuilt is not shared
+    assert rebuilt == shared and hash(rebuilt) == hash(shared)
+    assert rebuilt.pairs == shared.pairs and rebuilt.emitted() == shared.emitted()

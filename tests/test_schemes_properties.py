@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 from nps2.schemes import (
     Scheme,
     SlotKind,
-    nps2i_schedule,
-    nps2ii_schedule,
+    build_schedule,
     protected_slots,
     schedule_capacity,
 )
@@ -19,8 +18,8 @@ from nps2.schemes import (
 def schedules(draw):
     session = draw(st.integers(0, 100))
     if draw(st.booleans()):
-        return nps2ii_schedule(2 * draw(st.integers(2, 32)), session)
-    return nps2i_schedule(draw(st.integers(3, 64)), session)
+        return build_schedule(Scheme.NPS2_II, 2 * draw(st.integers(2, 32)), session)
+    return build_schedule(Scheme.NPS2_I, draw(st.integers(3, 64)), session)
 
 
 @settings(max_examples=200, deadline=None)
@@ -34,7 +33,7 @@ def test_schedule_invariants(sched):
         assert kinds.count(SlotKind.PROTECTION_WEIGHTED) == 1
         pair = (kinds.index(SlotKind.PROTECTION_SUM) + 1,
                 kinds.index(SlotKind.PROTECTION_WEIGHTED) + 1)
-        assert sched.protection_pair(r) == pair
+        assert sched.pairs[r - 1] == pair
         assert protected_slots(sched, r) == tuple(
             (p, row[p - 1].data_index) for p in range(1, n + 1) if p not in pair
         )
@@ -45,12 +44,11 @@ def test_schedule_invariants(sched):
     if sched.scheme is Scheme.NPS2_II:
         for path in range(1, n + 1):
             protecting = [r for r in range(1, sched.rounds + 1)
-                          if sched.slot(r, path).kind is not SlotKind.WORKING]
+                          if sched.grid[r - 1][path - 1].kind is not SlotKind.WORKING]
             assert protecting == [(path + 1) // 2]
         expected = {(p, d) for p in range(1, n + 1) for d in range(1, n // 2)}
     else:
-        assert all(sched.protection_pair(r) == sched.protection_paths
-                   for r in range(1, sched.rounds + 1))
-        expected = {(p, r) for p in range(1, n + 1) if p not in sched.protection_paths
+        assert set(sched.pairs) == {sched.pairs[0]}
+        expected = {(p, r) for p in range(1, n + 1) if p not in sched.pairs[0]
                     for r in range(1, sched.rounds + 1)}
     assert sched.emitted() == expected

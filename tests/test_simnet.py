@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from nps2.cli import _session_entry
 from nps2.codec import build_rows, encode_pair
 from nps2.field import FieldSpec
-from nps2.schemes import Scheme, SlotKind, build_schedule, nps2ii_schedule, schedule_capacity
+from nps2.schemes import Scheme, SlotKind, build_schedule, schedule_capacity
 from nps2.simnet import (
     NO_FAILURES,
     FailurePattern,
@@ -41,12 +42,12 @@ def test_generate_source_data_seed_sensitivity():
 
 
 def test_transmit_round_nps2ii_n4_round1():
-    sched = nps2ii_schedule(4)
+    sched = build_schedule(Scheme.NPS2_II, 4)
     rows = build_rows(2, GF256)
     data = generate_source_data(4, 2, 1, 5, GF256)[0]
     survivors = transmit_round(sched, 1, data, NO_FAILURES, rows)
     assert list(survivors) == [1, 2, 3, 4]
-    assert [sched.slot(1, p).kind for p in survivors] == [
+    assert [sched.grid[0][p - 1].kind for p in survivors] == [
         SlotKind.PROTECTION_SUM,
         SlotKind.PROTECTION_WEIGHTED,
         SlotKind.WORKING,
@@ -57,7 +58,7 @@ def test_transmit_round_nps2ii_n4_round1():
 
 
 def test_transmit_round_erases_failed_path():
-    sched = nps2ii_schedule(4)
+    sched = build_schedule(Scheme.NPS2_II, 4)
     rows = build_rows(2, GF256)
     data = generate_source_data(4, 2, 1, 5, GF256)[0]
     survivors = transmit_round(sched, 1, data, FailurePattern({3}), rows)
@@ -65,7 +66,7 @@ def test_transmit_round_erases_failed_path():
 
 
 def test_transmit_round_zero_tensor_zero_protection():
-    sched = nps2ii_schedule(6)
+    sched = build_schedule(Scheme.NPS2_II, 6)
     rows = build_rows(4, GF256)
     data = [[GF256.zero()] * 3 for _ in range(6)]
     for r in (1, 2, 3):
@@ -78,14 +79,14 @@ def test_recover_round_protection_only():
     # dedicated pair (4, 5): losing both protection paths needs no solve
     result = run_session(Scheme.NPS2_I, 5, GF256, FailurePattern({4, 5}), seed=3,
                          session_index=4)
-    assert result.schedule.protection_paths == (4, 5)
+    assert result.schedule.pairs[0] == (4, 5)
     assert result.outcome is Outcome.COMPLETE
     assert result.recovered_count == 0
     assert all(s is Scenario.PROTECTION_ONLY for s in result.round_scenarios.values())
 
 
 def test_recover_round_two_working_exhaustive_oracle():
-    sched = nps2ii_schedule(4)
+    sched = build_schedule(Scheme.NPS2_II, 4)
     rows = build_rows(2, GF4)
     data = generate_source_data(4, 2, 1, 21, GF4)[0]
     failure = FailurePattern({3, 4})
@@ -117,7 +118,7 @@ def test_recover_round_mixed_failure_both_rounds():
 
 
 def test_recover_round_sum_row_failed_uses_weighted():
-    sched = nps2ii_schedule(4)
+    sched = build_schedule(Scheme.NPS2_II, 4)
     rows = build_rows(2, GF256)
     data = generate_source_data(4, 2, 1, 13, GF256)[0]
     failure = FailurePattern({1, 4})  # round 1: sum carrier and one working slot
@@ -146,7 +147,7 @@ def test_recover_round_excess_loss_keeps_direct_survivors():
 
 def test_recover_round_sum_only_double_working_is_lost():
     # over GF(2) with sum-only rows, two unknowns share one independent row
-    sched = nps2ii_schedule(6)
+    sched = build_schedule(Scheme.NPS2_II, 6)
     rows = build_rows(4, GF2, sum_only=True)
     data = generate_source_data(6, 3, 1, 12, GF2)[0]
     failure = FailurePattern({3, 5})
@@ -158,7 +159,7 @@ def test_recover_round_sum_only_double_working_is_lost():
 
 
 def test_recovered_round_loses_nothing():
-    sched = nps2ii_schedule(6)
+    sched = build_schedule(Scheme.NPS2_II, 6)
     rows = build_rows(4, GF256)
     data = generate_source_data(6, 3, 1, 13, GF256)[0]
     for failure in (NO_FAILURES, FailurePattern({1}), FailurePattern({3}), FailurePattern({3, 5})):
@@ -351,7 +352,7 @@ def test_sweep_rotates_dedicated_pair_across_sessions():
         for idx in range(n):
             report = sweep_failures(Scheme.NPS2_I, n, GF256, seed=4, session_index=idx)
             assert report.complete_rate == 1.0, (n, idx)
-            rotated.append(report.results[0].schedule.protection_paths)
+            rotated.append(report.results[0].schedule.pairs[0])
         assert rotated == pairs
 
 
@@ -408,10 +409,17 @@ def test_failure_pattern_rejects_bool_paths():
 @pytest.mark.parametrize("scheme", list(Scheme))
 def test_sweep_sessions_share_grid_but_not_delivered(scheme):
     report = sweep_failures(scheme, 6, GF256, seed=21)
-    assert len({id(r.schedule.grid) for r in report.results}) == 1
+    assert len({id(r.schedule) for r in report.results}) == 1
     assert len({id(r.delivered) for r in report.results}) == len(report.results)
     first, second = report.results[:2]
     key = next(iter(first.delivered))
     before = second.delivered[key]
     first.delivered[key] = GF256.element(first.delivered[key].value ^ 1)
     assert second.delivered[key] is before
+    # sessions 0 and 3 of n=6 share a protection pair, hence one schedule object;
+    # the session number lives on the result, so packets and report entries keep it
+    zero, three = (run_session(scheme, 6, GF256, FailurePattern({2}), seed=21, session_index=s)
+                   for s in (0, 3))
+    assert zero.schedule is three.schedule
+    assert {p.session for p in zero.packets} == {0} and {p.session for p in three.packets} == {3}
+    assert [_session_entry(r)["session"] for r in (zero, three)] == [0, 3]

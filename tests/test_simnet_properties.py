@@ -26,7 +26,7 @@ def json_line(packet: Packet) -> str:
     return json.dumps(packet.record(), sort_keys=True, separators=(",", ":"))
 
 
-def eager_packets(schedule, data, failure, rows) -> tuple[Packet, ...]:
+def eager_packets(schedule, session, data, failure, rows) -> tuple[Packet, ...]:
     """Every surviving packet, (round, path) order, straight from the grid:
     a working slot sends its own symbol, a carrier its row's protection
     symbol over the round's working symbols in path order."""
@@ -40,7 +40,7 @@ def eager_packets(schedule, data, failure, rows) -> tuple[Packet, ...]:
             if path not in failure:
                 payload = (data[path - 1][slot.data_index - 1]
                            if slot.kind is SlotKind.WORKING else y[slot.kind])
-                packets.append(Packet(path, payload, r, schedule.session_index, slot.kind))
+                packets.append(Packet(path, payload, r, session, slot.kind))
     return tuple(packets)
 
 
@@ -66,7 +66,7 @@ def test_packets_match_eager_transmission(case):
     schedule = build_schedule(scheme, n, session_index)
     data = generate_source_data(n, schedule.rounds, session_index + 1, seed, field)[session_index]
     rows = build_rows(n - 2, field, sum_only=sum_only)
-    expect = eager_packets(schedule, data, failure, rows)
+    expect = eager_packets(schedule, session_index, data, failure, rows)
     assert result.packets == expect
     assert len(expect) == schedule.rounds * (n - len(failure))
     assert trace_lines(result.packets) == [json_line(p) for p in expect]
