@@ -343,7 +343,6 @@ def _draw_tensor(config: RunConfig) -> list:
 
 
 def _cmd_run(config: RunConfig) -> int:
-    rows = build_rows(config.n - 2, config.field)
     tensor = _draw_tensor(config)
     pattern_rng = random.Random(config.seed)
     results = []
@@ -365,7 +364,6 @@ def _cmd_run(config: RunConfig) -> int:
                 seed=config.seed,
                 session_index=idx,
                 data=tensor[idx],
-                rows=rows,
             )
         )
     return _finish(config, results)

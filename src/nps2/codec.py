@@ -9,7 +9,7 @@ protection symbols and solving the remaining 1x1 or 2x2 system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -31,7 +31,8 @@ class UnrecoverableError(Exception):
 
 @dataclass(frozen=True)
 class CoefficientRows:
-    """The two generator rows over ``width`` protected slots.
+    """The two generator rows over ``width`` protected slots, fixed by
+    (width, field, sum_only) and compared and hashed by those three.
 
     row_sum is all ones. row_weighted holds generator^t at rank t, so any
     two columns form an invertible 2x2 minor; in sum-only mode both rows
@@ -40,20 +41,32 @@ class CoefficientRows:
     """
 
     width: int
-    row_sum: tuple[FieldElement, ...]
-    row_weighted: tuple[FieldElement, ...]
     field: FieldSpec
+    sum_only: bool = False
+    row_sum: tuple[FieldElement, ...] = dc_field(init=False, repr=False, compare=False)
+    row_weighted: tuple[FieldElement, ...] = dc_field(init=False, repr=False, compare=False)
+    logs: dict[Row, tuple[int, ...]] = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.field._check(*self.row_sum, *self.row_weighted)
-        if not all(self.row_sum + self.row_weighted):
-            raise ValueError("coefficients must be nonzero")
-        log = self.field._log
-        logs = {r: tuple(log[e.value] for e in self.row(r)) for r in Row}
-        object.__setattr__(self, "logs", logs)
-
-    def row(self, which: Row) -> tuple[FieldElement, ...]:
-        return self.row_sum if which is Row.SUM else self.row_weighted
+        width, field, sum_only = self.width, self.field, self.sum_only
+        if width < 1:
+            raise ValueError(f"width must be positive, got {width}")
+        if not sum_only:
+            check_width(width, field)
+        # the log of generator^t is t and the log of 1 is 0, so both rows
+        # come straight off the field's tables
+        row_sum, log_sum = (field.one(),) * width, (0,) * width
+        if sum_only:
+            row_weighted, log_weighted = row_sum, log_sum
+        else:
+            row_weighted = tuple(map(field.element, field._exp[:width]))
+            log_weighted = tuple(range(width))
+        for name, value in (
+            ("row_sum", row_sum),
+            ("row_weighted", row_weighted),
+            ("logs", {Row.SUM: log_sum, Row.WEIGHTED: log_weighted}),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def distinct_weights(self) -> bool:
@@ -77,17 +90,7 @@ def build_rows(width: int, field: FieldSpec, *, sum_only: bool = False) -> Coeff
     distinct. With ``sum_only`` both rows are all ones and the bound is
     waived; this is the binary-field parity mode, good for one erasure.
     """
-    if width < 1:
-        raise ValueError(f"width must be positive, got {width}")
-    if not sum_only:
-        check_width(width, field)
-    one = field.one()
-    row_sum = (one,) * width
-    if sum_only:
-        row_weighted = row_sum
-    else:
-        row_weighted = tuple(field.pow(field.alpha(), t) for t in range(width))
-    return CoefficientRows(width, row_sum, row_weighted, field)
+    return CoefficientRows(width, field, sum_only)
 
 
 def encode_pair(

@@ -67,7 +67,6 @@ class SessionSchedule:
     pairs: tuple[tuple[int, int], ...] = dc_field(init=False, compare=False)
     protected: tuple[tuple[ProtectedSlot, ...], ...] = dc_field(
         init=False, repr=False, compare=False)
-    capacity: Fraction = dc_field(init=False, repr=False, compare=False)
     _emitted: frozenset[ProtectedSlot] = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -81,7 +80,6 @@ class SessionSchedule:
         for name, value in (
             ("pairs", tuple(tuple(c[k] for k in kinds) for c in carriers)),
             ("protected", protected),
-            ("capacity", Fraction(sum(map(len, protected)), self.rounds * self.n)),
             ("_emitted", frozenset(s for row in protected for s in row)),
         ):
             object.__setattr__(self, name, value)
@@ -170,7 +168,7 @@ def protected_slots(schedule: SessionSchedule, round_index: int) -> tuple[Protec
 
 def schedule_capacity(schedule: SessionSchedule) -> Fraction:
     """Fraction of path-slots carrying working data; (n-2)/n for both schemes."""
-    return schedule.capacity
+    return Fraction(sum(map(len, schedule.protected)), schedule.rounds * schedule.n)
 
 
 def slot_label(slot: Slot, path: int, round_index: int) -> str:

@@ -207,32 +207,6 @@ def transmit_round(
     return survivors
 
 
-def _round_case(
-    schedule: SessionSchedule, round_index: int, failure: FailurePattern
-) -> tuple[Scenario, tuple[int, ...], int | None, int | None]:
-    """The one case analysis of a round, from its schedule and the failed
-    paths: scenario, ascending ranks of the failed working slots, and the
-    paths of the sum and the weighted carrier, each None if it failed."""
-    schedule._check_round(round_index)
-    p_sum, p_wtd = schedule.pairs[round_index - 1]
-    failed = failure.failed_paths
-    # every other path is working, so a working path's rank is its position
-    # once the two protection carriers are left out
-    missing = tuple(sorted(
-        p - 1 - (p > p_sum) - (p > p_wtd)
-        for p in failed
-        if p <= schedule.n and p != p_sum and p != p_wtd
-    ))
-    sum_alive, weighted_alive = p_sum not in failed, p_wtd not in failed
-    if not missing:
-        scenario = Scenario.NO_FAILURE if sum_alive and weighted_alive else Scenario.PROTECTION_ONLY
-    elif len(missing) > sum_alive + weighted_alive:
-        scenario = Scenario.EXCESS_LOSS
-    else:
-        scenario = Scenario.SINGLE_WORKING if len(missing) == 1 else Scenario.DOUBLE_WORKING
-    return scenario, missing, p_sum if sum_alive else None, p_wtd if weighted_alive else None
-
-
 @dataclass
 class RoundRecovery:
     delivered: dict[tuple[int, int], FieldElement]
@@ -257,8 +231,23 @@ def recover_round(
     nothing is solved: ``lost`` names the failed working paths and
     ``delivered`` holds only the symbols that arrived directly.
     """
-    scenario, missing, p_sum, p_wtd = _round_case(schedule, round_index, failure)
     prot = protected_slots(schedule, round_index)
+    p_sum, p_wtd = schedule.pairs[round_index - 1]
+    failed = failure.failed_paths
+    # every other path is working, so a working path's rank is its position
+    # once the two protection carriers are left out
+    missing = tuple(sorted(
+        p - 1 - (p > p_sum) - (p > p_wtd)
+        for p in failed
+        if p <= schedule.n and p != p_sum and p != p_wtd
+    ))
+    sum_alive, weighted_alive = p_sum not in failed, p_wtd not in failed
+    if not missing:
+        scenario = Scenario.NO_FAILURE if sum_alive and weighted_alive else Scenario.PROTECTION_ONLY
+    elif len(missing) > sum_alive + weighted_alive:
+        scenario = Scenario.EXCESS_LOSS
+    else:
+        scenario = Scenario.SINGLE_WORKING if len(missing) == 1 else Scenario.DOUBLE_WORKING
     delivered = {s: survivors.get(s.path) for s in prot}
     if not missing:
         return RoundRecovery(delivered, scenario, ())
@@ -267,8 +256,8 @@ def recover_round(
         del known[t], delivered[prot[t]]
 
     if scenario is not Scenario.EXCESS_LOSS:
-        rs = residualize(survivors[p_sum], known, Row.SUM, rows) if p_sum else None
-        rw = residualize(survivors[p_wtd], known, Row.WEIGHTED, rows) if p_wtd else None
+        rs = residualize(survivors[p_sum], known, Row.SUM, rows) if sum_alive else None
+        rw = residualize(survivors[p_wtd], known, Row.WEIGHTED, rows) if weighted_alive else None
         try:
             values = ((solve_one(missing[0], rs, rw, rows),) if len(missing) == 1
                       else solve_two(missing, rs, rw, rows))
@@ -291,7 +280,6 @@ def run_session(
     *,
     sum_only: bool = False,
     data: SessionData | None = None,
-    rows: CoefficientRows | None = None,
 ) -> SessionResult:
     """Transmit and recover one full session, then verify every delivered
     symbol against the source tensor. The outcome is Complete only if all
@@ -301,8 +289,7 @@ def run_session(
     for p in failure.failed_paths:
         if p > n:
             raise ValueError(f"failed path {p} exceeds path count {n}")
-    if rows is None:
-        rows = build_rows(n - 2, field, sum_only=sum_only)
+    rows = build_rows(n - 2, field, sum_only=sum_only)
     if data is None:
         data = generate_source_data(
             n, schedule.rounds, session_index + 1, seed, field
@@ -387,13 +374,12 @@ def sweep_failures(
 ) -> SweepReport:
     """Run one session per failure pattern of size 0, 1, and 2, all on one
     data tensor: ``data`` if given, else the one run_session would draw."""
-    rows = build_rows(n - 2, field, sum_only=sum_only)
     if data is None:
         data = generate_source_data(n, build_schedule(scheme, n, session_index).rounds,
                                     session_index + 1, seed, field)[session_index]
     results = tuple(
         run_session(scheme, n, field, pattern, seed=seed, session_index=session_index,
-                    data=data, rows=rows)
+                    sum_only=sum_only, data=data)
         for pattern in all_patterns(n)
     )
     return SweepReport(results)

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from nps2.codec import (
     CoefficientRows,
+    FieldCapacityError,
     Row,
     build_rows,
     encode_pair,
@@ -150,9 +151,6 @@ def test_mixed_fields_rejected_at_codec_entry_points():
         solve_one(1, None, stranger, rows)
     with pytest.raises(FieldMismatchError):
         solve_two((0, 1), good[0], stranger, rows)
-    gf16_rows = build_rows(3, GF16)
-    with pytest.raises(FieldMismatchError):
-        CoefficientRows(3, gf16_rows.row_sum, gf16_rows.row_weighted, GF8)
 
 
 def test_equal_field_from_another_instance_is_accepted():
@@ -165,7 +163,34 @@ def test_equal_field_from_another_instance_is_accepted():
     assert y == GF8.element(4 ^ 5)
 
 
-def test_zero_coefficient_rejected():
-    one, zero = GF8.one(), GF8.zero()
-    with pytest.raises(ValueError, match="nonzero"):
-        CoefficientRows(2, (one, one), (one, zero), GF8)
+def test_rows_width_checks():
+    with pytest.raises(ValueError, match="positive"):
+        CoefficientRows(0, GF8)
+    with pytest.raises(FieldCapacityError, match="m >= 4"):
+        CoefficientRows(8, GF8)
+    rows = CoefficientRows(8, GF8, sum_only=True)
+    assert rows.row_weighted == rows.row_sum == (GF8.one(),) * 8
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 16), st.data())
+def test_rows_derive_the_papers_pair(m, data):
+    # the reference is the boxed construction: generator^t by field.pow
+    f = FIELDS[m]
+    width = data.draw(st.integers(1, min(f.q - 1, MAX_WIDTH)))
+    rows = CoefficientRows(width, f)
+    assert rows.row_weighted == tuple(f.pow(f.alpha(), t) for t in range(width))
+    assert rows.row_sum == (f.one(),) * width
+    assert all(e is f.element(e.value) for e in rows.row_sum + rows.row_weighted)
+    assert rows.logs == {Row.SUM: (0,) * width, Row.WEIGHTED: tuple(range(width))}
+
+
+def test_rows_equal_and_hash_by_width_field_and_sum_only():
+    twin = FieldSpec(3, GF8.reduction_poly, GF8.generator)
+    rows = CoefficientRows(5, GF8)
+    assert rows == CoefficientRows(5, twin) == build_rows(5, GF8)
+    assert hash(rows) == hash(CoefficientRows(5, twin))
+    assert len({rows, CoefficientRows(5, twin), CoefficientRows(5, GF8, sum_only=True),
+                CoefficientRows(4, GF8), CoefficientRows(5, GF16)}) == 4
+    with pytest.raises(TypeError):
+        CoefficientRows(2, GF8, False, (GF8.one(),) * 2)

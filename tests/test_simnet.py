@@ -158,6 +158,15 @@ def test_recover_round_sum_only_double_working_is_lost():
     assert rec.delivered == {(4, 1): data[3][0], (6, 1): data[5][0]}
 
 
+def test_sum_only_session_loses_a_double_working_loss():
+    # run_session builds its own rows, so sum_only holds over a large field too
+    failure = FailurePattern({3, 5})
+    assert not run_session(Scheme.NPS2_II, 6, GF256, failure, seed=1, sum_only=True).complete
+    assert run_session(Scheme.NPS2_II, 6, GF256, failure, seed=1).complete
+    report = sweep_failures(Scheme.NPS2_II, 6, GF256, seed=1, sum_only=True)
+    assert 0 < report.complete_count < report.session_count
+
+
 def test_recovered_round_loses_nothing():
     sched = build_schedule(Scheme.NPS2_II, 6)
     rows = build_rows(4, GF256)
@@ -380,15 +389,14 @@ def test_classify_round_direct():
 
 
 def test_concurrent_sessions_share_immutable_state():
-    # distinct sessions only share the field and rows; run them in parallel
-    # and check each sink matches a sequential rerun
+    # distinct sessions only share the field and the schedule; run them in
+    # parallel and check each sink matches a sequential rerun
     from concurrent.futures import ThreadPoolExecutor
 
-    rows = build_rows(4, GF256)
     patterns = all_patterns(6)
 
     def job(pattern):
-        return run_session(Scheme.NPS2_II, 6, GF256, pattern, seed=50, rows=rows)
+        return run_session(Scheme.NPS2_II, 6, GF256, pattern, seed=50)
 
     with ThreadPoolExecutor(max_workers=8) as pool:
         parallel = list(pool.map(job, patterns))
