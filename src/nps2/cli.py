@@ -336,10 +336,11 @@ def _finish(config: RunConfig, results: list[SessionResult]) -> int:
 
 
 def _draw_tensor(config: RunConfig) -> list:
-    """All sessions' source data in one draw; row idx holds what a draw of
-    idx + 1 sessions gives session idx."""
+    """All sessions' source data in one draw, frozen into tuple rows; row idx
+    holds what a draw of idx + 1 sessions gives session idx."""
     rounds = build_schedule(config.scheme, config.n).rounds
-    return generate_source_data(config.n, rounds, config.sessions, config.seed, config.field)
+    return [tuple(map(tuple, rows)) for rows in generate_source_data(
+        config.n, rounds, config.sessions, config.seed, config.field)]
 
 
 def _cmd_run(config: RunConfig) -> int:

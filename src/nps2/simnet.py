@@ -14,6 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .codec import (
@@ -28,6 +29,7 @@ from .codec import (
 )
 from .field import FieldElement, FieldSpec
 from .schemes import (
+    ProtectedSlot,
     Scheme,
     SessionSchedule,
     SlotKind,
@@ -116,11 +118,14 @@ NO_FAILURES = FailurePattern()
 
 @dataclass
 class SessionResult:
+    """What the collector computed for one session (``recovered`` in round
+    then rank order) and a reference to the session's frozen source rows."""
+
     schedule: SessionSchedule
     session_index: int
     failure: FailurePattern
-    delivered: dict[tuple[int, int], FieldElement]
-    recovered_count: int
+    data: tuple[tuple[FieldElement, ...], ...] = dc_field(repr=False)
+    recovered: dict[ProtectedSlot, FieldElement]
     round_scenarios: dict[int, Scenario]
     outcome: Outcome
     unrecoverable_rounds: tuple[tuple[int, tuple[int, ...]], ...] = ()
@@ -128,18 +133,30 @@ class SessionResult:
     protection: tuple[tuple[FieldElement | None, FieldElement | None], ...] = dc_field(
         default=(), repr=False)
 
+    @cached_property
+    def delivered(self) -> dict[ProtectedSlot, FieldElement]:
+        """Every delivered symbol by (source, data_index), built on first read
+        and this result's own after that: per round, direct then recovered."""
+        data = self.data
+        live = set(range(1, self.schedule.n + 1)) - self.failure.failed_paths
+        return dict(item for slots in self.schedule.protected for item in _delivered(
+            slots, live, lambda s: data[s.path - 1][s.data_index - 1], self.recovered))
+
+    @property
+    def recovered_count(self) -> int:
+        return len(self.recovered)
+
     @property
     def packets(self) -> tuple[Packet, ...]:
         """The surviving packets in (round, path) order, rebuilt on each read:
-        a working slot on a live path holds its directly delivered symbol,
-        since recovery only fills slots of failed paths."""
+        a working slot on a live path carries its source symbol."""
         failed, session = self.failure.failed_paths, self.session_index
         packets = []
         for r, (row, (y_sum, y_weighted)) in enumerate(zip(self.schedule.grid, self.protection), 1):
             for path, slot in enumerate(row, 1):
                 if path not in failed:
                     kind = slot.kind
-                    payload = (self.delivered[path, slot.data_index] if kind is SlotKind.WORKING
+                    payload = (self.data[path - 1][slot.data_index - 1] if kind is SlotKind.WORKING
                                else y_sum if kind is SlotKind.PROTECTION_SUM else y_weighted)
                     packets.append(Packet(path, payload, r, session, kind))
         return tuple(packets)
@@ -207,12 +224,26 @@ def transmit_round(
     return survivors
 
 
+def _delivered(slots, live, symbol, recovered):
+    """One round's delivered (slot, symbol) items, in rank order: each slot on
+    a ``live`` path with its direct ``symbol(slot)``, then those in ``recovered``."""
+    yield from ((s, symbol(s)) for s in slots if s.path in live)
+    yield from ((s, recovered[s]) for s in slots if s in recovered)
+
+
 @dataclass
 class RoundRecovery:
-    delivered: dict[tuple[int, int], FieldElement]
+    slots: tuple[ProtectedSlot, ...] = dc_field(repr=False)  # the round's, in rank order
+    survivors: Mapping[int, FieldElement] = dc_field(repr=False)
     scenario: Scenario
-    recovered: tuple[tuple[int, int], ...]
+    recovered: tuple[ProtectedSlot, ...] = ()
+    values: tuple[FieldElement, ...] = ()  # the recovered slots' symbols
     lost: tuple[int, ...] = ()  # failed working paths left unsolved, in rank order
+
+    @property
+    def delivered(self) -> dict[ProtectedSlot, FieldElement]:
+        return dict(_delivered(self.slots, self.survivors, lambda s: self.survivors[s.path],
+                               dict(zip(self.recovered, self.values))))
 
 
 def recover_round(
@@ -248,14 +279,8 @@ def recover_round(
         scenario = Scenario.EXCESS_LOSS
     else:
         scenario = Scenario.SINGLE_WORKING if len(missing) == 1 else Scenario.DOUBLE_WORKING
-    delivered = {s: survivors.get(s.path) for s in prot}
-    if not missing:
-        return RoundRecovery(delivered, scenario, ())
-    known = list(enumerate(delivered.values()))  # (rank, payload)
-    for t in reversed(missing):  # the failed paths' slots arrived as None
-        del known[t], delivered[prot[t]]
-
-    if scenario is not Scenario.EXCESS_LOSS:
+    if missing and scenario is not Scenario.EXCESS_LOSS:
+        known = [(t, survivors[s.path]) for t, s in enumerate(prot) if s.path not in failed]
         rs = residualize(survivors[p_sum], known, Row.SUM, rows) if sum_alive else None
         rw = residualize(survivors[p_wtd], known, Row.WEIGHTED, rows) if weighted_alive else None
         try:
@@ -264,10 +289,8 @@ def recover_round(
         except UnrecoverableError:  # sum-only rows cannot tell two unknowns apart
             pass
         else:
-            recovered = tuple(prot[t] for t in missing)
-            delivered.update(zip(recovered, values))
-            return RoundRecovery(delivered, scenario, recovered)
-    return RoundRecovery(delivered, scenario, (), tuple(prot[t].path for t in missing))
+            return RoundRecovery(prot, survivors, scenario, tuple(prot[t] for t in missing), values)
+    return RoundRecovery(prot, survivors, scenario, lost=tuple(prot[t].path for t in missing))
 
 
 def run_session(
@@ -281,45 +304,44 @@ def run_session(
     sum_only: bool = False,
     data: SessionData | None = None,
 ) -> SessionResult:
-    """Transmit and recover one full session, then verify every delivered
-    symbol against the source tensor. The outcome is Complete only if all
-    emitted (source, data_index) pairs arrive with their original values.
-    """
+    """Transmit and recover one full session. The result keeps ``data``,
+    frozen into tuple rows (tuple rows are not copied), the recovered symbols
+    (at most two per round), the protection payloads, the round scenarios and
+    the lost rounds; ``delivered`` is built from them on first read. A direct
+    symbol is its source's own element, so the outcome is Complete exactly
+    when no round is lost and every recovered symbol equals its source's."""
     schedule = build_schedule(scheme, n, session_index)
     for p in failure.failed_paths:
         if p > n:
             raise ValueError(f"failed path {p} exceeds path count {n}")
     rows = build_rows(n - 2, field, sum_only=sum_only)
     if data is None:
-        data = generate_source_data(
-            n, schedule.rounds, session_index + 1, seed, field
-        )[session_index]
+        data = generate_source_data(n, schedule.rounds, session_index + 1, seed,
+                                    field)[session_index]
+    data = tuple(map(tuple, data))
 
-    delivered: dict[tuple[int, int], FieldElement] = {}
+    recovered: dict[ProtectedSlot, FieldElement] = {}
     round_scenarios: dict[int, Scenario] = {}
     unrecoverable: list[tuple[int, tuple[int, ...]]] = []
     protection = []
-    recovered_count = 0
 
     for r, (p_sum, p_wtd) in enumerate(schedule.pairs, 1):
         survivors = transmit_round(schedule, r, data, failure, rows)
         protection.append((survivors.get(p_sum), survivors.get(p_wtd)))
         rec = recover_round(survivors, schedule, r, rows, failure)
-        delivered.update(rec.delivered)  # a lost round still delivers its direct survivors
-        recovered_count += len(rec.recovered)
+        recovered.update(zip(rec.recovered, rec.values))
         round_scenarios[r] = rec.scenario
         if rec.lost:
             unrecoverable.append((r, rec.lost))
 
-    # only emitted slots are ever delivered, so equal sizes mean equal key sets
-    ok = len(delivered) == len(schedule.emitted()) and [
-        v.value for v in delivered.values()] == [data[p - 1][d - 1].value for p, d in delivered]
+    ok = not unrecoverable and all(
+        v.value == data[p - 1][d - 1].value for (p, d), v in recovered.items())
     return SessionResult(
         schedule=schedule,
         session_index=session_index,
         failure=failure,
-        delivered=delivered,
-        recovered_count=recovered_count,
+        data=data,
+        recovered=recovered,
         round_scenarios=round_scenarios,
         outcome=Outcome.COMPLETE if ok else Outcome.UNRECOVERABLE,
         unrecoverable_rounds=tuple(unrecoverable),
@@ -377,6 +399,7 @@ def sweep_failures(
     if data is None:
         data = generate_source_data(n, build_schedule(scheme, n, session_index).rounds,
                                     session_index + 1, seed, field)[session_index]
+    data = tuple(map(tuple, data))
     results = tuple(
         run_session(scheme, n, field, pattern, seed=seed, session_index=session_index,
                     sum_only=sum_only, data=data)

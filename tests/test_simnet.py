@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import nps2.simnet
 from nps2.cli import _session_entry
 from nps2.codec import build_rows, encode_pair
 from nps2.field import FieldSpec
@@ -431,3 +432,64 @@ def test_sweep_sessions_share_grid_but_not_delivered(scheme):
     assert zero.schedule is three.schedule
     assert {p.session for p in zero.packets} == {0} and {p.session for p in three.packets} == {3}
     assert [_session_entry(r)["session"] for r in (zero, three)] == [0, 3]
+
+
+@pytest.mark.parametrize("solver, failed", [("solve_two", {3, 4}), ("solve_one", {3})])
+def test_a_wrong_solve_makes_the_session_unrecoverable(monkeypatch, solver, failed):
+    # only recovered symbols are checked against the source, so a solver
+    # answer one bit off in one round must still fail the session
+    original = getattr(nps2.simnet, solver)
+    calls = []
+
+    def off_by_one_bit(*args):
+        answer = original(*args)
+        calls.append(args)
+        if len(calls) > 1:
+            return answer
+        if solver == "solve_one":
+            return GF256.element(answer.value ^ 1)
+        return answer[0], GF256.element(answer[1].value ^ 1)
+
+    monkeypatch.setattr(nps2.simnet, solver, off_by_one_bit)
+    failure = FailurePattern(failed)
+    result = run_session(Scheme.NPS2_I, 6, GF256, failure, seed=3)
+    assert len(calls) == 6  # one solve per round, all six rounds solved
+    assert result.outcome is Outcome.UNRECOVERABLE and not result.complete
+    assert result.unrecoverable_rounds == () and result.recovered_count == 6 * len(failed)
+    data = generate_source_data(6, 6, 1, 3, GF256)[0]
+    wrong = {k: v.value for k, v in result.delivered.items() if v != data[k[0] - 1][k[1] - 1]}
+    assert wrong == {(max(failed), 1): data[max(failed) - 1][0].value ^ 1}
+    monkeypatch.undo()
+    assert run_session(Scheme.NPS2_I, 6, GF256, failure, seed=3).complete
+
+
+def closed_form_histogram(scheme: Scheme, n: int) -> dict[str, int]:
+    """Sessions per summary scenario in an exhaustive sweep, counted from
+    the layouts alone; the tag is the same with and without sum_only rows."""
+    pairs = n * (n - 1) // 2
+    if scheme is Scheme.NPS2_I:
+        # two carriers for all n rounds: a pattern is protection-only when it
+        # hits carriers only, single-working with one working loss, and
+        # double-working with two
+        hist = {"no-failure": 1, "protection-only": 3,
+                "single-working": (n - 2) + 2 * (n - 2), "double-working": (n - 2) * (n - 3) // 2}
+    else:
+        # every path carries protection in one round: a single loss and a
+        # pair from two rounds' carriers are single-working in those rounds,
+        # and any round where both of a pair work is double-working; with
+        # n = 4 a split pair has no such round
+        split = pairs - n // 2
+        hist = {"no-failure": 1, "single-working": n + split * (n == 4),
+                "double-working": n // 2 + split * (n > 4)}
+    return {tag: count for tag, count in hist.items() if count}
+
+
+@pytest.mark.parametrize("sum_only", [False, True])
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_scenario_histogram_has_a_closed_form(scheme, sum_only):
+    for n in range(4 if scheme is Scheme.NPS2_II else 3, 17, 2 if scheme is Scheme.NPS2_II else 1):
+        for session_index in (0, 1):
+            report = sweep_failures(scheme, n, GF256, seed=n, session_index=session_index,
+                                    sum_only=sum_only)
+            assert report.scenario_histogram == closed_form_histogram(scheme, n), (n, session_index)
+            assert report.session_count == 1 + n + n * (n - 1) // 2

@@ -1,9 +1,12 @@
 """Property tests of the session engine: the packets a SessionResult rebuilds
 on demand equal an eager transmission built from the data tensor, the grid
 and encode_pair, and trace_lines writes exactly json.dumps of each record.
-Sweeps construct no Packet at all."""
+Sweeps construct no Packet at all. The ``delivered`` maps of a result and of
+a round equal an eager collector's map, key order included, and a result
+builds its map only when it is first read."""
 
 import json
+import tracemalloc
 
 from hypothesis import given, settings, strategies as st
 
@@ -11,9 +14,12 @@ import nps2.simnet
 from nps2.codec import build_rows, encode_pair
 from nps2.schemes import Scheme, SlotKind, build_schedule
 from nps2.simnet import (
+    NO_FAILURES,
     FailurePattern,
     Packet,
+    all_patterns,
     generate_source_data,
+    recover_round,
     run_session,
     sweep_failures,
     trace_lines,
@@ -115,3 +121,88 @@ def test_sweep_constructs_no_packet_and_rebuilds_them_on_demand(monkeypatch):
     assert all(type(p) is CountingPacket for p in packets)
     monkeypatch.undo()
     assert trace_lines(packets) == trace_lines(single.packets)
+
+
+def eager_delivered(schedule, data, failure, sum_only) -> list[list[tuple]]:
+    """Per round, the (source, data_index) -> symbol items an exact collector
+    delivers: the working slots on live paths in path order, then, unless the
+    round is lost, the failed ones. A round is lost when its failed working
+    paths outnumber its live carriers, or two share a sum-only row."""
+    rounds = []
+    for row in schedule.grid:
+        working = [(p, s.data_index) for p, s in enumerate(row, 1) if s.kind is SlotKind.WORKING]
+        failed = [k for k in working if k[0] in failure]
+        carriers = sum(p not in failure for p, s in enumerate(row, 1)
+                       if s.kind is not SlotKind.WORKING)
+        lost = len(failed) > carriers or (sum_only and len(failed) == 2)
+        keys = [k for k in working if k not in failed] + ([] if lost else failed)
+        rounds.append([(k, data[k[0] - 1][k[1] - 1]) for k in keys])
+    return rounds
+
+
+@settings(max_examples=150, deadline=None)
+@given(sessions())
+def test_delivered_views_match_an_eager_collector(case):
+    scheme, n, field, sum_only, session_index, seed, failure = case
+    schedule = build_schedule(scheme, n, session_index)
+    data = generate_source_data(n, schedule.rounds, session_index + 1, seed, field)[session_index]
+    result = run_session(scheme, n, field, failure, session_index=session_index,
+                         sum_only=sum_only, data=data)
+    expect = eager_delivered(schedule, data, failure, sum_only)
+    assert "delivered" not in vars(result)  # not built until it is read
+    assert list(result.delivered.items()) == [item for items in expect for item in items]
+    assert result.delivered is result.delivered
+    rows = build_rows(n - 2, field, sum_only=sum_only)
+    for r, items in enumerate(expect, 1):
+        rec = recover_round(transmit_round(schedule, r, data, failure, rows), schedule, r, rows,
+                            failure)
+        assert list(rec.delivered.items()) == items
+
+
+@settings(max_examples=100, deadline=None)
+@given(sessions())
+def test_delivered_writes_stay_with_their_result(case):
+    scheme, n, field, sum_only, session_index, seed, failure = case
+    schedule = build_schedule(scheme, n, session_index)
+    data = generate_source_data(n, schedule.rounds, 1, seed, field)[0]
+    a, b = (run_session(scheme, n, field, failure, session_index=session_index,
+                        sum_only=sum_only, data=data) for _ in range(2))
+    assert a == b and a.delivered == b.delivered and a.delivered is not b.delivered
+    if a.delivered:
+        key = next(iter(a.delivered))
+        before = b.delivered[key]
+        a.delivered[key] = field.element(before.value ^ 1)
+        assert a.delivered[key].value == before.value ^ 1  # the write persists
+        assert b.delivered[key] is before
+    # one other emitted symbol makes another result, whatever the pattern
+    other = [list(row) for row in data]
+    p, d = min(schedule.emitted())
+    other[p - 1][d - 1] = field.element(data[p - 1][d - 1].value ^ 1)
+    assert run_session(scheme, n, field, failure, session_index=session_index,
+                       sum_only=sum_only, data=other) != b
+
+
+@settings(max_examples=20, deadline=None)
+@given(scheme=st.sampled_from(Scheme), half_n=st.integers(2, 6), sum_only=st.booleans())
+def test_sweep_builds_no_delivered_map(scheme, half_n, sum_only):
+    report = sweep_failures(scheme, 2 * half_n, FIELDS[8], seed=half_n, sum_only=sum_only)
+    assert not any("delivered" in vars(r) for r in report.results)
+    assert [r.failure for r in report.results] == all_patterns(2 * half_n)
+
+
+def test_sweep_results_keep_little_memory():
+    # an NPS2-I n=24 sweep keeps its recovered symbols (at most two per
+    # round), not a map of every symbol; data, schedule and field elements
+    # exist before the sweep, so they are not counted
+    field = FIELDS[8]
+    data = generate_source_data(24, 24, 1, 5, field)[0]
+    sweep_failures(Scheme.NPS2_I, 24, field, data=data)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = sweep_failures(Scheme.NPS2_I, 24, field, data=data)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert report.complete_rate == 1.0 and report.results[0].failure == NO_FAILURES
+    assert kept / report.session_count < 10_000
