@@ -11,7 +11,7 @@ import random
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .codec import build_rows, check_width
 from .field import DEFAULT_GENERATOR, DEFAULT_M, DEFAULT_REDUCTION_POLY, FieldSpec
@@ -276,8 +276,8 @@ def _write_files(outputs: Sequence[tuple[str, Iterable[str]]]) -> None:
     written. A regular or new file is streamed to a temp file beside the file
     its path resolves to, and renamed over it once every write has
     succeeded; a device or pipe such as /dev/null, which a rename would
-    replace, is written in place. On an OSError no renamed output and no temp
-    file is left, and the error names the path."""
+    replace, is written in place. On any exception no renamed output and no
+    temp file is left; an OSError is raised again naming the path."""
     staged: list[tuple[str, str, str]] = []  # (path, temp file, target)
     placed: list[str] = []
     path = None
@@ -293,22 +293,26 @@ def _write_files(outputs: Sequence[tuple[str, Iterable[str]]]) -> None:
         for path, tmp, target in staged:
             os.replace(tmp, target)
             placed.append(target)
-    except OSError as exc:
+    except BaseException as exc:
         for leftover in [tmp for _, tmp, _ in staged] + placed:
             with contextlib.suppress(OSError):
                 os.remove(leftover)
-        raise OSError(exc.errno, exc.strerror, path) from exc
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from exc
+        raise
 
 
-def _json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def _json(obj) -> Iterator[str]:
+    """The chunks of ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``."""
+    yield from json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj)
+    yield "\n"
 
 
 def _finish(config: RunConfig, results: list[SessionResult]) -> int:
     report = SweepReport(tuple(results))
     completed, total = report.complete_count, report.session_count
     capacity = f"{config.n - 2}/{config.n}"
-    text = _json({
+    report_chunks = _json({
         "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "config": config.echo(),
         "schedule_capacity": capacity,
@@ -323,7 +327,7 @@ def _finish(config: RunConfig, results: list[SessionResult]) -> int:
         trace = (line + "\n" for r in results for line in trace_lines(r.packets))
         outputs.append((config.trace_path, trace))
     if config.report_path:
-        outputs.append((config.report_path, [text]))
+        outputs.append((config.report_path, report_chunks))
     _write_files(outputs)
     if config.report_path:
         print(
@@ -331,7 +335,7 @@ def _finish(config: RunConfig, results: list[SessionResult]) -> int:
             f"schedule capacity {capacity}, report written to {config.report_path}"
         )
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(report_chunks)
     return 0 if completed == total else 1
 
 
@@ -384,7 +388,7 @@ def _cmd_dump_schedule(config: RunConfig) -> int:
     schedule = build_schedule(config.scheme, config.n)
     labels = schedule_labels(schedule)
     if config.as_json:
-        sys.stdout.write(_json(
+        sys.stdout.writelines(_json(
             {"scheme": config.scheme.value, "n": config.n, "rounds": schedule.rounds,
              "matrix": labels}
         ))
@@ -408,7 +412,7 @@ def _cmd_dump_rows(config: RunConfig) -> int:
     sum_hex = [e.hex for e in rows.row_sum]
     weighted_hex = [e.hex for e in rows.row_weighted]
     if config.as_json:
-        sys.stdout.write(_json(
+        sys.stdout.writelines(_json(
             {"width": rows.width, "field": config.field_echo(), "row_sum": sum_hex,
              "row_weighted": weighted_hex}
         ))

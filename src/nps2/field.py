@@ -70,34 +70,35 @@ class FieldSpec:
         self._build_tables()
 
     def _build_tables(self) -> None:
-        q, poly, g = self.q, self.reduction_poly, self.generator
+        m, q, poly, g = self.m, self.q, self.reduction_poly, self.generator
         order = q - 1
-        exp = [0] * order
-        log = [0] * q
-        x = 1
-        for i in range(order):
-            if x == 1 and i > 0:
-                raise ValueError(
-                    f"generator 0x{self.generator:x} has order {i}, "
-                    f"expected {order}; not primitive"
-                )
-            exp[i] = x
-            log[x] = i
-            # x * g by shift-and-add, reducing x each time it reaches degree m
-            prod, rest = 0, g
-            while rest:
-                if rest & 1:
-                    prod ^= x
-                rest >>= 1
-                x <<= 1
-                if x & q:
-                    x ^= poly
-            x = prod
+        # x * g is GF(2)-linear in x, so it is lo[x & mask] ^ hi[x >> h], where
+        # lo and hi span the products of g with x^k below and above bit h
+        h = (m + 1) // 2
+        lo, hi, v = [0], [0], g
+        for t in [lo] * h + [hi] * (m - h):
+            t += [x ^ v for x in t]
+            v <<= 1
+            if v & q:
+                v ^= poly
+        ints = list(range(q))  # the one int object per value that both tables hold
+        exp, x, mask = [], 1, (1 << h) - 1
+        for _ in range(order):
+            exp.append(ints[x])
+            x = lo[x & mask] ^ hi[x >> h]
+        if exp.count(1) > 1:  # the walk returned to 1 early, at the first such i
+            raise ValueError(
+                f"generator 0x{self.generator:x} has order {exp.index(1, 1)}, "
+                f"expected {order}; not primitive"
+            )
         if x != 1:
             raise ValueError(
                 f"generator 0x{self.generator:x} does not have order {order}; "
                 f"0x{self.reduction_poly:x} may be reducible"
             )
+        log = [0] * q
+        for e, i in zip(exp, ints):
+            log[e] = i
         self._exp = exp + exp  # doubled, so a sum of two logs needs no reduction
         self._log = log
 
@@ -105,12 +106,13 @@ class FieldSpec:
 
     def element(self, value: int) -> FieldElement:
         """The one shared, immutable element of this spec holding ``value``."""
-        try:
-            return self._elements[value]
-        except KeyError:
+        element = self._elements.get(value)
+        if element is None:  # most GF(2^16) draws miss, and a KeyError costs more than .get
             if not 0 <= value < self.q:
-                raise ValueError(f"value 0x{value:x} is outside GF(2^{self.m})") from None
-            return self._elements.setdefault(value, FieldElement(value, self))
+                raise ValueError(f"value 0x{value:x} is outside GF(2^{self.m})")
+            value = self._exp[self._log[value]] if value else 0  # the tables' int object
+            element = self._elements.setdefault(value, FieldElement(value, self))
+        return element
 
     def zero(self) -> FieldElement:
         return self.element(0)

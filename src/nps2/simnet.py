@@ -126,7 +126,6 @@ class SessionResult:
     failure: FailurePattern
     data: tuple[tuple[FieldElement, ...], ...] = dc_field(repr=False)
     recovered: dict[ProtectedSlot, FieldElement]
-    round_scenarios: dict[int, Scenario]
     outcome: Outcome
     unrecoverable_rounds: tuple[tuple[int, tuple[int, ...]], ...] = ()
     # per round, the arrived (sum, weighted) protection payloads; None if lost
@@ -170,6 +169,13 @@ class SessionResult:
         """The share of the n paths that stayed active for the session."""
         n = self.schedule.n
         return Fraction(n - len(self.failure), n)
+
+    @cached_property
+    def round_scenarios(self) -> dict[int, Scenario]:
+        """Each round's scenario by the case analysis recover_round runs, built
+        from the protection pairs and the failure on first read, like delivered."""
+        return {r: _round_case(self.schedule, r, self.failure.failed_paths)[0]
+                for r in range(1, self.schedule.rounds + 1)}
 
     @property
     def scenario(self) -> Scenario:
@@ -246,6 +252,23 @@ class RoundRecovery:
                                dict(zip(self.recovered, self.values))))
 
 
+def _round_case(schedule, round_index, failed):
+    """The one case analysis of a round under the ``failed`` paths: its
+    Scenario, and the ranks of its failed working slots in ascending order."""
+    p_sum, p_wtd = schedule.pairs[round_index - 1]
+    n = schedule.n
+    # every other path is working, so a working path's rank is its position
+    # once the two protection carriers are left out
+    missing = sorted([p - 1 - (p > p_sum) - (p > p_wtd) for p in failed
+                      if p <= n and p != p_sum and p != p_wtd])
+    alive = (p_sum not in failed) + (p_wtd not in failed)
+    if len(missing) > alive:
+        return Scenario.EXCESS_LOSS, missing
+    if missing:
+        return (Scenario.SINGLE_WORKING if len(missing) == 1 else Scenario.DOUBLE_WORKING), missing
+    return (Scenario.NO_FAILURE if alive == 2 else Scenario.PROTECTION_ONLY), missing
+
+
 def recover_round(
     survivors: Mapping[int, FieldElement],
     schedule: SessionSchedule,
@@ -265,20 +288,8 @@ def recover_round(
     prot = protected_slots(schedule, round_index)
     p_sum, p_wtd = schedule.pairs[round_index - 1]
     failed = failure.failed_paths
-    # every other path is working, so a working path's rank is its position
-    # once the two protection carriers are left out
-    missing = tuple(sorted(
-        p - 1 - (p > p_sum) - (p > p_wtd)
-        for p in failed
-        if p <= schedule.n and p != p_sum and p != p_wtd
-    ))
+    scenario, missing = _round_case(schedule, round_index, failed)
     sum_alive, weighted_alive = p_sum not in failed, p_wtd not in failed
-    if not missing:
-        scenario = Scenario.NO_FAILURE if sum_alive and weighted_alive else Scenario.PROTECTION_ONLY
-    elif len(missing) > sum_alive + weighted_alive:
-        scenario = Scenario.EXCESS_LOSS
-    else:
-        scenario = Scenario.SINGLE_WORKING if len(missing) == 1 else Scenario.DOUBLE_WORKING
     if missing and scenario is not Scenario.EXCESS_LOSS:
         known = [(t, survivors[s.path]) for t, s in enumerate(prot) if s.path not in failed]
         rs = residualize(survivors[p_sum], known, Row.SUM, rows) if sum_alive else None
@@ -306,8 +317,8 @@ def run_session(
 ) -> SessionResult:
     """Transmit and recover one full session. The result keeps ``data``,
     frozen into tuple rows (tuple rows are not copied), the recovered symbols
-    (at most two per round), the protection payloads, the round scenarios and
-    the lost rounds; ``delivered`` is built from them on first read. A direct
+    (at most two per round), the protection payloads and the lost rounds;
+    ``delivered`` and ``round_scenarios`` are derived on first read. A direct
     symbol is its source's own element, so the outcome is Complete exactly
     when no round is lost and every recovered symbol equals its source's."""
     schedule = build_schedule(scheme, n, session_index)
@@ -321,7 +332,6 @@ def run_session(
     data = tuple(map(tuple, data))
 
     recovered: dict[ProtectedSlot, FieldElement] = {}
-    round_scenarios: dict[int, Scenario] = {}
     unrecoverable: list[tuple[int, tuple[int, ...]]] = []
     protection = []
 
@@ -330,7 +340,6 @@ def run_session(
         protection.append((survivors.get(p_sum), survivors.get(p_wtd)))
         rec = recover_round(survivors, schedule, r, rows, failure)
         recovered.update(zip(rec.recovered, rec.values))
-        round_scenarios[r] = rec.scenario
         if rec.lost:
             unrecoverable.append((r, rec.lost))
 
@@ -342,7 +351,6 @@ def run_session(
         failure=failure,
         data=data,
         recovered=recovered,
-        round_scenarios=round_scenarios,
         outcome=Outcome.COMPLETE if ok else Outcome.UNRECOVERABLE,
         unrecoverable_rounds=tuple(unrecoverable),
         protection=tuple(protection),

@@ -1,8 +1,9 @@
 import json
+import os
 
 import pytest
 
-from nps2.cli import parse_config, run
+from nps2.cli import _write_files, parse_config, run
 from nps2.schemes import Scheme
 
 
@@ -230,3 +231,30 @@ def test_unwritable_report_names_path(tmp_path, capsys):
     cfg = parse_config(["sweep", "--n", "4", "--report", str(missing)])
     assert run(cfg) == 2
     assert str(missing) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_write_files_cleans_up_on_any_exception(error, tmp_path):
+    def chunks():
+        yield "partial"
+        raise error("stopped mid-write")
+
+    outputs = [(str(tmp_path / "t.jsonl"), ["done\n"]), (str(tmp_path / "r.json"), chunks())]
+    with pytest.raises(error, match="stopped mid-write"):
+        _write_files(outputs)
+    assert os.listdir(tmp_path) == []
+
+
+def test_streamed_report_keeps_its_format(tmp_path, capsys):
+    argv = ["run", "--n", "6", "--fail-random", "2", "--sessions", "3", "--seed", "5"]
+    path = tmp_path / "r.json"
+    assert run(parse_config(argv + ["--report", str(path)])) == 0
+    raw = path.read_bytes()
+    assert raw == (json.dumps(json.loads(raw), indent=2, sort_keys=True) + "\n").encode()
+    capsys.readouterr()
+    assert run(parse_config(argv)) == 0
+
+    def scrub(text):
+        return [line for line in text.splitlines(True) if '"generated_at"' not in line]
+
+    assert scrub(capsys.readouterr().out) == scrub(raw.decode())

@@ -2,10 +2,12 @@
 schoolbook polynomial oracle."""
 
 import random
+import tracemalloc
 
 import pytest
 
 from nps2.field import FieldMismatchError, FieldSpec
+from test_codec_properties import PRIMITIVE_POLYS
 
 GF8 = FieldSpec(3, 0b1011, 0b010)
 GF4 = FieldSpec(2, 0b111, 0b10)
@@ -214,3 +216,69 @@ def test_elements_are_shared_instances():
     assert all(a is b for a, b in zip(GF8.elements(), GF8.elements()))
     with pytest.raises(ValueError):
         gf.element(1 << 16)
+
+
+def walk_tables(m: int, poly: int, g: int):
+    """Reference exp/log tables by a shift-and-add walk over g's powers, or
+    the error message FieldSpec gives when the walk is not a full cycle."""
+    q, order = 1 << m, (1 << m) - 1
+    exp, log, x = [0] * order, [0] * q, 1
+    for i in range(order):
+        if x == 1 and i > 0:
+            return f"generator 0x{g:x} has order {i}, expected {order}; not primitive"
+        exp[i], log[x] = x, i
+        prod = 0
+        for bit in range(m):
+            if g >> bit & 1:
+                prod ^= x
+            x <<= 1
+            if x & q:
+                x ^= poly
+        x = prod
+    if x != 1:
+        return f"generator 0x{g:x} does not have order {order}; 0x{poly:x} may be reducible"
+    return exp + exp, log
+
+
+def built_tables(m: int, poly: int, g: int):
+    try:
+        f = FieldSpec(m, poly, g)
+    except ValueError as exc:
+        return str(exc)
+    return f._exp, f._log
+
+
+@pytest.mark.parametrize("m", sorted(PRIMITIVE_POLYS))
+def test_tables_match_shift_and_add_walk(m):
+    poly = PRIMITIVE_POLYS[m]
+    generators = [1 if m == 1 else 2] + ([3] if m > 1 else [])
+    for g in generators:
+        expected = walk_tables(m, poly, g)
+        assert built_tables(m, poly, g) == expected
+        assert isinstance(expected, tuple) or g == 3  # the tabulated generator is primitive
+
+
+def test_reducible_polynomial_message():
+    # x^4 + x^2 + 1 = (x^2 + x + 1)^2: the walk of 0x7 never returns to 1
+    with pytest.raises(ValueError) as exc:
+        FieldSpec(4, 0x15, 0x7)
+    assert str(exc.value) == "generator 0x7 does not have order 15; 0x15 may be reducible"
+
+
+def test_tables_share_one_int_per_value():
+    f = FieldSpec(16, 0x1100B, 2)
+    assert len({id(v) for v in f._exp} | {id(v) for v in f._log[1:]}) <= f.q
+    element = f.element(40000)
+    assert element.value is f._exp[f._log[40000]]
+    assert f.element(0).value == 0 and next(k for k in f._elements if k == 40000) is element.value
+
+
+def test_gf65536_tables_stay_small():
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        f = FieldSpec(16, 0x1100B, 2)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert f.q == 1 << 16 and held <= 3.6 * 2**20
