@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from typing import NamedTuple
 
 
@@ -55,50 +55,64 @@ class ProtectedSlot(NamedTuple):
 class SessionSchedule:
     """Which path carries which symbol at each round of a session.
 
-    grid[r-1][p-1] is path p's slot in round r; the other attributes are
-    derived from it. The grid depends only on (scheme, n, protection pair),
-    and build_schedule shares one schedule per such key. Equality and hash
-    are by (scheme, grid), so a rebuilt schedule equals the shared one.
+    pairs[r-1] is round r's (sum, weighted) protection carriers; the rest is
+    derived from (n, pairs) by one rule for both schemes. Every other path
+    sends its data units in order, so its data index in round r is the
+    number of rounds up to r in which it worked. grid[r-1][p-1] is path p's
+    slot in round r and protected[r-1] the round's working slots in rank
+    order; both share their Slots and ProtectedSlots with every schedule on
+    n paths. Equality and hash are by (scheme, n, pairs).
     """
 
     scheme: Scheme
-    grid: tuple[tuple[Slot, ...], ...] = dc_field(repr=False)
-    # per round: the (sum, weighted) protection carriers, the ranked working slots
-    pairs: tuple[tuple[int, int], ...] = dc_field(init=False, compare=False)
+    n: int
+    pairs: tuple[tuple[int, int], ...]
+    grid: tuple[tuple[Slot, ...], ...] = dc_field(init=False, repr=False, compare=False)
     protected: tuple[tuple[ProtectedSlot, ...], ...] = dc_field(
         init=False, repr=False, compare=False)
-    _emitted: frozenset[ProtectedSlot] = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        carriers = [{s.kind: p for p, s in enumerate(row, 1)} for row in self.grid]
-        kinds = SlotKind.PROTECTION_SUM, SlotKind.PROTECTION_WEIGHTED
-        work = SlotKind.WORKING
-        protected = tuple(
-            tuple(ProtectedSlot(p, s.data_index) for p, s in enumerate(row, 1) if s.kind is work)
-            for row in self.grid
-        )
-        for name, value in (
-            ("pairs", tuple(tuple(c[k] for k in kinds) for c in carriers)),
-            ("protected", protected),
-            ("_emitted", frozenset(s for row in protected for s in row)),
-        ):
-            object.__setattr__(self, name, value)
-
-    @property
-    def n(self) -> int:
-        return len(self.grid[0])
+        slots, cells = _working_cells(self.n)
+        sent = [0] * self.n  # data units each path has sent so far
+        grid, protected = [], []
+        for pair in self.pairs:
+            row, work = [], []
+            for p, d in enumerate(sent):
+                if p + 1 in pair:
+                    row.append(_PROTECTION_SLOTS[pair.index(p + 1)])
+                else:
+                    sent[p] = d + 1
+                    row.append(slots[d])
+                    work.append(cells[p][d])
+            grid.append(tuple(row))
+            protected.append(tuple(work))
+        object.__setattr__(self, "grid", tuple(grid))
+        object.__setattr__(self, "protected", tuple(protected))
 
     @property
     def rounds(self) -> int:
-        return len(self.grid)
+        return len(self.pairs)
 
     def emitted(self) -> frozenset[ProtectedSlot]:
-        """All (source, data_index) pairs this schedule transmits."""
-        return self._emitted
+        """All (source, data_index) pairs this schedule transmits, as a new
+        frozen set on each call."""
+        return frozenset(s for row in self.protected for s in row)
 
     def _check_round(self, round_index: int) -> None:
         if not 1 <= round_index <= self.rounds:
             raise ValueError(f"round {round_index} out of range 1..{self.rounds}")
+
+
+_PROTECTION_SLOTS = Slot(SlotKind.PROTECTION_SUM), Slot(SlotKind.PROTECTION_WEIGHTED)
+
+
+@cache
+def _working_cells(n: int) -> tuple[tuple[Slot, ...], tuple[tuple[ProtectedSlot, ...], ...]]:
+    """The working Slot of data unit d at index d-1, and path p's
+    ProtectedSlot of unit d at [p-1][d-1], for d up to n."""
+    units = range(1, n + 1)
+    return (tuple(Slot(SlotKind.WORKING, d) for d in units),
+            tuple(tuple(ProtectedSlot(p, d) for d in units) for p in units))
 
 
 def check_path_count(scheme: Scheme, n: int) -> None:
@@ -112,48 +126,30 @@ def check_path_count(scheme: Scheme, n: int) -> None:
         raise ValueError(f"{scheme.value} needs n >= {min_n}, got n={n}")
 
 
-@lru_cache(maxsize=16)
-def _shared_nps2i(n: int, p_sum: int, p_wtd: int) -> SessionSchedule:
-    grid = []
-    for r in range(1, n + 1):
-        row = [Slot(SlotKind.WORKING, data_index=r)] * n
-        row[p_sum - 1] = Slot(SlotKind.PROTECTION_SUM)
-        row[p_wtd - 1] = Slot(SlotKind.PROTECTION_WEIGHTED)
-        grid.append(tuple(row))
-    return SessionSchedule(Scheme.NPS2_I, tuple(grid))
-
-
-@lru_cache(maxsize=16)
-def _shared_nps2ii(n: int) -> SessionSchedule:
-    grid = []
-    for r in range(1, n // 2 + 1):
-        row = []
-        for path in range(1, n + 1):
-            protection_round = (path + 1) // 2
-            if r == protection_round:
-                kind = SlotKind.PROTECTION_SUM if path % 2 else SlotKind.PROTECTION_WEIGHTED
-                row.append(Slot(kind))
-            else:
-                unit = r if r < protection_round else r - 1
-                row.append(Slot(SlotKind.WORKING, data_index=unit))
-        grid.append(tuple(row))
-    return SessionSchedule(Scheme.NPS2_II, tuple(grid))
+_shared_schedule = cache(SessionSchedule)
 
 
 def build_schedule(scheme: Scheme, n: int, session_index: int = 0) -> SessionSchedule:
     """Session ``session_index``'s schedule, one shared object per (scheme,
-    n, protection pair). NPS2-I runs n rounds on the pair (2d mod n,
+    n, protection pairs). NPS2-I runs n rounds on the pair (2d mod n,
     2d+1 mod n), 1-based, of session d; for odd n it wraps to (n, 1) once
     per n sessions. NPS2-II runs n/2 rounds, protection on (2L-1, 2L) in
     round L, so path i protects once, in round ceil(i/2), and sends data
     unit r before that round and unit r-1 after it.
     """
+    if not isinstance(scheme, Scheme):
+        raise TypeError(f"scheme must be a Scheme, got {scheme!r}")
+    for name, value in (("n", n), ("session_index", session_index)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise TypeError(f"{name} must be an int, got {value!r}")
     check_path_count(scheme, n)
     if session_index < 0:
         raise ValueError(f"session_index must be nonnegative, got {session_index}")
     if scheme is Scheme.NPS2_I:
-        return _shared_nps2i(n, (2 * session_index) % n + 1, (2 * session_index + 1) % n + 1)
-    return _shared_nps2ii(n)
+        pairs = ((2 * session_index % n + 1, (2 * session_index + 1) % n + 1),) * n
+    else:
+        pairs = tuple((2 * ell - 1, 2 * ell) for ell in range(1, n // 2 + 1))
+    return _shared_schedule(scheme, n, pairs)
 
 
 def protected_slots(schedule: SessionSchedule, round_index: int) -> tuple[ProtectedSlot, ...]:

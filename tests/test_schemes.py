@@ -1,3 +1,5 @@
+import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -6,6 +8,7 @@ import nps2.schemes
 from nps2.schemes import (
     ProtectedSlot,
     Scheme,
+    SessionSchedule,
     Slot,
     SlotKind,
     build_schedule,
@@ -219,9 +222,56 @@ def test_schedules_share_one_layout_per_key():
     with pytest.raises(AttributeError):
         shared.pairs = ()
     # a schedule rebuilt after the cache forgot it equals the old one by value
-    nps2.schemes._shared_nps2i.cache_clear()
-    nps2.schemes._shared_nps2ii.cache_clear()
+    nps2.schemes._shared_schedule.cache_clear()
     rebuilt = build_schedule(Scheme.NPS2_I, 8, 4)
     assert rebuilt is not shared
     assert rebuilt == shared and hash(rebuilt) == hash(shared)
     assert rebuilt.pairs == shared.pairs and rebuilt.emitted() == shared.emitted()
+    assert rebuilt.grid == shared.grid and rebuilt.protected == shared.protected
+
+
+def test_schedule_equality_is_by_scheme_n_and_pairs():
+    sched = build_schedule(Scheme.NPS2_II, 8)
+    assert sched == SessionSchedule(Scheme.NPS2_II, 8, sched.pairs)
+    assert sched != SessionSchedule(Scheme.NPS2_I, 8, sched.pairs)
+    assert sched.emitted() == sched.emitted() and sched.emitted() is not sched.emitted()
+
+
+def test_nps2i_cache_holds_a_whole_rotation():
+    # n=64 cycles through 32 pairs, twice the old LRU's 16 entries
+    for d in range(32):
+        assert build_schedule(Scheme.NPS2_I, 64, d) is build_schedule(Scheme.NPS2_I, 64, d + 32)
+
+
+def test_slots_are_shared_between_pairs():
+    first, second = build_schedule(Scheme.NPS2_I, 8, 0), build_schedule(Scheme.NPS2_I, 8, 1)
+    # pairs (1, 2) and (3, 4): paths 5..8 send unit 3 in round 3 of both
+    assert all(a is b for a, b in zip(first.protected[2][2:], second.protected[2][2:], strict=True))
+    assert first.grid[2][7] is second.grid[2][7]
+    # and across schemes: NPS2-II's path 1 sends unit 1 in round 2
+    assert build_schedule(Scheme.NPS2_II, 8).protected[1][0] is second.protected[0][0]
+
+
+def test_nps2i_rotation_stays_small():
+    nps2.schemes._shared_schedule.cache_clear()
+    nps2.schemes._working_cells.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rotation = [build_schedule(Scheme.NPS2_I, 64, d) for d in range(32)]
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(set(map(id, rotation))) == 32 and held <= 4 * 2**20
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: build_schedule("nps2-i", 8), "scheme must be a Scheme, got 'nps2-i'"),
+    (lambda: build_schedule(Scheme.NPS2_II, 8.0), "n must be an int, got 8.0"),
+    (lambda: build_schedule(Scheme.NPS2_II, True), "n must be an int, got True"),
+    (lambda: build_schedule(Scheme.NPS2_I, 8, 1.5), "session_index must be an int, got 1.5"),
+    (lambda: build_schedule(Scheme.NPS2_I, 8, False), "session_index must be an int, got False"),
+], ids=["str-scheme", "float-n", "bool-n", "float-session", "bool-session"])
+def test_build_schedule_checks_types(call, message):
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        call()

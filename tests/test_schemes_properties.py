@@ -41,6 +41,15 @@ def test_schedule_invariants(sched):
     assert schedule_capacity(sched) == Fraction(n - 2, n)
     assert len(carried) == len(set(carried))  # each symbol is sent once
 
+    # the paper's closed form of each working cell's data index: r for
+    # NPS2-I; for NPS2-II r before the path's protection round ceil(p/2)
+    # and r-1 after it
+    ii = sched.scheme is Scheme.NPS2_II
+    for r, row in enumerate(sched.grid, 1):
+        for p, slot in enumerate(row, 1):
+            if slot.kind is SlotKind.WORKING:
+                assert slot.data_index == (r - 1 if ii and r > (p + 1) // 2 else r)
+
     if sched.scheme is Scheme.NPS2_II:
         for path in range(1, n + 1):
             protecting = [r for r in range(1, sched.rounds + 1)

@@ -380,6 +380,16 @@ def test_failed_path_out_of_range():
         run_session(Scheme.NPS2_II, 4, GF256, FailurePattern({9}), seed=1)
 
 
+def test_run_session_refuses_untyped_inputs():
+    # a scheme's string value is refused, not run as NPS2-II on an unchecked n
+    with pytest.raises(TypeError, match="scheme must be a Scheme"):
+        run_session("nps2-i", 8, GF256)
+    with pytest.raises(TypeError, match="scheme must be a Scheme"):
+        run_session("nps2-ii", 7, GF256)
+    with pytest.raises(TypeError, match="session_index must be an int"):
+        run_session(Scheme.NPS2_I, 8, GF256, session_index=1.5)
+
+
 def test_classify_round_direct():
     # NPS2-II, n=4: paths 1, 2 protect in round 1 and carry data in round 2
     def tags(*failed):
