@@ -61,7 +61,8 @@ class SessionSchedule:
     number of rounds up to r in which it worked. grid[r-1][p-1] is path p's
     slot in round r and protected[r-1] the round's working slots in rank
     order; both share their Slots and ProtectedSlots with every schedule on
-    n paths. Equality and hash are by (scheme, n, pairs).
+    n paths. Equality and hash are by (scheme, n, pairs); ValueError unless
+    there are 1..n rounds, each on two distinct carriers in 1..n.
     """
 
     scheme: Scheme
@@ -72,10 +73,15 @@ class SessionSchedule:
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        slots, cells = _working_cells(self.n)
-        sent = [0] * self.n  # data units each path has sent so far
+        n = self.n
+        if not 1 <= len(self.pairs) <= n:
+            raise ValueError(f"a schedule on {n} paths runs 1..{n} rounds, got {len(self.pairs)}")
+        slots, cells = _working_cells(n)
+        sent = [0] * n  # data units each path has sent so far
         grid, protected = [], []
         for pair in self.pairs:
+            if len(pair) != 2 or pair[0] == pair[1] or not all(1 <= p <= n for p in pair):
+                raise ValueError(f"a protection pair is two distinct paths in 1..{n}, got {pair}")
             row, work = [], []
             for p, d in enumerate(sent):
                 if p + 1 in pair:

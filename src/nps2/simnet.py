@@ -127,6 +127,8 @@ class SessionResult:
     data: tuple[tuple[FieldElement, ...], ...] = dc_field(repr=False)
     recovered: dict[ProtectedSlot, FieldElement]
     outcome: Outcome
+    # the Scenario of each distinct protection pair, in the order of first use
+    scenarios: tuple[Scenario, ...]
     unrecoverable_rounds: tuple[tuple[int, tuple[int, ...]], ...] = ()
     # per round, the arrived (sum, weighted) protection payloads; None if lost
     protection: tuple[tuple[FieldElement | None, FieldElement | None], ...] = dc_field(
@@ -172,15 +174,16 @@ class SessionResult:
 
     @cached_property
     def round_scenarios(self) -> dict[int, Scenario]:
-        """Each round's scenario by the case analysis recover_round runs, built
-        from the protection pairs and the failure on first read, like delivered."""
-        return {r: _round_case(self.schedule, r, self.failure.failed_paths)[0]
-                for r in range(1, self.schedule.rounds + 1)}
+        """Each round's scenario, read off ``scenarios`` by its protection
+        pair on first read, like delivered."""
+        pairs = self.schedule.pairs
+        by_pair = dict(zip(dict.fromkeys(pairs), self.scenarios))
+        return {r: by_pair[pair] for r, pair in enumerate(pairs, 1)}
 
     @property
     def scenario(self) -> Scenario:
         """Highest-severity round scenario; the session's summary tag."""
-        return max(self.round_scenarios.values(), key=lambda s: s.severity)
+        return max(self.scenarios, key=lambda s: s.severity)
 
     @property
     def detail(self) -> str | None:
@@ -252,21 +255,46 @@ class RoundRecovery:
                                dict(zip(self.recovered, self.values))))
 
 
-def _round_case(schedule, round_index, failed):
-    """The one case analysis of a round under the ``failed`` paths: its
-    Scenario, and the ranks of its failed working slots in ascending order."""
+def _round_plan(schedule, round_index, failed):
+    """The one case analysis of a round under the ``failed`` paths, a function
+    of its protection pair alone: its Scenario, the ascending ranks of its
+    failed and of its surviving working slots, and whether each carrier lives."""
     p_sum, p_wtd = schedule.pairs[round_index - 1]
     n = schedule.n
     # every other path is working, so a working path's rank is its position
     # once the two protection carriers are left out
     missing = sorted([p - 1 - (p > p_sum) - (p > p_wtd) for p in failed
                       if p <= n and p != p_sum and p != p_wtd])
-    alive = (p_sum not in failed) + (p_wtd not in failed)
-    if len(missing) > alive:
-        return Scenario.EXCESS_LOSS, missing
-    if missing:
-        return (Scenario.SINGLE_WORKING if len(missing) == 1 else Scenario.DOUBLE_WORKING), missing
-    return (Scenario.NO_FAILURE if alive == 2 else Scenario.PROTECTION_ONLY), missing
+    surviving = list(range(n - 2))
+    for t in reversed(missing):
+        del surviving[t]
+    alive = p_sum not in failed, p_wtd not in failed
+    if len(missing) > sum(alive):
+        scenario = Scenario.EXCESS_LOSS
+    elif missing:
+        scenario = Scenario.SINGLE_WORKING if len(missing) == 1 else Scenario.DOUBLE_WORKING
+    else:
+        scenario = Scenario.NO_FAILURE if all(alive) else Scenario.PROTECTION_ONLY
+    return scenario, missing, surviving, alive
+
+
+def _decode(plan, slots, received, known, rows):
+    """(Solved slots, their symbols, lost paths) of a round with this ``plan``
+    and rank-ordered ``slots``, from the ``received`` (sum, weighted) symbols,
+    None where lost, and the surviving (rank, symbol) items ``known``."""
+    scenario, missing = plan[:2]
+    if missing and scenario is not Scenario.EXCESS_LOSS:
+        y_sum, y_weighted = received
+        rs = None if y_sum is None else residualize(y_sum, known, Row.SUM, rows)
+        rw = None if y_weighted is None else residualize(y_weighted, known, Row.WEIGHTED, rows)
+        try:
+            values = ((solve_one(missing[0], rs, rw, rows),) if len(missing) == 1
+                      else solve_two(missing, rs, rw, rows))
+        except UnrecoverableError:  # sum-only rows cannot tell two unknowns apart
+            pass
+        else:
+            return tuple(slots[t] for t in missing), values, ()
+    return (), (), tuple(slots[t].path for t in missing)
 
 
 def recover_round(
@@ -276,7 +304,7 @@ def recover_round(
     rows: CoefficientRows,
     failure: FailurePattern,
 ) -> RoundRecovery:
-    """Collector-side case analysis for one round, from ``survivors``, the
+    """Collector-side recovery of one round, from ``survivors``, the
     path -> payload map transmit_round returned under the same failure.
 
     Failed protection slots need no action; each failed working slot adds
@@ -286,22 +314,12 @@ def recover_round(
     ``delivered`` holds only the symbols that arrived directly.
     """
     prot = protected_slots(schedule, round_index)
-    p_sum, p_wtd = schedule.pairs[round_index - 1]
-    failed = failure.failed_paths
-    scenario, missing = _round_case(schedule, round_index, failed)
-    sum_alive, weighted_alive = p_sum not in failed, p_wtd not in failed
-    if missing and scenario is not Scenario.EXCESS_LOSS:
-        known = [(t, survivors[s.path]) for t, s in enumerate(prot) if s.path not in failed]
-        rs = residualize(survivors[p_sum], known, Row.SUM, rows) if sum_alive else None
-        rw = residualize(survivors[p_wtd], known, Row.WEIGHTED, rows) if weighted_alive else None
-        try:
-            values = ((solve_one(missing[0], rs, rw, rows),) if len(missing) == 1
-                      else solve_two(missing, rs, rw, rows))
-        except UnrecoverableError:  # sum-only rows cannot tell two unknowns apart
-            pass
-        else:
-            return RoundRecovery(prot, survivors, scenario, tuple(prot[t] for t in missing), values)
-    return RoundRecovery(prot, survivors, scenario, lost=tuple(prot[t].path for t in missing))
+    plan = scenario, missing, surviving, alive = _round_plan(
+        schedule, round_index, failure.failed_paths)
+    pair = schedule.pairs[round_index - 1]
+    received = [survivors[p] if a else None for p, a in zip(pair, alive)]
+    known = [(t, survivors[prot[t].path]) for t in surviving]
+    return RoundRecovery(prot, survivors, scenario, *_decode(plan, prot, received, known, rows))
 
 
 def run_session(
@@ -317,12 +335,14 @@ def run_session(
 ) -> SessionResult:
     """Transmit and recover one full session. The result keeps ``data``,
     frozen into tuple rows (tuple rows are not copied), the recovered symbols
-    (at most two per round), the protection payloads and the lost rounds;
-    ``delivered`` and ``round_scenarios`` are derived on first read. A direct
-    symbol is its source's own element, so the outcome is Complete exactly
-    when no round is lost and every recovered symbol equals its source's."""
+    (at most two per round), the protection payloads, the lost rounds and
+    each protection pair's scenario, from one plan per pair; ``delivered`` and
+    ``round_scenarios`` are derived on first read. A direct symbol is its
+    source's own element, so the outcome is Complete exactly when no round is
+    lost and every recovered symbol equals its source's."""
     schedule = build_schedule(scheme, n, session_index)
-    for p in failure.failed_paths:
+    failed = failure.failed_paths
+    for p in failed:
         if p > n:
             raise ValueError(f"failed path {p} exceeds path count {n}")
     rows = build_rows(n - 2, field, sum_only=sum_only)
@@ -330,18 +350,30 @@ def run_session(
         data = generate_source_data(n, schedule.rounds, session_index + 1, seed,
                                     field)[session_index]
     data = tuple(map(tuple, data))
+    carried = Counter(p for pair in schedule.pairs for p in pair)
+    need = [schedule.rounds - carried[p] for p in range(1, n + 1)]
+    if len(data) != n or any(map(int.__gt__, need, map(len, data))):
+        raise ValueError(f"data must be {n} rows at least {need} long, got {list(map(len, data))}")
 
     recovered: dict[ProtectedSlot, FieldElement] = {}
     unrecoverable: list[tuple[int, tuple[int, ...]]] = []
     protection = []
+    plans = {}  # by protection pair: one per NPS2-I session, one a round for NPS2-II
 
-    for r, (p_sum, p_wtd) in enumerate(schedule.pairs, 1):
-        survivors = transmit_round(schedule, r, data, failure, rows)
-        protection.append((survivors.get(p_sum), survivors.get(p_wtd)))
-        rec = recover_round(survivors, schedule, r, rows, failure)
-        recovered.update(zip(rec.recovered, rec.values))
-        if rec.lost:
-            unrecoverable.append((r, rec.lost))
+    for r, (pair, slots) in enumerate(zip(schedule.pairs, schedule.protected), 1):
+        payloads = [data[p - 1][d - 1] for p, d in slots]
+        y_sum, y_weighted = encode_pair(payloads, rows)
+        if (plan := plans.get(pair)) is None:
+            plan = plans[pair] = _round_plan(schedule, r, failed)
+        _, missing, surviving, (sum_alive, weighted_alive) = plan
+        received = (y_sum if sum_alive else None, y_weighted if weighted_alive else None)
+        protection.append(received)
+        if missing:
+            solved, values, lost = _decode(
+                plan, slots, received, [(t, payloads[t]) for t in surviving], rows)
+            recovered.update(zip(solved, values))
+            if lost:
+                unrecoverable.append((r, lost))
 
     ok = not unrecoverable and all(
         v.value == data[p - 1][d - 1].value for (p, d), v in recovered.items())
@@ -352,6 +384,7 @@ def run_session(
         data=data,
         recovered=recovered,
         outcome=Outcome.COMPLETE if ok else Outcome.UNRECOVERABLE,
+        scenarios=tuple(plan[0] for plan in plans.values()),
         unrecoverable_rounds=tuple(unrecoverable),
         protection=tuple(protection),
     )

@@ -237,6 +237,26 @@ def test_schedule_equality_is_by_scheme_n_and_pairs():
     assert sched.emitted() == sched.emitted() and sched.emitted() is not sched.emitted()
 
 
+def test_schedule_refuses_a_pair_that_is_not_two_distinct_paths():
+    # one carrier twice would leave three working slots in a round of n=4,
+    # and path 9 is not among the four
+    with pytest.raises(ValueError, match=r"two distinct paths in 1\.\.4, got \(1, 1\)"):
+        SessionSchedule(Scheme.NPS2_I, 4, ((1, 1), (2, 9)))
+    with pytest.raises(ValueError, match=r"two distinct paths in 1\.\.4, got \(2, 9\)"):
+        SessionSchedule(Scheme.NPS2_I, 4, ((1, 2), (2, 9)))
+    with pytest.raises(ValueError, match="two distinct paths"):
+        SessionSchedule(Scheme.NPS2_I, 4, ((1, 2, 3),))
+
+
+def test_schedule_refuses_more_rounds_than_paths():
+    # a path working more than n rounds would send a data unit past n
+    with pytest.raises(ValueError, match=r"runs 1\.\.3 rounds, got 4"):
+        SessionSchedule(Scheme.NPS2_I, 3, ((1, 2),) * 4)
+    with pytest.raises(ValueError, match=r"runs 1\.\.3 rounds, got 0"):
+        SessionSchedule(Scheme.NPS2_I, 3, ())
+    assert schedule_capacity(SessionSchedule(Scheme.NPS2_I, 3, ((1, 2),) * 3)) == Fraction(1, 3)
+
+
 def test_nps2i_cache_holds_a_whole_rotation():
     # n=64 cycles through 32 pairs, twice the old LRU's 16 entries
     for d in range(32):

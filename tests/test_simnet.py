@@ -380,6 +380,25 @@ def test_failed_path_out_of_range():
         run_session(Scheme.NPS2_II, 4, GF256, FailurePattern({9}), seed=1)
 
 
+@pytest.mark.parametrize("rows, length", [(4, 3), (3, 4), (5, 4)])
+def test_data_of_the_wrong_shape_is_refused(rows, length):
+    data = [[GF256.one()] * length] * rows
+    for call in (run_session, sweep_failures):
+        with pytest.raises(ValueError, match=r"data must be 4 rows at least \[0, 0, 4, 4\] long"):
+            call(Scheme.NPS2_I, 4, GF256, data=data)
+
+
+def test_data_rows_need_only_the_units_their_paths_send():
+    # NPS2-I session 0 protects on paths 1 and 2, so their rows may be empty;
+    # an NPS2-II path sends n/2 - 1 units and a longer row is not read past that
+    short = [[], [], *[[GF256.element(p)] * 4 for p in (3, 4)]]
+    assert run_session(Scheme.NPS2_I, 4, GF256, FailurePattern({3}), data=short).complete
+    nps2ii = [[GF256.element(p)] * 3 for p in range(1, 7)]
+    assert sweep_failures(Scheme.NPS2_II, 6, GF256, data=nps2ii).complete_rate == 1.0
+    with pytest.raises(ValueError, match=r"at least \[2, 2, 2, 2, 2, 2\] long, got \[3, 3, 3, 3, 3, 1\]"):
+        run_session(Scheme.NPS2_II, 6, GF256, data=[*nps2ii[:5], nps2ii[5][:1]])
+
+
 def test_run_session_refuses_untyped_inputs():
     # a scheme's string value is refused, not run as NPS2-II on an unchecked n
     with pytest.raises(TypeError, match="scheme must be a Scheme"):
@@ -397,6 +416,18 @@ def test_classify_round_direct():
 
     assert tags(1, 2) == {1: Scenario.PROTECTION_ONLY, 2: Scenario.DOUBLE_WORKING}
     assert tags(1, 2, 3) == {1: Scenario.EXCESS_LOSS, 2: Scenario.EXCESS_LOSS}
+
+
+@pytest.mark.parametrize("scheme, plans", [(Scheme.NPS2_I, 1), (Scheme.NPS2_II, 4)])
+def test_one_plan_per_protection_pair(monkeypatch, scheme, plans):
+    # NPS2-I keeps its pair for all 8 rounds, NPS2-II moves it every round
+    made = []
+    plan = nps2.simnet._round_plan
+    monkeypatch.setattr(nps2.simnet, "_round_plan", lambda *args: made.append(args) or plan(*args))
+    result = run_session(scheme, 8, GF256, FailurePattern({3, 4}), seed=2)
+    assert len(made) == len(result.scenarios) == plans
+    assert result.complete and len(result.round_scenarios) == result.schedule.rounds
+    assert set(result.round_scenarios.values()) == set(result.scenarios)
 
 
 def test_concurrent_sessions_share_immutable_state():

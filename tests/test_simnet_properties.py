@@ -3,7 +3,8 @@ on demand equal an eager transmission built from the data tensor, the grid
 and encode_pair, and trace_lines writes exactly json.dumps of each record.
 Sweeps construct no Packet at all. The ``delivered`` maps of a result and of
 a round equal an eager collector's map, key order included, and a result
-builds its map only when it is first read."""
+builds its map only when it is first read. run_session equals a session
+pieced together round by round from transmit_round and recover_round."""
 
 import json
 import tracemalloc
@@ -16,6 +17,7 @@ from nps2.schemes import Scheme, SlotKind, build_schedule
 from nps2.simnet import (
     NO_FAILURES,
     FailurePattern,
+    Outcome,
     Packet,
     all_patterns,
     generate_source_data,
@@ -121,6 +123,44 @@ def test_sweep_constructs_no_packet_and_rebuilds_them_on_demand(monkeypatch):
     assert all(type(p) is CountingPacket for p in packets)
     monkeypatch.undo()
     assert trace_lines(packets) == trace_lines(single.packets)
+
+
+def round_by_round(scheme, n, field, failure, session_index, sum_only, data):
+    """A session's (recovered, protection, unrecoverable_rounds, outcome,
+    round_scenarios) from the one-round API: transmit_round, then
+    recover_round, for each round in turn."""
+    schedule = build_schedule(scheme, n, session_index)
+    rows = build_rows(n - 2, field, sum_only=sum_only)
+    recovered, protection, lost, scenarios = {}, [], [], {}
+    for r, pair in enumerate(schedule.pairs, 1):
+        survivors = transmit_round(schedule, r, data, failure, rows)
+        protection.append(tuple(survivors.get(p) for p in pair))
+        rec = recover_round(survivors, schedule, r, rows, failure)
+        recovered.update(zip(rec.recovered, rec.values))
+        if rec.lost:
+            lost.append((r, rec.lost))
+        scenarios[r] = rec.scenario
+    exact = all(v == data[p - 1][d - 1] for (p, d), v in recovered.items())
+    outcome = Outcome.COMPLETE if exact and not lost else Outcome.UNRECOVERABLE
+    return recovered, tuple(protection), tuple(lost), outcome, scenarios
+
+
+@settings(max_examples=200, deadline=None)
+@given(sessions())
+def test_run_session_equals_the_one_round_api(case):
+    scheme, n, field, sum_only, session_index, seed, failure = case
+    schedule = build_schedule(scheme, n, session_index)
+    data = generate_source_data(n, schedule.rounds, 1, seed, field)[0]
+    result = run_session(scheme, n, field, failure, session_index=session_index,
+                         sum_only=sum_only, data=data)
+    recovered, protection, lost, outcome, scenarios = round_by_round(
+        scheme, n, field, failure, session_index, sum_only, data)
+    assert list(result.recovered.items()) == list(recovered.items())
+    assert result.protection == protection
+    assert result.unrecoverable_rounds == lost
+    assert result.outcome is outcome
+    assert list(result.round_scenarios.items()) == list(scenarios.items())
+    assert result.scenario is max(scenarios.values(), key=lambda s: s.severity)
 
 
 def eager_delivered(schedule, data, failure, sum_only) -> list[list[tuple]]:
