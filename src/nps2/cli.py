@@ -178,7 +178,7 @@ def _load_config_file(parser: argparse.ArgumentParser, path: str) -> dict:
             loaded = json.load(fh)
     except OSError as exc:
         parser.error(f"cannot read config file {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, not UTF-8, or an int too long to parse
         parser.error(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(loaded, dict):
         parser.error(f"config file {path} must hold a JSON object")
@@ -239,6 +239,10 @@ def parse_config(argv: Sequence[str] | None = None) -> RunConfig:
             parser.error(f"duplicate paths in --fail: {list(fail_paths)}")
     if fail_random is not None and not 0 <= fail_random <= n:
         parser.error(f"--fail-random must be in 0..{n}, got {fail_random}")
+    if cfg["trace"] and cfg["report"]:
+        target = os.path.realpath(cfg["trace"])
+        if target == os.path.realpath(cfg["report"]) and not _in_place(target):
+            parser.error(f"--trace and --report name the same file {target}")
 
     return RunConfig(
         mode=mode,
@@ -271,20 +275,24 @@ def _session_entry(result: SessionResult) -> dict:
     }
 
 
+def _in_place(target: str) -> bool:
+    """A device or pipe such as /dev/null, which a rename would replace."""
+    return os.path.exists(target) and not os.path.isfile(target)
+
+
 def _write_files(outputs: Sequence[tuple[str, Iterable[str]]]) -> None:
     """Write each (path, chunks) output so that none appears before all are
     written. A regular or new file is streamed to a temp file beside the file
-    its path resolves to, and renamed over it once every write has
-    succeeded; a device or pipe such as /dev/null, which a rename would
-    replace, is written in place. On any exception no renamed output and no
-    temp file is left; an OSError is raised again naming the path."""
+    its path resolves to, and renamed over it once every write has succeeded;
+    an _in_place target is written in place. On any exception no renamed
+    output and no temp file is left; an OSError is raised again naming the path."""
     staged: list[tuple[str, str, str]] = []  # (path, temp file, target)
     placed: list[str] = []
     path = None
     try:
         for path, chunks in outputs:
             target = os.path.realpath(path)
-            in_place = os.path.exists(target) and not os.path.isfile(target)
+            in_place = _in_place(target)
             tmp = target if in_place else f"{target}.{os.urandom(4).hex()}.tmp"
             with open(tmp, "w" if in_place else "x", encoding="utf-8") as fh:
                 if not in_place:

@@ -34,10 +34,10 @@ class CoefficientRows:
     """The two generator rows over ``width`` protected slots, fixed by
     (width, field, sum_only) and compared and hashed by those three.
 
-    row_sum is all ones. row_weighted holds generator^t at rank t, so any
-    two columns form an invertible 2x2 minor; in sum-only mode both rows
-    are all ones (plain parity, single-erasure protection only). ``logs``
-    holds each row's coefficient logs for the int engine.
+    row_sum is all ones (RAID-6's P, added by XOR); row_weighted holds
+    generator^t at rank t (Q), so any two columns form an invertible 2x2
+    minor. In sum-only mode both rows are all ones (plain parity,
+    single-erasure protection only).
     """
 
     width: int
@@ -45,7 +45,6 @@ class CoefficientRows:
     sum_only: bool = False
     row_sum: tuple[FieldElement, ...] = dc_field(init=False, repr=False, compare=False)
     row_weighted: tuple[FieldElement, ...] = dc_field(init=False, repr=False, compare=False)
-    logs: dict[Row, tuple[int, ...]] = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         width, field, sum_only = self.width, self.field, self.sum_only
@@ -53,24 +52,11 @@ class CoefficientRows:
             raise ValueError(f"width must be positive, got {width}")
         if not sum_only:
             check_width(width, field)
-        # the log of generator^t is t and the log of 1 is 0, so both rows
-        # come straight off the field's tables
-        row_sum, log_sum = (field.one(),) * width, (0,) * width
-        if sum_only:
-            row_weighted, log_weighted = row_sum, log_sum
-        else:
-            row_weighted = tuple(map(field.element, field._exp[:width]))
-            log_weighted = tuple(range(width))
-        for name, value in (
-            ("row_sum", row_sum),
-            ("row_weighted", row_weighted),
-            ("logs", {Row.SUM: log_sum, Row.WEIGHTED: log_weighted}),
-        ):
-            object.__setattr__(self, name, value)
-
-    @property
-    def distinct_weights(self) -> bool:
-        return len({e.value for e in self.row_weighted}) == self.width
+        row_sum = (field.one(),) * width
+        # generator^t comes straight off the field's exp table
+        row_weighted = row_sum if sum_only else tuple(map(field.element, field._exp[:width]))
+        object.__setattr__(self, "row_sum", row_sum)
+        object.__setattr__(self, "row_weighted", row_weighted)
 
 
 def check_width(width: int, field: FieldSpec) -> None:
@@ -96,18 +82,21 @@ def build_rows(width: int, field: FieldSpec, *, sum_only: bool = False) -> Coeff
 def encode_pair(
     data: Sequence[FieldElement], rows: CoefficientRows
 ) -> tuple[FieldElement, FieldElement]:
-    """Form the (sum, weighted) protection pair over one round's data."""
+    """Form the (sum, weighted) protection pair over one round's data: v at
+    rank t adds v to the sum and generator^t * v (v if sum-only) to the other."""
     if len(data) != rows.width:
         raise ValueError(f"expected {rows.width} data symbols, got {len(data)}")
-    field = rows.field
+    field, sum_only = rows.field, rows.sum_only
     exp, log = field._exp, field._log
-    field._check(*data)
     y_sum = y_weighted = 0
-    for lw, d in zip(rows.logs[Row.WEIGHTED], data):
+    for t, d in enumerate(data):
+        if d.spec is not field:
+            field._check(d)
         if v := d.value:
             y_sum ^= v
-            y_weighted ^= exp[log[v] + lw]
-    return field.element(y_sum), field.element(y_weighted)
+            if not sum_only:
+                y_weighted ^= exp[log[v] + t]
+    return field.element(y_sum), field.element(y_sum if sum_only else y_weighted)
 
 
 def residualize(
@@ -118,13 +107,16 @@ def residualize(
 ) -> FieldElement:
     """Strip the known contributions from a received protection symbol.
 
-    What remains is the row's coefficient combination over the missing
-    ranks only (subtraction is addition in characteristic 2).
+    What remains is the row's combination over the missing ranks only
+    (subtraction is addition in characteristic 2): a known v at rank t goes
+    out as v from the sum row and as generator^t * v from the weighted row.
     """
     field = rows.field
     field._check(y_received)
+    if not isinstance(row, Row):
+        raise KeyError(row)
     exp, log = field._exp, field._log
-    logs = rows.logs[row]
+    weighted = row is Row.WEIGHTED and not rows.sum_only
     residual = y_received.value
     seen = [False] * rows.width
     for rank, value in known:
@@ -136,7 +128,7 @@ def residualize(
         if value.spec is not field:
             field._check(value)
         if v := value.value:
-            residual ^= exp[log[v] + logs[rank]]
+            residual ^= exp[log[v] + rank] if weighted else v
     return field.element(residual)
 
 

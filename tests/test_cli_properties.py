@@ -145,6 +145,17 @@ def test_malformed_config_value_exits_2(cfg, tmp_path, capsys):
     assert "nps2: error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", [b'\xff\xfe{"n": 8}', b'{"n": 1%s}' % (b"0" * 5000)],
+                         ids=["not-utf8", "long-int"])
+def test_unparsable_config_file_exits_2(content, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(content)
+    with pytest.raises(SystemExit) as exc:
+        parse_config(["--config", str(path)])
+    assert exc.value.code == 2
+    assert "nps2: error:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [["--n", "4.5"], ["--seed", "1.9"], ["--sessions", "x"]])
 def test_malformed_flag_exits_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -183,3 +194,23 @@ def test_outputs_follow_symlinks_and_devices(tmp_path, capsys):
     assert link.is_symlink() and json.loads(real.read_text())["all_complete"] is True
     assert not os.path.isfile(os.devnull)
     assert sorted(os.listdir(tmp_path)) == ["link.json", "real.json"]
+
+
+@pytest.mark.parametrize("trace", ["same.json", "link.json"])
+def test_trace_and_report_naming_one_file_exit_2(trace, tmp_path, capsys, monkeypatch):
+    # the report would replace the trace, so the run is refused before it starts
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "link.json").symlink_to(tmp_path / "same.json")
+    with pytest.raises(SystemExit) as exc:
+        parse_config(["run", "--n", "6", "--fail", "2", "--trace", trace, "--report", "same.json"])
+    assert exc.value.code == 2
+    assert "nps2: error: --trace and --report name the same file" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["link.json"]
+
+
+def test_trace_and_report_may_share_a_device(capsys):
+    cfg = parse_config(["run", "--n", "6", "--fail", "2",
+                        "--trace", os.devnull, "--report", os.devnull])
+    assert run(cfg) == 0
+    assert "report written" in capsys.readouterr().out
+    assert not os.path.isfile(os.devnull)

@@ -74,7 +74,7 @@ def test_build_rows_capacity_error_names_minimum_m():
 
 def test_build_rows_minors_invertible():
     rows = build_rows(7, GF8)
-    assert rows.distinct_weights
+    assert len({e.value for e in rows.row_weighted}) == 7
     for t1 in range(7):
         for t2 in range(t1 + 1, 7):
             det = rows.row_weighted[t1] + rows.row_weighted[t2]
@@ -146,6 +146,8 @@ def test_residualize_duplicate_rank_rejected():
         residualize(one, [(0, one), (0, one)], Row.SUM, rows)
     with pytest.raises(ValueError, match="range"):
         residualize(one, [(3, one)], Row.SUM, rows)
+    with pytest.raises(KeyError):  # a row is Row.SUM or Row.WEIGHTED, not its value
+        residualize(one, [(0, one)], "sum", rows)
 
 
 GF16 = FieldSpec(4, 0x13, 0x2)
@@ -312,7 +314,7 @@ def test_exhaustive_substitution_agrees():
 def test_binary_parity_mode():
     width = 6
     rows = build_rows(width, GF2, sum_only=True)
-    assert not rows.distinct_weights
+    assert len({e.value for e in rows.row_weighted}) == 1
     assert all(e == 1 for e in rows.row_weighted)
     for data in itertools.product(GF2.elements(), repeat=width):
         y_sum, _ = encode_pair(list(data), rows)
