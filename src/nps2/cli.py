@@ -83,7 +83,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "command",
         nargs="?",
         choices=MODES,
-        help="action to perform; defaults to an exhaustive failure sweep",
+        help="action to perform (config key mode); default: run with --fail or "
+        "--fail-random, else an exhaustive failure sweep",
     )
     parser.add_argument("--config", metavar="PATH", help="JSON config file; flags win")
     parser.add_argument("--scheme", choices=[s.value for s in Scheme])
@@ -96,18 +97,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--fail-random", metavar="K", help="fail K random paths per session"
     )
-    parser.add_argument(
-        "--sweep", action="store_true", help="run every 0/1/2-failure pattern"
-    )
     parser.add_argument("--seed", help="RNG seed (fallback: env NPS2_SEED)")
     parser.add_argument("--trace", metavar="PATH", help="write a JSON-lines packet trace")
     parser.add_argument("--report", metavar="PATH", help="write the JSON report here")
-    parser.add_argument(
-        "--dump-schedule", action="store_true", help="print the session schedule matrix"
-    )
-    parser.add_argument(
-        "--dump-rows", action="store_true", help="print the coefficient rows as hex"
-    )
     parser.add_argument("--json", action="store_true", help="JSON output for dumps")
     return parser
 
@@ -151,24 +143,22 @@ def _mode(value) -> str:
     return value
 
 
-# config key, also its flag's dest -> (its key inside the file's nested
-# "field" object, which has the report's echo shape; coercion; default).
-# parse_config resolves each key from the flag, then the file's flat key,
-# then the nested key, then the environment (NPS2_SEED for the seed), then
-# the default; JSON null counts as absent.
+# config key, also its flag's dest -> (coercion, default). parse_config
+# resolves each key from the flag, then the file, then the environment
+# (NPS2_SEED for the seed), then the default; JSON null counts as absent.
 CONFIG_KEYS = {
-    "scheme": (None, Scheme, DEFAULT_SCHEME),
-    "n": (None, _int, DEFAULT_N),
-    "field_m": ("m", _int, DEFAULT_M),
-    "field_poly": ("reduction_poly", _hex, DEFAULT_REDUCTION_POLY),
-    "field_gen": ("generator", _hex, DEFAULT_GENERATOR),
-    "sessions": (None, _int, DEFAULT_SESSIONS),
-    "seed": (None, _int, 0),
-    "fail": (None, _paths, None),
-    "fail_random": (None, _int, None),
-    "trace": (None, _path, None),
-    "report": (None, _path, None),
-    "mode": (None, _mode, None),
+    "scheme": (Scheme, DEFAULT_SCHEME),
+    "n": (_int, DEFAULT_N),
+    "field_m": (_int, DEFAULT_M),
+    "field_poly": (_hex, DEFAULT_REDUCTION_POLY),
+    "field_gen": (_hex, DEFAULT_GENERATOR),
+    "sessions": (_int, DEFAULT_SESSIONS),
+    "seed": (_int, 0),
+    "fail": (_paths, None),
+    "fail_random": (_int, None),
+    "trace": (_path, None),
+    "report": (_path, None),
+    "mode": (_mode, None),
 }
 
 
@@ -182,6 +172,9 @@ def _load_config_file(parser: argparse.ArgumentParser, path: str) -> dict:
         parser.error(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(loaded, dict):
         parser.error(f"config file {path} must hold a JSON object")
+    unknown = sorted(loaded.keys() - CONFIG_KEYS.keys())
+    if unknown:
+        parser.error(f"config file {path} has unknown keys {unknown}")
     return loaded
 
 
@@ -190,16 +183,11 @@ def parse_config(argv: Sequence[str] | None = None) -> RunConfig:
     parser = _build_parser()
     args = parser.parse_args(argv)
     file_cfg = _load_config_file(parser, args.config) if args.config else {}
-    field_cfg = file_cfg.get("field")
-    if field_cfg is None:
-        field_cfg = {}
-    elif not isinstance(field_cfg, dict):
-        parser.error("config key 'field' must be an object")
     env = {"seed": os.environ.get("NPS2_SEED")}
 
     cfg = {}
-    for key, (nested, coerce, default) in CONFIG_KEYS.items():
-        sources = (getattr(args, key, None), file_cfg.get(key), field_cfg.get(nested), env.get(key))
+    for key, (coerce, default) in CONFIG_KEYS.items():
+        sources = (getattr(args, key, None), file_cfg.get(key), env.get(key))
         value = next((v for v in sources if v is not None), default)
         try:
             cfg[key] = None if value is None else coerce(value)
@@ -208,19 +196,10 @@ def parse_config(argv: Sequence[str] | None = None) -> RunConfig:
     n, fail_paths, fail_random = cfg["n"], cfg["fail"], cfg["fail_random"]
     if fail_paths is not None and fail_random is not None:
         parser.error("--fail and --fail-random are mutually exclusive")
-
-    mode = args.command
-    if mode is None:
-        if args.dump_schedule:
-            mode = "dump-schedule"
-        elif args.dump_rows:
-            mode = "dump-rows"
-        elif args.sweep:
-            mode = "sweep"
-        elif fail_paths is not None or fail_random is not None:
-            mode = "run"
-        else:
-            mode = cfg["mode"] or "sweep"
+    failing = fail_paths is not None or fail_random is not None
+    mode = args.command or cfg["mode"] or ("run" if failing else "sweep")
+    if failing and mode != "run":
+        parser.error(f"--fail and --fail-random apply to run, not to {mode}")
 
     # -- cross-field validation -------------------------------------------
     try:
@@ -374,7 +353,6 @@ def _cmd_run(config: RunConfig) -> int:
                 config.n,
                 config.field,
                 pattern,
-                seed=config.seed,
                 session_index=idx,
                 data=tensor[idx],
             )
@@ -386,8 +364,8 @@ def _cmd_sweep(config: RunConfig) -> int:
     tensor = _draw_tensor(config)
     results = []
     for idx in range(config.sessions):
-        report = sweep_failures(config.scheme, config.n, config.field, seed=config.seed,
-                                session_index=idx, data=tensor[idx])
+        report = sweep_failures(config.scheme, config.n, config.field, session_index=idx,
+                                data=tensor[idx])
         results.extend(report.results)
     return _finish(config, results)
 

@@ -10,6 +10,7 @@ round by which slot kinds were lost and solves for the erased symbols.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
@@ -149,18 +150,12 @@ class SessionResult:
 
     @property
     def packets(self) -> tuple[Packet, ...]:
-        """The surviving packets in (round, path) order, rebuilt on each read:
-        a working slot on a live path carries its source symbol."""
+        """The surviving packets in (round, path) order, rebuilt on each read."""
         failed, session = self.failure.failed_paths, self.session_index
-        packets = []
-        for r, (row, (y_sum, y_weighted)) in enumerate(zip(self.schedule.grid, self.protection), 1):
-            for path, slot in enumerate(row, 1):
-                if path not in failed:
-                    kind = slot.kind
-                    payload = (self.data[path - 1][slot.data_index - 1] if kind is SlotKind.WORKING
-                               else y_sum if kind is SlotKind.PROTECTION_SUM else y_weighted)
-                    packets.append(Packet(path, payload, r, session, kind))
-        return tuple(packets)
+        return tuple(
+            Packet(path, payload, r, session, kind)
+            for r, (row, pair) in enumerate(zip(self.schedule.grid, self.protection), 1)
+            for path, kind, payload in _round_payloads(row, self.data, pair, failed))
 
     @property
     def complete(self) -> bool:
@@ -222,15 +217,21 @@ def transmit_round(
     protection payloads exist even when some sources' own paths failed.
     """
     prot = protected_slots(schedule, round_index)
-    payloads = [data[p - 1][d - 1] for p, d in prot]
-    y_sum, y_weighted = encode_pair(payloads, rows)
-    # the working slots are every other path, so the carriers slot in by path
-    for path, y in sorted(zip(schedule.pairs[round_index - 1], (y_sum, y_weighted))):
-        payloads.insert(path - 1, y)
-    survivors = dict(enumerate(payloads, 1))
-    for path in failure.failed_paths:
-        survivors.pop(path, None)
-    return survivors
+    pair = encode_pair([data[p - 1][d - 1] for p, d in prot], rows)
+    return {path: payload for path, _, payload in _round_payloads(
+        schedule.grid[round_index - 1], data, pair, failure.failed_paths)}
+
+
+def _round_payloads(row, data, pair, failed):
+    """(path, kind, payload) of each path of a round not in ``failed``, laid
+    out by the round's ``grid`` row: a working slot carries its source symbol,
+    a carrier its half of the (sum, weighted) ``pair``."""
+    y_sum, y_weighted = pair
+    for path, slot in enumerate(row, 1):
+        if path not in failed:
+            kind = slot.kind
+            yield path, kind, (data[path - 1][slot.data_index - 1] if kind is SlotKind.WORKING
+                               else y_sum if kind is SlotKind.PROTECTION_SUM else y_weighted)
 
 
 def _delivered(slots, live, symbol, recovered):
@@ -260,12 +261,11 @@ def _round_plan(schedule, round_index, failed):
     of its protection pair alone: its Scenario, the ascending ranks of its
     failed and of its surviving working slots, and whether each carrier lives."""
     p_sum, p_wtd = schedule.pairs[round_index - 1]
-    n = schedule.n
-    # every other path is working, so a working path's rank is its position
-    # once the two protection carriers are left out
-    missing = sorted([p - 1 - (p > p_sum) - (p > p_wtd) for p in failed
-                      if p <= n and p != p_sum and p != p_wtd])
-    surviving = list(range(n - 2))
+    slots = schedule.protected[round_index - 1]
+    # ranks are positions in the round's slots, which ascend by path
+    missing = [t for p in sorted(failed)
+               if (t := bisect_left(slots, (p,))) < len(slots) and slots[t].path == p]
+    surviving = list(range(len(slots)))
     for t in reversed(missing):
         del surviving[t]
     alive = p_sum not in failed, p_wtd not in failed

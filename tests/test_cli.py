@@ -80,18 +80,28 @@ def test_config_file_precedence(tmp_path):
     assert cfg.n == 4  # flag wins
 
 
-def test_config_file_nested_field_object(tmp_path):
+def test_config_file_field_keys(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text(
-        json.dumps(
-            {"n": 4, "field": {"m": 3, "reduction_poly": "b", "generator": "2"}}
-        )
-    )
+    path.write_text(json.dumps({"n": 4, "field_m": 3, "field_poly": "b", "field_gen": "3"}))
     cfg = parse_config(["--config", str(path)])
-    assert (cfg.field.m, cfg.field.reduction_poly, cfg.field.generator) == (3, 0xB, 2)
-    cfg = parse_config(["--config", str(path), "--field-m", "8", "--field-poly",
-                        "11d", "--field-gen", "2"])
-    assert cfg.field.m == 8  # flags win over the nested object
+    assert (cfg.field.m, cfg.field.reduction_poly, cfg.field.generator) == (3, 0xB, 3)
+    cfg = parse_config(["--config", str(path), "--field-m", "4", "--field-poly",
+                        "13", "--field-gen", "2"])
+    assert (cfg.field.m, cfg.field.reduction_poly, cfg.field.generator) == (4, 0x13, 2)
+
+
+@pytest.mark.parametrize("cfg, key", [({"field": {"m": 3}}, "field"),
+                                      ({"failure": {"paths": [2]}}, "failure")],
+                         ids=["field", "failure"])
+def test_config_file_unknown_key_exits_2(cfg, key, tmp_path, capsys):
+    # the report's nested "field" and "failure" echoes are not config keys
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(SystemExit) as exc:
+        parse_config(["--config", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "nps2: error:" in err and repr(key) in err
 
 
 def test_sweep_report(tmp_path, capsys):
@@ -219,11 +229,34 @@ def test_dump_rows_json(capsys):
     assert dump["row_weighted"] == ["01", "02", "04", "08", "10", "20", "40", "80"]
 
 
-def test_mode_flags_without_command():
-    assert parse_config(["--sweep"]).mode == "sweep"
-    assert parse_config(["--dump-schedule"]).mode == "dump-schedule"
-    assert parse_config(["--dump-rows"]).mode == "dump-rows"
+def test_mode_flags_without_command(capsys):
+    # the command is the only way to pick an action, bar --fail implying run
+    for flag in ("--sweep", "--dump-schedule", "--dump-rows"):
+        with pytest.raises(SystemExit) as exc:
+            parse_config([flag])
+        assert exc.value.code == 2
     assert parse_config(["--fail-random", "1"]).mode == "run"
+
+
+@pytest.mark.parametrize("argv", [["sweep", "--n", "4", "--fail", "2"],
+                                  ["dump-rows", "--fail-random", "1"]])
+def test_failures_outside_run_exit_2(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        parse_config(argv + ["--trace", "t.jsonl", "--report", "r.json"])
+    assert exc.value.code == 2
+    assert "nps2: error:" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def test_config_mode_with_failures_exits_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"mode": "sweep", "fail": [2]}))
+    with pytest.raises(SystemExit) as exc:
+        parse_config(["--config", str(path)])
+    assert exc.value.code == 2
+    assert "nps2: error:" in capsys.readouterr().err
+    assert parse_config(["run", "--config", str(path)]).mode == "run"
 
 
 def test_unwritable_report_names_path(tmp_path, capsys):

@@ -11,7 +11,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nps2.cli import MODES, parse_config, run
+from nps2.cli import CONFIG_KEYS, MODES, parse_config, run
 
 # no digits, so no drawn string can name an n above the bound
 JUNK = st.one_of(
@@ -42,6 +42,8 @@ def hexes(valid: int):
 
 
 OUTPUT_NAMES = ("out.json", "out.jsonl", "missing/out.json", "")
+# keys no config file may hold: the report's echoes, a flag's spelling, a typo
+UNKNOWN_KEYS = ("field", "failure", "field-m", "sesions")
 
 
 @st.composite
@@ -49,14 +51,12 @@ def configs(draw):
     """A config dict and the names of the outputs it asks for under the
     example's directory; n is at most 16 and sessions at most 3."""
     m, poly, gen = draw(st.sampled_from(FIELDS))
-    field = {
-        "m": values(mostly(st.just(m), ints(0, 17), 5)),
-        "reduction_poly": values(hexes(poly)),
-        "generator": values(hexes(gen)),
-    }
     keys = {
         "scheme": values(st.sampled_from(["nps2-i", "nps2-ii"])),
         "n": values(ints(-1, 16)),
+        "field_m": values(mostly(st.just(m), ints(0, 17), 5)),
+        "field_poly": values(hexes(poly)),
+        "field_gen": values(hexes(gen)),
         "sessions": values(ints(-1, 3)),
         "seed": values(ints(-5, 1 << 40)),
         "fail": values(
@@ -66,14 +66,11 @@ def configs(draw):
         "fail_random": values(ints(-1, 5)),
         "mode": values(st.sampled_from(MODES)),
     }
-    if draw(st.booleans()):
-        keys.update({"field_m": field["m"], "field_poly": field["reduction_poly"],
-                     "field_gen": field["generator"]})
     cfg = draw(st.fixed_dictionaries({}, optional=keys))
     if {"fail", "fail_random"} <= cfg.keys() and draw(mostly(st.just(True), st.just(False), 5)):
         del cfg[draw(st.sampled_from(["fail", "fail_random"]))]
-    if draw(st.booleans()):
-        cfg["field"] = draw(values(st.fixed_dictionaries({}, optional=field)))
+    if draw(mostly(st.just(False), st.just(True), 10)):
+        cfg[draw(st.sampled_from(UNKNOWN_KEYS))] = draw(JUNK)
     outputs = {}
     for key in ("trace", "report"):
         kind = draw(st.sampled_from(["absent", "absent", "path", "path", "path", "other"]))
@@ -109,6 +106,8 @@ def test_exit_status_is_total(case):
             except SystemExit as exc:
                 code = exc.code
         assert code in (0, 1, 2)
+        if cfg.keys() - CONFIG_KEYS.keys():
+            assert code == 2
         left = _files(root) - {"config.json"}
         if code == 2:
             assert "nps2: error:" in err.getvalue()
@@ -166,7 +165,7 @@ def test_malformed_flag_exits_2(argv, capsys):
 
 def test_null_counts_as_absent(tmp_path):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"n": None, "field": {"m": None}, "seed": None}))
+    path.write_text(json.dumps({"n": None, "field_m": None, "seed": None}))
     cfg = parse_config(["--config", str(path)])
     assert (cfg.n, cfg.field.m, cfg.seed) == (8, 8, 0)
 
