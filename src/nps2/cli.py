@@ -200,6 +200,11 @@ def parse_config(argv: Sequence[str] | None = None) -> RunConfig:
     mode = args.command or cfg["mode"] or ("run" if failing else "sweep")
     if failing and mode != "run":
         parser.error(f"--fail and --fail-random apply to run, not to {mode}")
+    dump = mode.startswith("dump-")
+    if dump and (cfg["trace"] is not None or cfg["report"] is not None):
+        parser.error(f"--trace and --report apply to run and sweep, not to {mode}")
+    if args.json and not dump:
+        parser.error(f"--json applies to dump-schedule and dump-rows, not to {mode}")
 
     # -- cross-field validation -------------------------------------------
     try:

@@ -119,21 +119,38 @@ NO_FAILURES = FailurePattern()
 
 @dataclass
 class SessionResult:
-    """What the collector computed for one session (``recovered`` in round
-    then rank order) and a reference to the session's frozen source rows."""
+    """What the collector computed for one session, as flat tuples, and a
+    reference to the session's frozen source rows."""
 
     schedule: SessionSchedule
     session_index: int
     failure: FailurePattern
     data: tuple[tuple[FieldElement, ...], ...] = dc_field(repr=False)
-    recovered: dict[ProtectedSlot, FieldElement]
+    # the solved symbols, in round then rank order
+    solved: tuple[FieldElement, ...]
     outcome: Outcome
     # the Scenario of each distinct protection pair, in the order of first use
     scenarios: tuple[Scenario, ...]
     unrecoverable_rounds: tuple[tuple[int, tuple[int, ...]], ...] = ()
-    # per round, the arrived (sum, weighted) protection payloads; None if lost
-    protection: tuple[tuple[FieldElement | None, FieldElement | None], ...] = dc_field(
-        default=(), repr=False)
+    # each round's arrived sum then weighted protection payload; None if lost
+    received: tuple[FieldElement | None, ...] = dc_field(default=(), repr=False)
+
+    @cached_property
+    def recovered(self) -> dict[ProtectedSlot, FieldElement]:
+        """The solved symbols by (source, data_index), built on first read:
+        ``solved`` zipped with the slots on failed paths of each round not
+        in ``unrecoverable_rounds``."""
+        failed = self.failure.failed_paths
+        lost = {r for r, _ in self.unrecoverable_rounds}
+        erased = (s for r, slots in enumerate(self.schedule.protected, 1) if r not in lost
+                  for s in slots if s.path in failed)
+        return dict(zip(erased, self.solved))
+
+    @property
+    def protection(self) -> tuple[tuple[FieldElement | None, FieldElement | None], ...]:
+        """Per round, the arrived (sum, weighted) payloads: ``received`` in pairs."""
+        it = iter(self.received)
+        return tuple(zip(it, it))
 
     @cached_property
     def delivered(self) -> dict[ProtectedSlot, FieldElement]:
@@ -146,7 +163,7 @@ class SessionResult:
 
     @property
     def recovered_count(self) -> int:
-        return len(self.recovered)
+        return len(self.solved)
 
     @property
     def packets(self) -> tuple[Packet, ...]:
@@ -259,15 +276,12 @@ class RoundRecovery:
 def _round_plan(schedule, round_index, failed):
     """The one case analysis of a round under the ``failed`` paths, a function
     of its protection pair alone: its Scenario, the ascending ranks of its
-    failed and of its surviving working slots, and whether each carrier lives."""
+    failed working slots, and whether each carrier lives."""
     p_sum, p_wtd = schedule.pairs[round_index - 1]
     slots = schedule.protected[round_index - 1]
     # ranks are positions in the round's slots, which ascend by path
     missing = [t for p in sorted(failed)
                if (t := bisect_left(slots, (p,))) < len(slots) and slots[t].path == p]
-    surviving = list(range(len(slots)))
-    for t in reversed(missing):
-        del surviving[t]
     alive = p_sum not in failed, p_wtd not in failed
     if len(missing) > sum(alive):
         scenario = Scenario.EXCESS_LOSS
@@ -275,14 +289,14 @@ def _round_plan(schedule, round_index, failed):
         scenario = Scenario.SINGLE_WORKING if len(missing) == 1 else Scenario.DOUBLE_WORKING
     else:
         scenario = Scenario.NO_FAILURE if all(alive) else Scenario.PROTECTION_ONLY
-    return scenario, missing, surviving, alive
+    return scenario, missing, alive
 
 
 def _decode(plan, slots, received, known, rows):
-    """(Solved slots, their symbols, lost paths) of a round with this ``plan``
+    """(The missing ranks' symbols, lost paths) of a round with this ``plan``
     and rank-ordered ``slots``, from the ``received`` (sum, weighted) symbols,
     None where lost, and the surviving (rank, symbol) items ``known``."""
-    scenario, missing = plan[:2]
+    scenario, missing, _ = plan
     if missing and scenario is not Scenario.EXCESS_LOSS:
         y_sum, y_weighted = received
         rs = None if y_sum is None else residualize(y_sum, known, Row.SUM, rows)
@@ -293,8 +307,8 @@ def _decode(plan, slots, received, known, rows):
         except UnrecoverableError:  # sum-only rows cannot tell two unknowns apart
             pass
         else:
-            return tuple(slots[t] for t in missing), values, ()
-    return (), (), tuple(slots[t].path for t in missing)
+            return values, ()
+    return (), tuple(slots[t].path for t in missing)
 
 
 def recover_round(
@@ -314,12 +328,13 @@ def recover_round(
     ``delivered`` holds only the symbols that arrived directly.
     """
     prot = protected_slots(schedule, round_index)
-    plan = scenario, missing, surviving, alive = _round_plan(
-        schedule, round_index, failure.failed_paths)
+    plan = scenario, missing, alive = _round_plan(schedule, round_index, failure.failed_paths)
     pair = schedule.pairs[round_index - 1]
     received = [survivors[p] if a else None for p, a in zip(pair, alive)]
-    known = [(t, survivors[prot[t].path]) for t in surviving]
-    return RoundRecovery(prot, survivors, scenario, *_decode(plan, prot, received, known, rows))
+    known = [(t, survivors[s.path]) for t, s in enumerate(prot) if s.path in survivors]
+    values, lost = _decode(plan, prot, received, known, rows)
+    solved = tuple(prot[t] for t in missing) if values else ()
+    return RoundRecovery(prot, survivors, scenario, solved, values, lost)
 
 
 def run_session(
@@ -334,12 +349,11 @@ def run_session(
     data: SessionData | None = None,
 ) -> SessionResult:
     """Transmit and recover one full session. The result keeps ``data``,
-    frozen into tuple rows (tuple rows are not copied), the recovered symbols
-    (at most two per round), the protection payloads, the lost rounds and
-    each protection pair's scenario, from one plan per pair; ``delivered`` and
-    ``round_scenarios`` are derived on first read. A direct symbol is its
-    source's own element, so the outcome is Complete exactly when no round is
-    lost and every recovered symbol equals its source's."""
+    frozen into tuple rows (a tuple of tuple rows is not copied), the solved
+    symbols and the arrived protection payloads as two flat tuples, the lost
+    rounds and each protection pair's scenario, from one plan per pair; the
+    rest is derived on read. The outcome is Complete exactly when no round
+    is lost and every solved symbol equals its source's."""
     schedule = build_schedule(scheme, n, session_index)
     failed = failure.failed_paths
     for p in failed:
@@ -349,15 +363,17 @@ def run_session(
     if data is None:
         data = generate_source_data(n, schedule.rounds, session_index + 1, seed,
                                     field)[session_index]
-    data = tuple(map(tuple, data))
+    if not (type(data) is tuple and all(type(row) is tuple for row in data)):
+        data = tuple(map(tuple, data))
     carried = Counter(p for pair in schedule.pairs for p in pair)
     need = [schedule.rounds - carried[p] for p in range(1, n + 1)]
     if len(data) != n or any(map(int.__gt__, need, map(len, data))):
         raise ValueError(f"data must be {n} rows at least {need} long, got {list(map(len, data))}")
 
-    recovered: dict[ProtectedSlot, FieldElement] = {}
+    solved: list[FieldElement] = []
+    received: list[FieldElement | None] = []
     unrecoverable: list[tuple[int, tuple[int, ...]]] = []
-    protection = []
+    exact = True
     plans = {}  # by protection pair: one per NPS2-I session, one a round for NPS2-II
 
     for r, (pair, slots) in enumerate(zip(schedule.pairs, schedule.protected), 1):
@@ -365,28 +381,30 @@ def run_session(
         y_sum, y_weighted = encode_pair(payloads, rows)
         if (plan := plans.get(pair)) is None:
             plan = plans[pair] = _round_plan(schedule, r, failed)
-        _, missing, surviving, (sum_alive, weighted_alive) = plan
-        received = (y_sum if sum_alive else None, y_weighted if weighted_alive else None)
-        protection.append(received)
+        _, missing, (sum_alive, weighted_alive) = plan
+        arrived = (y_sum if sum_alive else None, y_weighted if weighted_alive else None)
+        received += arrived
         if missing:
-            solved, values, lost = _decode(
-                plan, slots, received, [(t, payloads[t]) for t in surviving], rows)
-            recovered.update(zip(solved, values))
+            known = list(enumerate(payloads))
+            for t in reversed(missing):
+                del known[t]
+            values, lost = _decode(plan, slots, arrived, known, rows)
+            solved += values
+            for t, v in zip(missing, values):
+                exact = exact and v.value == payloads[t].value
             if lost:
                 unrecoverable.append((r, lost))
 
-    ok = not unrecoverable and all(
-        v.value == data[p - 1][d - 1].value for (p, d), v in recovered.items())
     return SessionResult(
         schedule=schedule,
         session_index=session_index,
         failure=failure,
         data=data,
-        recovered=recovered,
-        outcome=Outcome.COMPLETE if ok else Outcome.UNRECOVERABLE,
+        solved=tuple(solved),
+        outcome=Outcome.COMPLETE if exact and not unrecoverable else Outcome.UNRECOVERABLE,
         scenarios=tuple(plan[0] for plan in plans.values()),
         unrecoverable_rounds=tuple(unrecoverable),
-        protection=tuple(protection),
+        received=tuple(received),
     )
 
 

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from nps2.cli import _write_files, parse_config, run
+from nps2.cli import _write_files, main, parse_config, run
 from nps2.schemes import Scheme
 
 
@@ -257,6 +257,28 @@ def test_config_mode_with_failures_exits_2(tmp_path, capsys):
     assert exc.value.code == 2
     assert "nps2: error:" in capsys.readouterr().err
     assert parse_config(["run", "--config", str(path)]).mode == "run"
+
+
+@pytest.mark.parametrize("argv, cfg", [
+    (["dump-rows", "--n", "6", "--report", "r.json", "--trace", "t.jsonl"], None),
+    (["dump-schedule", "--trace", "t.jsonl"], None),
+    (["dump-rows"], {"report": "r.json"}),
+    ([], {"mode": "dump-schedule", "trace": "t.jsonl"}),
+    (["run", "--n", "4", "--json"], None),
+    (["--json"], {"mode": "sweep"}),
+], ids=["dump-rows-flags", "dump-schedule-flag", "dump-rows-file", "file-dump-schedule",
+        "run-json", "file-sweep-json"])
+def test_options_the_action_never_reads_exit_2(argv, cfg, tmp_path, capsys, monkeypatch):
+    # a dump writes no trace or report, and only a dump reads --json
+    monkeypatch.chdir(tmp_path)
+    if cfg is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        argv = argv + ["--config", "cfg.json"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "nps2: error:" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ([] if cfg is None else ["cfg.json"])
 
 
 def test_unwritable_report_names_path(tmp_path, capsys):

@@ -108,6 +108,9 @@ def test_exit_status_is_total(case):
         assert code in (0, 1, 2)
         if cfg.keys() - CONFIG_KEYS.keys():
             assert code == 2
+        if str(cfg.get("mode")).startswith("dump-") and (
+                cfg.get("trace") is not None or cfg.get("report") is not None):
+            assert code == 2  # a dump writes neither file
         left = _files(root) - {"config.json"}
         if code == 2:
             assert "nps2: error:" in err.getvalue()

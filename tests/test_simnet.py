@@ -1,5 +1,6 @@
 """Session engine: transmission, per-round recovery, sweeps."""
 
+import tracemalloc
 from dataclasses import fields
 from fractions import Fraction
 
@@ -397,6 +398,28 @@ def test_data_rows_need_only_the_units_their_paths_send():
     assert sweep_failures(Scheme.NPS2_II, 6, GF256, data=nps2ii).complete_rate == 1.0
     with pytest.raises(ValueError, match=r"at least \[2, 2, 2, 2, 2, 2\] long, got \[3, 3, 3, 3, 3, 1\]"):
         run_session(Scheme.NPS2_II, 6, GF256, data=[*nps2ii[:5], nps2ii[5][:1]])
+
+
+def test_sweep_results_keep_two_flat_tuples():
+    # a session keeps its solved symbols and arrived protection payloads as
+    # two flat tuples and a reference to the sweep's one frozen tensor, which
+    # no session copies; the recovered dict is built only when read
+    data = tuple(map(tuple, generate_source_data(16, 16, 1, 5, GF256)[0]))
+    sweep_failures(Scheme.NPS2_I, 16, GF256, data=data)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = sweep_failures(Scheme.NPS2_I, 16, GF256, data=data)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert report.complete_rate == 1.0
+    assert kept / report.session_count < 1_600
+    assert len({id(r.data) for r in report.results}) == 1 and report.results[0].data == data
+    assert not any("recovered" in vars(r) for r in report.results)
+    last = report.results[-1]
+    assert len(last.recovered) == last.recovered_count == len(last.solved) == 2 * 16
+    assert "recovered" in vars(last)
 
 
 def test_run_session_refuses_untyped_inputs():
