@@ -27,7 +27,6 @@ from .simnet import (
     NO_FAILURES,
     FailurePattern,
     Outcome,
-    Packet,
     Scenario,
     SessionResult,
     SweepReport,
@@ -51,7 +50,6 @@ __all__ = [
     "FieldSpec",
     "NO_FAILURES",
     "Outcome",
-    "Packet",
     "ProtectedSlot",
     "Row",
     "Scenario",

@@ -316,7 +316,7 @@ def _finish(config: RunConfig, results: list[SessionResult]) -> int:
     })
     outputs = []
     if config.trace_path:
-        trace = (line + "\n" for r in results for line in trace_lines(r.packets))
+        trace = (line + "\n" for r in results for line in trace_lines(r))
         outputs.append((config.trace_path, trace))
     if config.report_path:
         outputs.append((config.report_path, report_chunks))

@@ -50,38 +50,10 @@ class Scenario(Enum):
     DOUBLE_WORKING = "double-working"
     EXCESS_LOSS = "excess-loss"
 
-    @property
-    def severity(self) -> int:
-        return _SEVERITY[self]
-
-
-_SEVERITY = {s: i for i, s in enumerate(Scenario)}
-
 
 class Outcome(Enum):
     COMPLETE = "complete"
     UNRECOVERABLE = "unrecoverable"
-
-
-@dataclass(slots=True)
-class Packet:
-    """One symbol on one path; sender i owns path i."""
-
-    sender_id: int
-    payload: FieldElement
-    round: int
-    session: int
-    kind: SlotKind
-
-    def record(self) -> dict:
-        return {
-            "session": self.session,
-            "round": self.round,
-            "sender": self.sender_id,
-            "path": self.sender_id,
-            "kind": self.kind.value,
-            "payload_hex": self.payload.hex,
-        }
 
 
 class FailurePattern:
@@ -90,11 +62,11 @@ class FailurePattern:
     __slots__ = ("failed_paths",)
 
     def __init__(self, failed_paths: Iterable[int] = ()):
-        paths = frozenset(failed_paths)
+        paths = set(failed_paths)
         for p in paths:
             if not isinstance(p, int) or isinstance(p, bool) or p < 1:
                 raise ValueError(f"path labels are positive integers, got {p!r}")
-        self.failed_paths = paths
+        self.failed_paths = tuple(sorted(paths))  # distinct, ascending
 
     def __len__(self) -> int:
         return len(self.failed_paths)
@@ -111,7 +83,7 @@ class FailurePattern:
         return hash(self.failed_paths)
 
     def __repr__(self) -> str:
-        return f"FailurePattern({sorted(self.failed_paths)})"
+        return f"FailurePattern({list(self.failed_paths)})"
 
 
 NO_FAILURES = FailurePattern()
@@ -146,33 +118,18 @@ class SessionResult:
                   for s in slots if s.path in failed)
         return dict(zip(erased, self.solved))
 
-    @property
-    def protection(self) -> tuple[tuple[FieldElement | None, FieldElement | None], ...]:
-        """Per round, the arrived (sum, weighted) payloads: ``received`` in pairs."""
-        it = iter(self.received)
-        return tuple(zip(it, it))
-
     @cached_property
     def delivered(self) -> dict[ProtectedSlot, FieldElement]:
         """Every delivered symbol by (source, data_index), built on first read
         and this result's own after that: per round, direct then recovered."""
         data = self.data
-        live = set(range(1, self.schedule.n + 1)) - self.failure.failed_paths
+        live = set(range(1, self.schedule.n + 1)).difference(self.failure.failed_paths)
         return dict(item for slots in self.schedule.protected for item in _delivered(
             slots, live, lambda s: data[s.path - 1][s.data_index - 1], self.recovered))
 
     @property
     def recovered_count(self) -> int:
         return len(self.solved)
-
-    @property
-    def packets(self) -> tuple[Packet, ...]:
-        """The surviving packets in (round, path) order, rebuilt on each read."""
-        failed, session = self.failure.failed_paths, self.session_index
-        return tuple(
-            Packet(path, payload, r, session, kind)
-            for r, (row, pair) in enumerate(zip(self.schedule.grid, self.protection), 1)
-            for path, kind, payload in _round_payloads(row, self.data, pair, failed))
 
     @property
     def complete(self) -> bool:
@@ -194,8 +151,9 @@ class SessionResult:
 
     @property
     def scenario(self) -> Scenario:
-        """Highest-severity round scenario; the session's summary tag."""
-        return max(self.scenarios, key=lambda s: s.severity)
+        """Highest-severity round scenario, severity being declaration order
+        in ``Scenario``; the session's summary tag."""
+        return next(s for s in reversed(Scenario) if s in self.scenarios)
 
     @property
     def detail(self) -> str | None:
@@ -274,13 +232,13 @@ class RoundRecovery:
 
 
 def _round_plan(schedule, round_index, failed):
-    """The one case analysis of a round under the ``failed`` paths, a function
-    of its protection pair alone: its Scenario, the ascending ranks of its
-    failed working slots, and whether each carrier lives."""
+    """The one case analysis of a round under the ascending ``failed`` paths,
+    a function of its protection pair alone: its Scenario, the ascending ranks
+    of its failed working slots, and whether each carrier lives."""
     p_sum, p_wtd = schedule.pairs[round_index - 1]
     slots = schedule.protected[round_index - 1]
     # ranks are positions in the round's slots, which ascend by path
-    missing = [t for p in sorted(failed)
+    missing = [t for p in failed
                if (t := bisect_left(slots, (p,))) < len(slots) and slots[t].path == p]
     alive = p_sum not in failed, p_wtd not in failed
     if len(missing) > sum(alive):
@@ -467,11 +425,21 @@ def sweep_failures(
     return SweepReport(results)
 
 
-def trace_lines(packets: Iterable[Packet]) -> list[str]:
-    """JSON-lines records, one per surviving packet, byte-stable: each line is
-    ``json.dumps(p.record(), sort_keys=True, separators=(",", ":"))``."""
-    return [
-        f'{{"kind":"{p.kind.value}","path":{p.sender_id},"payload_hex":"{p.payload.hex}",'
-        f'"round":{p.round},"sender":{p.sender_id},"session":{p.session}}}'
-        for p in packets
-    ]
+def trace_lines(result: SessionResult) -> list[str]:
+    """The ``--trace`` JSON lines of a session's surviving packets in (round,
+    path) order, formatted from the grid, ``data`` and ``received``. Each line
+    is ``json.dumps`` with ``sort_keys=True, separators=(",", ":")`` of the
+    packet's session, round, sender, path (sender i owns path i), slot kind and
+    payload_hex, the payload zero-padded to the field's hex width."""
+    data, failed, schedule = result.data, result.failure.failed_paths, result.schedule
+    p, d = schedule.protected[0][0]  # a symbol the session sent: rows may be short
+    width = (data[p - 1][d - 1].spec.m + 3) // 4
+    session_text = f',"session":{result.session_index}}}'
+    it = iter(result.received)
+    lines = []
+    for r, (row, pair) in enumerate(zip(schedule.grid, zip(it, it)), 1):
+        round_text = f'","round":{r},"sender":'
+        lines += [f'{{"kind":"{kind.value}","path":{path},"payload_hex":"'
+                  f'{payload.value:0{width}x}{round_text}{path}{session_text}'
+                  for path, kind, payload in _round_payloads(row, data, pair, failed)]
+    return lines

@@ -146,7 +146,7 @@ def test_sweep_draws_each_session_tensor_once(tmp_path, monkeypatch):
     own = [line + "\n" for idx in range(5)
            for r in nps2.simnet.sweep_failures(Scheme.NPS2_I, 5, cfg.field, seed=8,
                                                session_index=idx).results
-           for line in nps2.simnet.trace_lines(r.packets)]
+           for line in nps2.simnet.trace_lines(r)]
     assert trace.read_text().splitlines(keepends=True) == own
 
 

@@ -1,24 +1,23 @@
-"""Property tests of the session engine: the packets a SessionResult rebuilds
-on demand equal an eager transmission built from the data tensor, the grid
-and encode_pair, and trace_lines writes exactly json.dumps of each record.
-Sweeps construct no Packet at all. The ``delivered`` maps of a result and of
-a round equal an eager collector's map, key order included, and a result
-builds its map only when it is first read. run_session equals a session
-pieced together round by round from transmit_round and recover_round."""
+"""Property tests of the session engine: trace_lines formats exactly
+json.dumps of the records of an eager transmission built from the data
+tensor, the grid and encode_pair, and transmit_round returns the same
+payloads. The ``delivered`` maps of a result and of a round equal an eager
+collector's map, key order included, and a result builds its map only when
+it is first read. run_session equals a session pieced together round by
+round from transmit_round and recover_round."""
 
 import json
 import tracemalloc
 
 from hypothesis import given, settings, strategies as st
 
-import nps2.simnet
 from nps2.codec import build_rows, encode_pair
 from nps2.schemes import Scheme, SlotKind, build_schedule
 from nps2.simnet import (
     NO_FAILURES,
     FailurePattern,
     Outcome,
-    Packet,
+    Scenario,
     all_patterns,
     generate_source_data,
     recover_round,
@@ -30,14 +29,11 @@ from nps2.simnet import (
 from test_codec_properties import FIELDS
 
 
-def json_line(packet: Packet) -> str:
-    return json.dumps(packet.record(), sort_keys=True, separators=(",", ":"))
-
-
-def eager_packets(schedule, session, data, failure, rows) -> tuple[Packet, ...]:
-    """Every surviving packet, (round, path) order, straight from the grid:
-    a working slot sends its own symbol, a carrier its row's protection
-    symbol over the round's working symbols in path order."""
+def eager_packets(schedule, data, failure, rows) -> list[tuple]:
+    """Every surviving packet as (round, path, kind, payload), (round, path)
+    order, straight from the grid: a working slot sends its own symbol, a
+    carrier its row's protection symbol over the round's working symbols in
+    path order."""
     packets = []
     for r, row in enumerate(schedule.grid, 1):
         working = [data[p - 1][s.data_index - 1]
@@ -48,8 +44,8 @@ def eager_packets(schedule, session, data, failure, rows) -> tuple[Packet, ...]:
             if path not in failure:
                 payload = (data[path - 1][slot.data_index - 1]
                            if slot.kind is SlotKind.WORKING else y[slot.kind])
-                packets.append(Packet(path, payload, r, session, slot.kind))
-    return tuple(packets)
+                packets.append((r, path, slot.kind, payload))
+    return packets
 
 
 @st.composite
@@ -65,76 +61,41 @@ def sessions(draw):
             draw(st.integers(0, 2**32)), FailurePattern(failed))
 
 
-@settings(max_examples=150, deadline=None)
-@given(sessions())
-def test_packets_match_eager_transmission(case):
+@settings(max_examples=200, deadline=None)
+@given(sessions(), st.integers(0, 10**8))
+def test_trace_lines_are_json_dumps_of_an_eager_transmission(case, laps):
     scheme, n, field, sum_only, session_index, seed, failure = case
-    result = run_session(scheme, n, field, failure, seed=seed, session_index=session_index,
-                         sum_only=sum_only)
     schedule = build_schedule(scheme, n, session_index)
     data = generate_source_data(n, schedule.rounds, session_index + 1, seed, field)[session_index]
+    # a session n * laps later runs on the same schedule
+    session = session_index + n * laps
+    result = run_session(scheme, n, field, failure, session_index=session, sum_only=sum_only,
+                         data=data)
     rows = build_rows(n - 2, field, sum_only=sum_only)
-    expect = eager_packets(schedule, session_index, data, failure, rows)
-    assert result.packets == expect
+    expect = eager_packets(schedule, data, failure, rows)
     assert len(expect) == schedule.rounds * (n - len(failure))
-    assert trace_lines(result.packets) == [json_line(p) for p in expect]
+    records = [{"session": session, "round": r, "sender": path, "path": path,
+                "kind": kind.value, "payload_hex": payload.hex}
+               for r, path, kind, payload in expect]
+    lines = trace_lines(result)
+    assert lines == [json.dumps(rec, sort_keys=True, separators=(",", ":")) for rec in records]
+    assert {len(json.loads(line)["payload_hex"]) for line in lines} <= {(field.m + 3) // 4}
     for r in range(1, schedule.rounds + 1):
         survivors = transmit_round(schedule, r, data, failure, rows)
-        assert list(survivors.items()) == [(p.sender_id, p.payload) for p in expect if p.round == r]
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    m=st.integers(1, 16),
-    value=st.data(),
-    kind=st.sampled_from(SlotKind),
-    path=st.integers(1, 10**6),
-    round_index=st.integers(1, 10**6),
-    session=st.integers(0, 10**9),
-)
-def test_trace_line_is_json_dumps_of_record(m, value, kind, path, round_index, session):
-    field = FIELDS[m]
-    payload = field.element(value.draw(st.integers(0, field.q - 1)))
-    packet = Packet(path, payload, round_index, session, kind)
-    (line,) = trace_lines([packet])
-    assert line == json_line(packet)
-    assert len(json.loads(line)["payload_hex"]) == (m + 3) // 4
-
-
-def test_sweep_constructs_no_packet_and_rebuilds_them_on_demand(monkeypatch):
-    made = []
-
-    class CountingPacket(Packet):
-        __slots__ = ()
-
-        def __init__(self, *args):
-            made.append(args)
-            super().__init__(*args)
-
-    monkeypatch.setattr(nps2.simnet, "Packet", CountingPacket)
-    field = FIELDS[8]
-    report = sweep_failures(Scheme.NPS2_I, 8, field, seed=3)
-    assert report.complete_rate == 1.0
-    assert made == []
-    single = report.results[5]  # empty pattern, then singles: path 5 failed
-    assert single.failure == FailurePattern({5})
-    packets = single.packets
-    assert len(made) == len(packets) == 8 * 7
-    assert all(type(p) is CountingPacket for p in packets)
-    monkeypatch.undo()
-    assert trace_lines(packets) == trace_lines(single.packets)
+        assert list(survivors.items()) == [(path, payload)
+                                           for rr, path, _, payload in expect if rr == r]
 
 
 def round_by_round(scheme, n, field, failure, session_index, sum_only, data):
-    """A session's (recovered, protection, unrecoverable_rounds, outcome,
+    """A session's (recovered, received, unrecoverable_rounds, outcome,
     round_scenarios) from the one-round API: transmit_round, then
     recover_round, for each round in turn."""
     schedule = build_schedule(scheme, n, session_index)
     rows = build_rows(n - 2, field, sum_only=sum_only)
-    recovered, protection, lost, scenarios = {}, [], [], {}
+    recovered, received, lost, scenarios = {}, [], [], {}
     for r, pair in enumerate(schedule.pairs, 1):
         survivors = transmit_round(schedule, r, data, failure, rows)
-        protection.append(tuple(survivors.get(p) for p in pair))
+        received += (survivors.get(p) for p in pair)
         rec = recover_round(survivors, schedule, r, rows, failure)
         recovered.update(zip(rec.recovered, rec.values))
         if rec.lost:
@@ -142,7 +103,7 @@ def round_by_round(scheme, n, field, failure, session_index, sum_only, data):
         scenarios[r] = rec.scenario
     exact = all(v == data[p - 1][d - 1] for (p, d), v in recovered.items())
     outcome = Outcome.COMPLETE if exact and not lost else Outcome.UNRECOVERABLE
-    return recovered, tuple(protection), tuple(lost), outcome, scenarios
+    return recovered, tuple(received), tuple(lost), outcome, scenarios
 
 
 @settings(max_examples=200, deadline=None)
@@ -153,14 +114,14 @@ def test_run_session_equals_the_one_round_api(case):
     data = generate_source_data(n, schedule.rounds, 1, seed, field)[0]
     result = run_session(scheme, n, field, failure, session_index=session_index,
                          sum_only=sum_only, data=data)
-    recovered, protection, lost, outcome, scenarios = round_by_round(
+    recovered, received, lost, outcome, scenarios = round_by_round(
         scheme, n, field, failure, session_index, sum_only, data)
     assert list(result.recovered.items()) == list(recovered.items())
-    assert result.protection == protection
+    assert result.received == received
     assert result.unrecoverable_rounds == lost
     assert result.outcome is outcome
     assert list(result.round_scenarios.items()) == list(scenarios.items())
-    assert result.scenario is max(scenarios.values(), key=lambda s: s.severity)
+    assert result.scenario is max(scenarios.values(), key=list(Scenario).index)
 
 
 def eager_delivered(schedule, data, failure, sum_only) -> list[list[tuple]]:
