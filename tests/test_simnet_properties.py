@@ -61,29 +61,48 @@ def sessions(draw):
             draw(st.integers(0, 2**32)), FailurePattern(failed))
 
 
-@settings(max_examples=200, deadline=None)
-@given(sessions(), st.integers(0, 10**8))
-def test_trace_lines_are_json_dumps_of_an_eager_transmission(case, laps):
+def eager_session(case, session):
+    """(schedule, data, rows, result, eager packets) of a drawn case run as
+    session ``session``, which shares the case's schedule and data."""
     scheme, n, field, sum_only, session_index, seed, failure = case
     schedule = build_schedule(scheme, n, session_index)
     data = generate_source_data(n, schedule.rounds, session_index + 1, seed, field)[session_index]
-    # a session n * laps later runs on the same schedule
-    session = session_index + n * laps
     result = run_session(scheme, n, field, failure, session_index=session, sum_only=sum_only,
                          data=data)
     rows = build_rows(n - 2, field, sum_only=sum_only)
-    expect = eager_packets(schedule, data, failure, rows)
+    return schedule, data, rows, result, eager_packets(schedule, data, failure, rows)
+
+
+def records(session, packets) -> list[dict]:
+    return [{"session": session, "round": r, "sender": path, "path": path,
+             "kind": kind.value, "payload_hex": payload.hex}
+            for r, path, kind, payload in packets]
+
+
+@settings(max_examples=150, deadline=None)
+@given(sessions(), st.integers(0, 10**8))
+def test_packets_match_eager_transmission(case, laps):
+    n, failure, session_index = case[1], case[6], case[4]
+    # a session n * laps later runs on the same schedule
+    session = session_index + n * laps
+    schedule, data, rows, result, expect = eager_session(case, session)
     assert len(expect) == schedule.rounds * (n - len(failure))
-    records = [{"session": session, "round": r, "sender": path, "path": path,
-                "kind": kind.value, "payload_hex": payload.hex}
-               for r, path, kind, payload in expect]
-    lines = trace_lines(result)
-    assert lines == [json.dumps(rec, sort_keys=True, separators=(",", ":")) for rec in records]
-    assert {len(json.loads(line)["payload_hex"]) for line in lines} <= {(field.m + 3) // 4}
+    assert [json.loads(line) for line in trace_lines(result)] == records(session, expect)
     for r in range(1, schedule.rounds + 1):
         survivors = transmit_round(schedule, r, data, failure, rows)
         assert list(survivors.items()) == [(path, payload)
                                            for rr, path, _, payload in expect if rr == r]
+
+
+@settings(max_examples=150, deadline=None)
+@given(sessions())
+def test_trace_line_is_json_dumps_of_record(case):
+    field, session_index = case[2], case[4]
+    *_, result, expect = eager_session(case, session_index)
+    lines = trace_lines(result)
+    assert lines == [json.dumps(rec, sort_keys=True, separators=(",", ":"))
+                     for rec in records(session_index, expect)]
+    assert {len(json.loads(line)["payload_hex"]) for line in lines} <= {(field.m + 3) // 4}
 
 
 def round_by_round(scheme, n, field, failure, session_index, sum_only, data):
