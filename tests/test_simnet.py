@@ -399,18 +399,10 @@ def test_data_rows_need_only_the_units_their_paths_send():
     # NPS2-I session 0 protects on paths 1 and 2, so their rows may be empty;
     # an NPS2-II path sends n/2 - 1 units and a longer row is not read past that
     short = [[], [], *[[GF256.element(p)] * 4 for p in (3, 4)]]
-    assert run_session(Scheme.NPS2_I, 4, GF256, FailurePattern({3}), data=short).complete
-    nps2ii = [[GF256.element(p)] * 3 for p in range(1, 7)]
-    assert sweep_failures(Scheme.NPS2_II, 6, GF256, data=nps2ii).complete_rate == 1.0
-    with pytest.raises(ValueError, match=r"at least \[2, 2, 2, 2, 2, 2\] long, got \[3, 3, 3, 3, 3, 1\]"):
-        run_session(Scheme.NPS2_II, 6, GF256, data=[*nps2ii[:5], nps2ii[5][:1]])
-
-
-def test_trace_of_a_session_with_empty_rows():
-    # the payload width comes from a symbol the session sent, not from row 1,
-    # which an NPS2-I session protecting on paths 1 and 2 may leave empty
-    short = [[], [], *[[GF256.element(p)] * 4 for p in (3, 4)]]
     result = run_session(Scheme.NPS2_I, 4, GF256, FailurePattern({3}), data=short)
+    assert result.complete
+    # the trace takes its payload width from a symbol the session sent, not
+    # from the empty row 1
     y_sum, y_weighted = encode_pair(short[2][:1] + short[3][:1], build_rows(2, GF256))
     assert [json.loads(line) for line in trace_lines(result)] == [
         {"kind": kind, "path": path, "payload_hex": payload, "round": r, "sender": path,
@@ -420,6 +412,10 @@ def test_trace_of_a_session_with_empty_rows():
                                     (2, "protection-weighted", y_weighted.hex),
                                     (4, "working", "04"))]
     assert y_sum.hex == "07"
+    nps2ii = [[GF256.element(p)] * 3 for p in range(1, 7)]
+    assert sweep_failures(Scheme.NPS2_II, 6, GF256, data=nps2ii).complete_rate == 1.0
+    with pytest.raises(ValueError, match=r"at least \[2, 2, 2, 2, 2, 2\] long, got \[3, 3, 3, 3, 3, 1\]"):
+        run_session(Scheme.NPS2_II, 6, GF256, data=[*nps2ii[:5], nps2ii[5][:1]])
 
 
 def test_sweep_results_keep_two_flat_tuples():

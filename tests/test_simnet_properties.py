@@ -1,7 +1,7 @@
 """Property tests of the session engine: trace_lines formats exactly
 json.dumps of the records of an eager transmission built from the data
-tensor, the grid and encode_pair, and transmit_round returns the same
-payloads. The ``delivered`` maps of a result and of a round equal an eager
+tensor, the grid and encode_pair, both for data that run_session draws from
+a seed and for given data, and transmit_round returns the same payloads. The ``delivered`` maps of a result and of a round equal an eager
 collector's map, key order included, and a result builds its map only when
 it is first read. run_session equals a session pieced together round by
 round from transmit_round and recover_round."""
@@ -61,16 +61,14 @@ def sessions(draw):
             draw(st.integers(0, 2**32)), FailurePattern(failed))
 
 
-def eager_session(case, session):
-    """(schedule, data, rows, result, eager packets) of a drawn case run as
-    session ``session``, which shares the case's schedule and data."""
+def eager_case(case):
+    """(schedule, data, rows) of a drawn case: its schedule, the data that
+    run_session draws from the seed for session ``session_index``, and its
+    rows."""
     scheme, n, field, sum_only, session_index, seed, failure = case
     schedule = build_schedule(scheme, n, session_index)
     data = generate_source_data(n, schedule.rounds, session_index + 1, seed, field)[session_index]
-    result = run_session(scheme, n, field, failure, session_index=session, sum_only=sum_only,
-                         data=data)
-    rows = build_rows(n - 2, field, sum_only=sum_only)
-    return schedule, data, rows, result, eager_packets(schedule, data, failure, rows)
+    return schedule, data, build_rows(n - 2, field, sum_only=sum_only)
 
 
 def records(session, packets) -> list[dict]:
@@ -82,10 +80,14 @@ def records(session, packets) -> list[dict]:
 @settings(max_examples=150, deadline=None)
 @given(sessions(), st.integers(0, 10**8))
 def test_packets_match_eager_transmission(case, laps):
-    n, failure, session_index = case[1], case[6], case[4]
-    # a session n * laps later runs on the same schedule
+    scheme, n, field, sum_only, session_index, seed, failure = case
+    schedule, data, rows = eager_case(case)
+    expect = eager_packets(schedule, data, failure, rows)
+    # a session n * laps later runs on the same schedule; its data is given,
+    # as drawing that many sessions' tensors is not feasible
     session = session_index + n * laps
-    schedule, data, rows, result, expect = eager_session(case, session)
+    result = run_session(scheme, n, field, failure, session_index=session, sum_only=sum_only,
+                         data=data)
     assert len(expect) == schedule.rounds * (n - len(failure))
     assert [json.loads(line) for line in trace_lines(result)] == records(session, expect)
     for r in range(1, schedule.rounds + 1):
@@ -97,8 +99,13 @@ def test_packets_match_eager_transmission(case, laps):
 @settings(max_examples=150, deadline=None)
 @given(sessions())
 def test_trace_line_is_json_dumps_of_record(case):
-    field, session_index = case[2], case[4]
-    *_, result, expect = eager_session(case, session_index)
+    # run_session draws its own data here, so this also checks its draw for
+    # sessions past the first against generate_source_data
+    scheme, n, field, sum_only, session_index, seed, failure = case
+    schedule, data, rows = eager_case(case)
+    expect = eager_packets(schedule, data, failure, rows)
+    result = run_session(scheme, n, field, failure, seed=seed, session_index=session_index,
+                         sum_only=sum_only)
     lines = trace_lines(result)
     assert lines == [json.dumps(rec, sort_keys=True, separators=(",", ":"))
                      for rec in records(session_index, expect)]
