@@ -11,6 +11,7 @@ import random
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Sequence
 
 from .codec import build_rows, check_width
@@ -20,7 +21,6 @@ from .simnet import (
     NO_FAILURES,
     FailurePattern,
     SessionResult,
-    SweepReport,
     generate_source_data,
     run_session,
     sweep_failures,
@@ -294,56 +294,101 @@ def _write_files(outputs: Sequence[tuple[str, Iterable[str]]]) -> None:
         raise
 
 
-def _json(obj) -> Iterator[str]:
-    """The chunks of ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``."""
-    yield from json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj)
-    yield "\n"
+def _json(obj, indent: str = "") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` of JSON data keyed by
+    strings, with ``indent`` before each line but the first. json's own
+    indenting encoder builds a cycle of closures on each call, which a call
+    per session would leave to the cycle collector; this builds none."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if type(obj) is int:  # most leaves; json.dumps would build an encoder for each
+        return repr(obj)
+    if not (obj and isinstance(obj, (dict, list))):
+        return json.dumps(obj)  # a float, true, false, null, [] or {}
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(obj, dict):
+        items = sep.join(f"{encode_basestring_ascii(key)}: {_json(value, inner)}"
+                         for key, value in sorted(obj.items()))
+        return f"{{\n{inner}{items}\n{indent}}}"
+    return f"[\n{inner}{sep.join(_json(value, inner) for value in obj)}\n{indent}]"
 
 
-def _finish(config: RunConfig, results: list[SessionResult]) -> int:
-    report = SweepReport(tuple(results))
-    completed, total = report.complete_count, report.session_count
+def _finish(config: RunConfig, results: Iterable[SessionResult]) -> int:
+    """Consume the session stream once: write each session's trace lines
+    and report entry as it ends, and keep only the report's totals."""
+    import tempfile  # not at module level: `import nps2.cli` need not load it
+
     capacity = f"{config.n - 2}/{config.n}"
-    report_chunks = _json({
-        "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "config": config.echo(),
-        "schedule_capacity": capacity,
-        "results": [_session_entry(r) for r in results],
-        "scenario_histogram": report.scenario_histogram,
-        "recovered_count_total": report.recovered_total,
-        "complete_rate": report.complete_rate,
-        "all_complete": completed == total,
-    })
-    outputs = []
-    if config.trace_path:
-        trace = (line + "\n" for r in results for line in trace_lines(r))
-        outputs.append((config.trace_path, trace))
-    if config.report_path:
-        outputs.append((config.report_path, report_chunks))
-    _write_files(outputs)
+    total = completed = recovered = 0
+    histogram: dict[str, int] = {}
+
+    def spooled(spool) -> Iterator[SessionResult]:
+        """Each result, once its report entry is in ``spool``, indented as
+        in the ``results`` list of the whole report, and in the totals."""
+        nonlocal total, completed, recovered
+        for result in results:
+            spool.write(f"{',' if total else ''}\n    {_json(_session_entry(result), '    ')}")
+            total += 1
+            completed += result.complete
+            recovered += result.recovered_count
+            scenario = result.scenario.value
+            histogram[scenario] = histogram.get(scenario, 0) + 1
+            yield result
+
+    def report(spool, sessions) -> Iterator[str]:
+        """The report's chunks once ``sessions`` is exhausted: the head up to
+        the ``results`` list, the spooled entries, then the tail."""
+        for _ in sessions:  # whatever the trace left unread
+            pass
+        text = _json({
+            "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+            "config": config.echo(),
+            "schedule_capacity": capacity,
+            "results": [],
+            "scenario_histogram": histogram,
+            "recovered_count_total": recovered,
+            "complete_rate": completed / total,
+            "all_complete": completed == total,
+        })
+        head, _, tail = text.partition('"results": []')
+        yield head + '"results": ['
+        spool.seek(0)
+        yield from spool
+        yield "\n  ]" + tail + "\n"
+
+    with tempfile.TemporaryFile("w+", encoding="utf-8") as spool:
+        sessions = spooled(spool)
+        report_chunks = report(spool, sessions)
+        outputs = []
+        if config.trace_path:
+            trace = (line + "\n" for r in sessions for line in trace_lines(r))
+            outputs.append((config.trace_path, trace))
+        if config.report_path:
+            outputs.append((config.report_path, report_chunks))
+        _write_files(outputs)
+        if not config.report_path:
+            sys.stdout.writelines(report_chunks)
     if config.report_path:
         print(
             f"{config.mode}: {completed}/{total} sessions complete, "
             f"schedule capacity {capacity}, report written to {config.report_path}"
         )
-    else:
-        sys.stdout.writelines(report_chunks)
     return 0 if completed == total else 1
 
 
-def _draw_tensor(config: RunConfig) -> list:
-    """All sessions' source data in one draw, frozen into tuple rows; row idx
-    holds what a draw of idx + 1 sessions gives session idx."""
+def _session_data(config: RunConfig) -> Iterator[list]:
+    """Each session's source data in turn, drawn from one shared RNG, so
+    session idx gets what a draw of idx + 1 sessions gives it."""
     rounds = build_schedule(config.scheme, config.n).rounds
-    return [tuple(map(tuple, rows)) for rows in generate_source_data(
-        config.n, rounds, config.sessions, config.seed, config.field)]
+    rng = random.Random(config.seed)
+    for _ in range(config.sessions):
+        yield generate_source_data(config.n, rounds, 1, rng, config.field)[0]
 
 
-def _cmd_run(config: RunConfig) -> int:
-    tensor = _draw_tensor(config)
+def _cmd_run(config: RunConfig) -> Iterator[SessionResult]:
     pattern_rng = random.Random(config.seed)
-    results = []
-    for idx in range(config.sessions):
+    for idx, data in enumerate(_session_data(config)):
         if config.fail_paths is not None:
             pattern = FailurePattern(config.fail_paths)
         elif config.fail_random is not None:
@@ -352,37 +397,22 @@ def _cmd_run(config: RunConfig) -> int:
             )
         else:
             pattern = NO_FAILURES
-        results.append(
-            run_session(
-                config.scheme,
-                config.n,
-                config.field,
-                pattern,
-                session_index=idx,
-                data=tensor[idx],
-            )
-        )
-    return _finish(config, results)
+        yield run_session(config.scheme, config.n, config.field, pattern,
+                          session_index=idx, data=data)
 
 
-def _cmd_sweep(config: RunConfig) -> int:
-    tensor = _draw_tensor(config)
-    results = []
-    for idx in range(config.sessions):
-        report = sweep_failures(config.scheme, config.n, config.field, session_index=idx,
-                                data=tensor[idx])
-        results.extend(report.results)
-    return _finish(config, results)
+def _cmd_sweep(config: RunConfig) -> Iterator[SessionResult]:
+    for idx, data in enumerate(_session_data(config)):
+        yield from sweep_failures(config.scheme, config.n, config.field, session_index=idx,
+                                  data=data).results
 
 
 def _cmd_dump_schedule(config: RunConfig) -> int:
     schedule = build_schedule(config.scheme, config.n)
     labels = schedule_labels(schedule)
     if config.as_json:
-        sys.stdout.writelines(_json(
-            {"scheme": config.scheme.value, "n": config.n, "rounds": schedule.rounds,
-             "matrix": labels}
-        ))
+        print(_json({"scheme": config.scheme.value, "n": config.n, "rounds": schedule.rounds,
+                     "matrix": labels}))
         return 0
     width = max(
         max(len(cell) for row in labels for cell in row),
@@ -403,10 +433,8 @@ def _cmd_dump_rows(config: RunConfig) -> int:
     sum_hex = [e.hex for e in rows.row_sum]
     weighted_hex = [e.hex for e in rows.row_weighted]
     if config.as_json:
-        sys.stdout.writelines(_json(
-            {"width": rows.width, "field": config.field_echo(), "row_sum": sum_hex,
-             "row_weighted": weighted_hex}
-        ))
+        print(_json({"width": rows.width, "field": config.field_echo(), "row_sum": sum_hex,
+                     "row_weighted": weighted_hex}))
         return 0
     print(
         f"width={rows.width} over GF(2^{config.field.m}), "
@@ -419,10 +447,12 @@ def _cmd_dump_rows(config: RunConfig) -> int:
 
 def run(config: RunConfig) -> int:
     """Execute the configured mode; 0 exit only if every session completed."""
-    commands = {"run": _cmd_run, "sweep": _cmd_sweep,
-                "dump-schedule": _cmd_dump_schedule, "dump-rows": _cmd_dump_rows}
+    streams = {"run": _cmd_run, "sweep": _cmd_sweep}
+    dumps = {"dump-schedule": _cmd_dump_schedule, "dump-rows": _cmd_dump_rows}
     try:
-        return commands[config.mode](config)
+        if config.mode in streams:
+            return _finish(config, streams[config.mode](config))
+        return dumps[config.mode](config)
     except OSError as exc:
         target = exc.filename or "standard output"
         print(f"nps2: error: cannot write {target}: {exc.strerror}", file=sys.stderr)

@@ -151,11 +151,17 @@ def build_schedule(scheme: Scheme, n: int, session_index: int = 0) -> SessionSch
     check_path_count(scheme, n)
     if session_index < 0:
         raise ValueError(f"session_index must be nonnegative, got {session_index}")
-    if scheme is Scheme.NPS2_I:
-        pairs = ((2 * session_index % n + 1, (2 * session_index + 1) % n + 1),) * n
-    else:
-        pairs = tuple((2 * ell - 1, 2 * ell) for ell in range(1, n // 2 + 1))
-    return _shared_schedule(scheme, n, pairs)
+    if scheme is Scheme.NPS2_II:
+        return _rotating_schedule(n)
+    pair = 2 * session_index % n + 1, (2 * session_index + 1) % n + 1
+    return _shared_schedule(scheme, n, (pair,) * n)
+
+
+@cache
+def _rotating_schedule(n: int) -> SessionSchedule:
+    """NPS2-II's one schedule on n paths, its pairs built once per n."""
+    return _shared_schedule(Scheme.NPS2_II, n, tuple((2 * ell - 1, 2 * ell)
+                                                     for ell in range(1, n // 2 + 1)))
 
 
 def protected_slots(schedule: SessionSchedule, round_index: int) -> tuple[ProtectedSlot, ...]:

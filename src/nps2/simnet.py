@@ -167,16 +167,26 @@ def generate_source_data(
     n: int,
     rounds_per_session: int,
     sessions: int,
-    seed: int,
+    seed: int | random.Random,
     field: FieldSpec,
 ) -> list[list[list[FieldElement]]]:
-    """Deterministic symbol tensor indexed [session][source-1][data_index-1]."""
-    rng = random.Random(seed)
-    return [
-        [[field.element(rng.randrange(field.q)) for _ in range(rounds_per_session)]
-         for _ in range(n)]
-        for _ in range(sessions)
-    ]
+    """Deterministic symbol tensor indexed [session][source-1][data_index-1],
+    filled in that order with the draws of ``rng.randrange(field.q)``, where
+    rng is ``seed`` itself if it is a ``random.Random``, whose stream the
+    draw continues, else ``random.Random(seed)``."""
+    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    q, bits, getrandbits, element = field.q, field.m + 1, rng.getrandbits, field.element
+
+    def row() -> list[FieldElement]:
+        symbols = []
+        for _ in range(rounds_per_session):
+            r = getrandbits(bits)  # randrange(2^m) draws m + 1 bits until one is below 2^m
+            while r >= q:
+                r = getrandbits(bits)
+            symbols.append(element(r))
+        return symbols
+
+    return [[row() for _ in range(n)] for _ in range(sessions)]
 
 
 def transmit_round(

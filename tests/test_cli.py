@@ -1,5 +1,8 @@
+import gc
 import json
 import os
+import tempfile
+import tracemalloc
 
 import pytest
 
@@ -313,3 +316,64 @@ def test_streamed_report_keeps_its_format(tmp_path, capsys):
         return [line for line in text.splitlines(True) if '"generated_at"' not in line]
 
     assert scrub(capsys.readouterr().out) == scrub(raw.decode())
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+@pytest.mark.parametrize("outputs", [["--trace", "t.jsonl", "--report", "r.json"],
+                                     ["--report", "r.json"], ["--trace", "t.jsonl"], []],
+                         ids=["trace-report", "report", "trace", "stdout"])
+def test_session_failing_mid_stream_leaves_nothing(error, outputs, tmp_path, capsys,
+                                                   monkeypatch):
+    # sessions 0-2 are written before session 3 raises; the spool goes to
+    # tmp_path too, so an empty directory means no trace, report, spool or temp file
+    import nps2.cli
+
+    original = nps2.cli.run_session
+
+    def failing(*args, session_index, **kwargs):
+        if session_index == 3:
+            raise error("session 3 failed")
+        return original(*args, session_index=session_index, **kwargs)
+
+    monkeypatch.setattr(nps2.cli, "run_session", failing)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.chdir(tmp_path)
+    cfg = parse_config(["run", "--n", "6", "--sessions", "6", "--fail-random", "1"] + outputs)
+    with pytest.raises(error, match="session 3 failed"):
+        run(cfg)
+    assert os.listdir(tmp_path) == []
+    assert capsys.readouterr().out == ""
+
+
+def test_memory_stays_flat_in_sessions(tmp_path):
+    # a streamed run keeps only its totals, and a GF(2^16) spec caches only
+    # the elements below 256, so 20x the sessions peaks no higher
+    def config(sessions):
+        return parse_config(["run", "--n", "8", "--field-m", "16", "--field-poly", "1100b",
+                             "--fail-random", "2", "--sessions", str(sessions),
+                             "--trace", str(tmp_path / "t.jsonl"),
+                             "--report", str(tmp_path / "r.json")])
+
+    def peak(cfg):
+        tracemalloc.start()
+        try:
+            assert run(cfg) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # CPython keeps up to 2000 freed tuples of each size for reuse. A session
+    # frees a few of sizes that later allocations do not take back, so these
+    # lists fill over the first thousands of sessions, and tracemalloc counts
+    # them. An untraced run fills them first; with the cycle collector off no
+    # collection empties them again, and cyclic garbage counts as growth.
+    gc.disable()
+    try:
+        assert run(config(2000)) == 0
+        small = peak(config(50))
+        cfg = config(1000)
+        large = peak(cfg)
+    finally:
+        gc.enable()
+    assert large - small <= 256 * 1024
+    assert len(cfg.field._elements) <= 256

@@ -1,17 +1,31 @@
 """The CLI's exit contract over drawn configs: parse_config plus run ends in
 status 0, 1 or 2 for every input, 2 always comes with an ``nps2: error:``
-line, and a run that ends in 2 leaves no report, trace or temp file."""
+line, and a run that ends in 2 leaves no report, trace or temp file. The
+streamed run and sweep write the bytes of an eager reference, and the
+CLI's JSON writer writes those of json.dumps."""
 
 import contextlib
 import io
 import json
 import os
+import random
 import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nps2.cli import CONFIG_KEYS, MODES, parse_config, run
+from nps2.cli import CONFIG_KEYS, MODES, _json, _session_entry, parse_config, run
+from nps2.schemes import Scheme, build_schedule
+from nps2.simnet import (
+    NO_FAILURES,
+    FailurePattern,
+    SweepReport,
+    generate_source_data,
+    run_session,
+    sweep_failures,
+    trace_lines,
+)
+from test_codec_properties import PRIMITIVE_POLYS
 
 # no digits, so no drawn string can name an n above the bound
 JUNK = st.one_of(
@@ -216,3 +230,108 @@ def test_trace_and_report_may_share_a_device(capsys):
     assert run(cfg) == 0
     assert "report written" in capsys.readouterr().out
     assert not os.path.isfile(os.devnull)
+
+
+@st.composite
+def streamed(draw):
+    """The argv of a small run or sweep over GF(2^m), m in 1..16, with 1-4
+    sessions, and whether it asks for a trace and a report."""
+    mode = draw(st.sampled_from(["run", "sweep"]))
+    m = draw(st.integers(1, 16))
+    ns = {scheme: [n for n in range(3, 9) if n - 2 < 1 << m and (
+        scheme is Scheme.NPS2_I or n % 2 == 0 and n >= 4)] for scheme in Scheme}
+    scheme = draw(st.sampled_from([s for s in Scheme if ns[s]]))
+    n = draw(st.sampled_from(ns[scheme]))
+    argv = [mode, "--scheme", scheme.value, "--n", str(n), "--field-m", str(m),
+            "--field-poly", f"{PRIMITIVE_POLYS[m]:x}", "--field-gen", "1" if m == 1 else "2",
+            "--sessions", str(draw(st.integers(1, 4))), "--seed", str(draw(st.integers(0, 2**32)))]
+    if mode == "run":
+        failure = draw(st.sampled_from(["none", "fail", "fail-random"]))
+        if failure == "fail":
+            paths = draw(st.lists(st.integers(1, n), min_size=1, max_size=3, unique=True))
+            argv += ["--fail", ",".join(map(str, paths))]
+        elif failure == "fail-random":
+            argv += ["--fail-random", str(draw(st.integers(0, min(n, 3))))]
+    return argv, draw(st.booleans()), draw(st.booleans())
+
+
+def eager(config) -> tuple[list, dict]:
+    """Every session's result of a run or sweep, from the whole data tensor
+    drawn at once, and the report built from the list of results."""
+    n, field, count = config.n, config.field, config.sessions
+    rounds = build_schedule(config.scheme, n).rounds
+    tensor = generate_source_data(n, rounds, count, config.seed, field)
+    if config.mode == "sweep":
+        results = [r for idx in range(count) for r in sweep_failures(
+            config.scheme, n, field, session_index=idx, data=tensor[idx]).results]
+    else:
+        rng = random.Random(config.seed)
+        results = []
+        for idx in range(count):
+            if config.fail_paths is not None:
+                pattern = FailurePattern(config.fail_paths)
+            elif config.fail_random is not None:
+                pattern = FailurePattern(rng.sample(range(1, n + 1), config.fail_random))
+            else:
+                pattern = NO_FAILURES
+            results.append(run_session(config.scheme, n, field, pattern, session_index=idx,
+                                       data=tensor[idx]))
+    batch = SweepReport(tuple(results))
+    return results, {
+        "generated_at": "",
+        "config": config.echo(),
+        "schedule_capacity": f"{n - 2}/{n}",
+        "results": [_session_entry(r) for r in results],
+        "scenario_histogram": batch.scenario_histogram,
+        "recovered_count_total": batch.recovered_total,
+        "complete_rate": batch.complete_rate,
+        "all_complete": batch.complete_count == batch.session_count,
+    }
+
+
+def scrub(text: str) -> list[str]:
+    return [line for line in text.splitlines(True) if '"generated_at"' not in line]
+
+
+@settings(max_examples=60, deadline=None)
+@given(streamed())
+def test_streamed_outputs_match_an_eager_reference(case):
+    argv, traced, reported = case
+    with tempfile.TemporaryDirectory() as root:
+        trace, report = os.path.join(root, "t.jsonl"), os.path.join(root, "r.json")
+        argv = argv + ["--trace", trace] * traced + ["--report", report] * reported
+        config = parse_config(argv)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = run(config)
+        results, expect = eager(config)
+        text = json.dumps(expect, indent=2, sort_keys=True) + "\n"
+        assert code == (0 if expect["all_complete"] else 1)
+        if reported:
+            with open(report, encoding="utf-8") as fh:
+                assert scrub(fh.read()) == scrub(text)
+            total, completed = len(results), sum(r.complete for r in results)
+            assert out.getvalue() == (
+                f"{config.mode}: {completed}/{total} sessions complete, "
+                f"schedule capacity {expect['schedule_capacity']}, report written to {report}\n")
+        else:
+            assert scrub(out.getvalue()) == scrub(text)
+        if traced:
+            with open(trace, encoding="utf-8") as fh:
+                assert fh.read() == "".join(line + "\n" for r in results for line in trace_lines(r))
+        asked = [name for name, wanted in (("r.json", reported), ("t.jsonl", traced)) if wanted]
+        assert sorted(os.listdir(root)) == asked
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON, st.sampled_from(["", "  ", "    "]))
+def test_json_writer_matches_json_dumps(obj, indent):
+    expect = json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+    assert _json(obj, indent) == expect

@@ -4,9 +4,12 @@ tensor, the grid and encode_pair, both for data that run_session draws from
 a seed and for given data, and transmit_round returns the same payloads. The ``delivered`` maps of a result and of a round equal an eager
 collector's map, key order included, and a result builds its map only when
 it is first read. run_session equals a session pieced together round by
-round from transmit_round and recover_round."""
+round from transmit_round and recover_round. generate_source_data draws
+the randrange stream, and a shared RNG drawn one session at a time
+continues it."""
 
 import json
+import random
 import tracemalloc
 
 from hypothesis import given, settings, strategies as st
@@ -110,6 +113,22 @@ def test_trace_line_is_json_dumps_of_record(case):
     assert lines == [json.dumps(rec, sort_keys=True, separators=(",", ":"))
                      for rec in records(session_index, expect)]
     assert {len(json.loads(line)["payload_hex"]) for line in lines} <= {(field.m + 3) // 4}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 16), st.integers(0, 2**64), st.integers(1, 4), st.integers(1, 4),
+       st.integers(1, 3))
+def test_draws_are_the_randrange_stream(m, seed, n, rounds, count):
+    # the tensor is rng.randrange(q) drawn in [session][source][unit] order,
+    # and a shared rng drawn one session at a time continues that stream
+    field = FIELDS[m]
+    rng = random.Random(seed)
+    expect = [[[field.element(rng.randrange(field.q)) for _ in range(rounds)]
+               for _ in range(n)] for _ in range(count)]
+    assert generate_source_data(n, rounds, count, seed, field) == expect
+    shared = random.Random(seed)
+    assert [generate_source_data(n, rounds, 1, shared, field)[0] for _ in range(count)] == expect
+    assert shared.getstate() == rng.getstate()
 
 
 def round_by_round(scheme, n, field, failure, session_index, sum_only, data):
