@@ -12,13 +12,12 @@ import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .codec import build_rows, check_width
 from .field import DEFAULT_GENERATOR, DEFAULT_M, DEFAULT_REDUCTION_POLY, FieldSpec
 from .schemes import Scheme, build_schedule, check_path_count, schedule_labels
 from .simnet import (
-    NO_FAILURES,
     FailurePattern,
     SessionResult,
     generate_source_data,
@@ -264,34 +263,54 @@ def _in_place(target: str) -> bool:
     return os.path.exists(target) and not os.path.isfile(target)
 
 
-def _write_files(outputs: Sequence[tuple[str, Iterable[str]]]) -> None:
-    """Write each (path, chunks) output so that none appears before all are
-    written. A regular or new file is streamed to a temp file beside the file
-    its path resolves to, and renamed over it once every write has succeeded;
-    an _in_place target is written in place. On any exception no renamed
-    output and no temp file is left; an OSError is raised again naming the path."""
-    staged: list[tuple[str, str, str]] = []  # (path, temp file, target)
+@contextlib.contextmanager
+def _staged(*paths: str | None) -> Iterator[list]:
+    """Open an output for each path before the block runs, and place them all
+    only after it ends; the block gets each path's _writer, or None for None.
+    A regular or new file is written to a temp file beside the file its path
+    resolves to and renamed over it, an _in_place target in place. On any
+    exception no temp file and no placed output is left, and an OSError from
+    opening, writing, closing or placing an output names its path."""
+    opened: list[tuple[str, TextIO, str | None, str]] = []  # (path, file, temp file, target)
     placed: list[str] = []
-    path = None
+    path = None  # the output being opened, closed or placed
     try:
-        for path, chunks in outputs:
+        for path in filter(None, paths):
             target = os.path.realpath(path)
-            in_place = _in_place(target)
-            tmp = target if in_place else f"{target}.{os.urandom(4).hex()}.tmp"
-            with open(tmp, "w" if in_place else "x", encoding="utf-8") as fh:
-                if not in_place:
-                    staged.append((path, tmp, target))
-                fh.writelines(chunks)
-        for path, tmp, target in staged:
-            os.replace(tmp, target)
-            placed.append(target)
+            tmp = None if _in_place(target) else f"{target}.{os.urandom(4).hex()}.tmp"
+            fh = open(tmp or target, "x" if tmp else "w", encoding="utf-8")
+            opened.append((path, fh, tmp, target))
+        path = None
+        writers = iter([_writer(p, fh) for p, fh, _, _ in opened])
+        yield [next(writers) if p else None for p in paths]
+        for path, fh, _, _ in opened:
+            fh.close()
+        for path, _, tmp, target in opened:
+            if tmp:
+                os.replace(tmp, target)
+                placed.append(target)
     except BaseException as exc:
-        for leftover in [tmp for _, tmp, _ in staged] + placed:
+        for _, fh, _, _ in opened:
+            with contextlib.suppress(OSError):
+                fh.close()
+        for leftover in [tmp for _, _, tmp, _ in opened if tmp] + placed:
             with contextlib.suppress(OSError):
                 os.remove(leftover)
-        if isinstance(exc, OSError):
+        if isinstance(exc, OSError) and path is not None:
             raise OSError(exc.errno, exc.strerror, path) from exc
         raise
+
+
+def _writer(path: str, file: TextIO) -> Callable[[str], None]:
+    """Write text through to ``file``, so that none is left for a close to
+    fail on, raising an OSError again naming ``path``."""
+    def write(text: str) -> None:
+        try:
+            file.write(text)
+            file.flush()
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from exc
+    return write
 
 
 def _json(obj, indent: str = "") -> str:
@@ -322,25 +341,18 @@ def _finish(config: RunConfig, results: Iterable[SessionResult]) -> int:
     capacity = f"{config.n - 2}/{config.n}"
     total = completed = recovered = 0
     histogram: dict[str, int] = {}
-
-    def spooled(spool) -> Iterator[SessionResult]:
-        """Each result, once its report entry is in ``spool``, indented as
-        in the ``results`` list of the whole report, and in the totals."""
-        nonlocal total, completed, recovered
+    with tempfile.TemporaryFile("w+", encoding="utf-8") as spool, \
+            _staged(config.trace_path, config.report_path) as (trace, report):
         for result in results:
+            if trace:
+                trace("".join(line + "\n" for line in trace_lines(result)))
+            # the entry indented as in the results list of the whole report
             spool.write(f"{',' if total else ''}\n    {_json(_session_entry(result), '    ')}")
             total += 1
             completed += result.complete
             recovered += result.recovered_count
             scenario = result.scenario.value
             histogram[scenario] = histogram.get(scenario, 0) + 1
-            yield result
-
-    def report(spool, sessions) -> Iterator[str]:
-        """The report's chunks once ``sessions`` is exhausted: the head up to
-        the ``results`` list, the spooled entries, then the tail."""
-        for _ in sessions:  # whatever the trace left unread
-            pass
         text = _json({
             "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
             "config": config.echo(),
@@ -352,59 +364,37 @@ def _finish(config: RunConfig, results: Iterable[SessionResult]) -> int:
             "all_complete": completed == total,
         })
         head, _, tail = text.partition('"results": []')
-        yield head + '"results": ['
+        write = report or sys.stdout.write
+        write(head + '"results": [')
         spool.seek(0)
-        yield from spool
-        yield "\n  ]" + tail + "\n"
-
-    with tempfile.TemporaryFile("w+", encoding="utf-8") as spool:
-        sessions = spooled(spool)
-        report_chunks = report(spool, sessions)
-        outputs = []
-        if config.trace_path:
-            trace = (line + "\n" for r in sessions for line in trace_lines(r))
-            outputs.append((config.trace_path, trace))
-        if config.report_path:
-            outputs.append((config.report_path, report_chunks))
-        _write_files(outputs)
-        if not config.report_path:
-            sys.stdout.writelines(report_chunks)
-    if config.report_path:
-        print(
-            f"{config.mode}: {completed}/{total} sessions complete, "
-            f"schedule capacity {capacity}, report written to {config.report_path}"
-        )
+        while chunk := spool.read(1 << 16):
+            write(chunk)
+        write("\n  ]" + tail + "\n")
+        if report:
+            print(
+                f"{config.mode}: {completed}/{total} sessions complete, "
+                f"schedule capacity {capacity}, report written to {config.report_path}"
+            )
+        sys.stdout.flush()  # so that a failing stdout fails here, in the block
     return 0 if completed == total else 1
 
 
-def _session_data(config: RunConfig) -> Iterator[list]:
-    """Each session's source data in turn, drawn from one shared RNG, so
-    session idx gets what a draw of idx + 1 sessions gives it."""
+def _sessions(config: RunConfig) -> Iterator[SessionResult]:
+    """Each session's results in turn, its data drawn from one shared RNG,
+    so that session idx gets what a draw of idx + 1 sessions gives it."""
     rounds = build_schedule(config.scheme, config.n).rounds
-    rng = random.Random(config.seed)
-    for _ in range(config.sessions):
-        yield generate_source_data(config.n, rounds, 1, rng, config.field)[0]
-
-
-def _cmd_run(config: RunConfig) -> Iterator[SessionResult]:
-    pattern_rng = random.Random(config.seed)
-    for idx, data in enumerate(_session_data(config)):
-        if config.fail_paths is not None:
-            pattern = FailurePattern(config.fail_paths)
-        elif config.fail_random is not None:
-            pattern = FailurePattern(
-                pattern_rng.sample(range(1, config.n + 1), config.fail_random)
-            )
-        else:
-            pattern = NO_FAILURES
-        yield run_session(config.scheme, config.n, config.field, pattern,
+    data_rng, pattern_rng = random.Random(config.seed), random.Random(config.seed)
+    for idx in range(config.sessions):
+        data = generate_source_data(config.n, rounds, 1, data_rng, config.field)[0]
+        if config.mode == "sweep":
+            yield from sweep_failures(config.scheme, config.n, config.field, session_index=idx,
+                                      data=data).results
+            continue
+        failed = config.fail_paths or ()
+        if config.fail_random is not None:
+            failed = pattern_rng.sample(range(1, config.n + 1), config.fail_random)
+        yield run_session(config.scheme, config.n, config.field, FailurePattern(failed),
                           session_index=idx, data=data)
-
-
-def _cmd_sweep(config: RunConfig) -> Iterator[SessionResult]:
-    for idx, data in enumerate(_session_data(config)):
-        yield from sweep_failures(config.scheme, config.n, config.field, session_index=idx,
-                                  data=data).results
 
 
 def _cmd_dump_schedule(config: RunConfig) -> int:
@@ -447,15 +437,18 @@ def _cmd_dump_rows(config: RunConfig) -> int:
 
 def run(config: RunConfig) -> int:
     """Execute the configured mode; 0 exit only if every session completed."""
-    streams = {"run": _cmd_run, "sweep": _cmd_sweep}
     dumps = {"dump-schedule": _cmd_dump_schedule, "dump-rows": _cmd_dump_rows}
     try:
-        if config.mode in streams:
-            return _finish(config, streams[config.mode](config))
-        return dumps[config.mode](config)
+        if config.mode in dumps:
+            return dumps[config.mode](config)
+        return _finish(config, _sessions(config))
     except OSError as exc:
         target = exc.filename or "standard output"
         print(f"nps2: error: cannot write {target}: {exc.strerror}", file=sys.stderr)
+        if exc.filename is None:  # exit would flush stdout's unwritten bytes again, and fail
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return 2
 
 

@@ -61,7 +61,8 @@ class SessionSchedule:
     number of rounds up to r in which it worked. grid[r-1][p-1] is path p's
     slot in round r and protected[r-1] the round's working slots in rank
     order; both share their Slots and ProtectedSlots with every schedule on
-    n paths. Equality and hash are by (scheme, n, pairs); ValueError unless
+    n paths. units[p-1] is the number of data units path p sends in the
+    session. Equality and hash are by (scheme, n, pairs); ValueError unless
     there are 1..n rounds, each on two distinct carriers in 1..n.
     """
 
@@ -71,6 +72,7 @@ class SessionSchedule:
     grid: tuple[tuple[Slot, ...], ...] = dc_field(init=False, repr=False, compare=False)
     protected: tuple[tuple[ProtectedSlot, ...], ...] = dc_field(
         init=False, repr=False, compare=False)
+    units: tuple[int, ...] = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.n
@@ -94,6 +96,7 @@ class SessionSchedule:
             protected.append(tuple(work))
         object.__setattr__(self, "grid", tuple(grid))
         object.__setattr__(self, "protected", tuple(protected))
+        object.__setattr__(self, "units", tuple(sent))
 
     @property
     def rounds(self) -> int:

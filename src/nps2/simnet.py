@@ -333,10 +333,9 @@ def run_session(
                                     field)[session_index]
     if not (type(data) is tuple and all(type(row) is tuple for row in data)):
         data = tuple(map(tuple, data))
-    carried = Counter(p for pair in schedule.pairs for p in pair)
-    need = [schedule.rounds - carried[p] for p in range(1, n + 1)]
-    if len(data) != n or any(map(int.__gt__, need, map(len, data))):
-        raise ValueError(f"data must be {n} rows at least {need} long, got {list(map(len, data))}")
+    if len(data) != n or any(map(int.__gt__, schedule.units, map(len, data))):
+        raise ValueError(f"data must be {n} rows at least {list(schedule.units)} long, "
+                         f"got {list(map(len, data))}")
 
     solved: list[FieldElement] = []
     received: list[FieldElement | None] = []

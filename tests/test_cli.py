@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from nps2.cli import _write_files, main, parse_config, run
+from nps2.cli import _staged, main, parse_config, run
 from nps2.schemes import Scheme
 
 
@@ -292,14 +292,70 @@ def test_unwritable_report_names_path(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
-def test_write_files_cleans_up_on_any_exception(error, tmp_path):
-    def chunks():
-        yield "partial"
-        raise error("stopped mid-write")
-
-    outputs = [(str(tmp_path / "t.jsonl"), ["done\n"]), (str(tmp_path / "r.json"), chunks())]
+def test_staged_cleans_up_on_any_exception(error, tmp_path):
+    paths = str(tmp_path / "t.jsonl"), None, str(tmp_path / "r.json")
     with pytest.raises(error, match="stopped mid-write"):
-        _write_files(outputs)
+        with _staged(*paths) as (trace, absent, report):
+            assert absent is None
+            trace("done\n")
+            report("partial")
+            raise error("stopped mid-write")
+    assert os.listdir(tmp_path) == []
+
+
+def test_unopenable_report_fails_before_any_session(tmp_path, capsys, monkeypatch):
+    import nps2.cli
+
+    calls = []
+    original = nps2.cli.run_session
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["session_index"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(nps2.cli, "run_session", counting)
+    monkeypatch.chdir(tmp_path)
+    cfg = parse_config(["run", "--n", "8", "--sessions", "50", "--fail-random", "2",
+                        "--trace", "t.jsonl", "--report", "nodir/r.json"])
+    assert run(cfg) == 2
+    assert calls == []
+    assert "nps2: error: cannot write nodir/r.json" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("outputs", [["--trace", "t.jsonl"],
+                                     ["--trace", "t.jsonl", "--report", "r.json"]],
+                         ids=["report", "summary"])
+def test_failed_stdout_leaves_no_output(outputs, tmp_path, capsys, monkeypatch):
+    # the report or the summary line goes to stdout inside the staged block,
+    # so its failure removes the outputs; the spool goes to tmp_path too
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.chdir(tmp_path)
+    with open("/dev/full", "w") as full:
+        monkeypatch.setattr("sys.stdout", full)
+        cfg = parse_config(["run", "--n", "6", "--fail", "2"] + outputs)
+        assert run(cfg) == 2
+    assert "nps2: error: cannot write standard output: No space left on device" in \
+        capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("outputs", [
+    ["--trace", "/dev/full"],
+    ["--report", "/dev/full"],
+    ["--trace", "/dev/full", "--report", "r.json"],
+    ["--trace", "t.jsonl", "--report", "/dev/full"],
+], ids=["trace", "report", "trace-with-report", "report-with-trace"])
+def test_full_device_is_named(outputs, tmp_path, capsys, monkeypatch):
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    monkeypatch.chdir(tmp_path)
+    assert run(parse_config(["run", "--n", "6", "--fail", "2"] + outputs)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "nps2: error: cannot write /dev/full: No space left on device" in err
     assert os.listdir(tmp_path) == []
 
 

@@ -189,7 +189,7 @@ def test_null_counts_as_absent(tmp_path):
 
 @pytest.mark.parametrize("report", ["nodir/r.json", "."])
 def test_failed_write_leaves_no_output(report, tmp_path, capsys, monkeypatch):
-    # "nodir" fails before anything is placed; "." fails after the trace is
+    # both fail when the report is opened, before any session runs
     monkeypatch.chdir(tmp_path)
     cfg = parse_config(["sweep", "--n", "4", "--trace", "t.jsonl", "--report", report])
     assert run(cfg) == 2

@@ -101,6 +101,13 @@ def test_round_structure(scheme, n, session_index):
         assert kinds.count(SlotKind.WORKING) == sched.n - 2
 
 
+@pytest.mark.parametrize("sched", [build_schedule(*case) for case in ROUND_STRUCTURE_CASES] + [
+    SessionSchedule(Scheme.NPS2_I, 5, ((1, 2), (2, 3), (5, 1)))])
+def test_units_count_each_paths_working_rounds(sched):
+    carries = [sum(p in pair for pair in sched.pairs) for p in range(1, sched.n + 1)]
+    assert sched.units == tuple(sched.rounds - c for c in carries)
+
+
 def test_nps2ii_fairness():
     for n in (4, 6, 8, 12):
         sched = build_schedule(Scheme.NPS2_II, n)
