@@ -9,7 +9,7 @@ polynomial.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from operator import index
 
 DEFAULT_M = 8
 DEFAULT_REDUCTION_POLY = 0x11D  # x^8 + x^4 + x^3 + x^2 + 1
@@ -82,13 +82,17 @@ class FieldSpec:
             v <<= 1
             if v & q:
                 v ^= poly
-        ints = list(range(q))  # the one int object per value that both tables hold
-        # exp is doubled, so a sum of two logs needs no reduction
-        exp, log, x, mask = [0] * (2 * order), [0] * q, 1, (1 << h) - 1
-        for i in islice(ints, order):
-            exp[i] = exp[i + order] = ints[x]
+        if m > 8:  # 16-bit arrays keep no int object per value, as lists would
+            from array import array
+            exp, log = array("H", bytes(4 * order)), array("H", bytes(2 * q))
+        else:  # every value is a cached small int, and a list is the faster read
+            exp, log = [0] * (2 * order), [0] * q
+        x, mask = 1, (1 << h) - 1
+        for i in range(order):
+            exp[i] = x
             log[x] = i
             x = lo[x & mask] ^ hi[x >> h]
+        exp[order:] = exp[:order]  # doubled, so a sum of two logs needs no reduction
         if exp.count(1) > 2:  # the walk returned to 1 early, at the first such i
             raise ValueError(
                 f"generator 0x{self.generator:x} has order {exp.index(1, 1)}, "
@@ -107,12 +111,13 @@ class FieldSpec:
     def element(self, value: int) -> FieldElement:
         """The immutable element of this spec holding ``value``: one shared
         instance per value below 256 (every value for m <= 8), a fresh one
-        above, whose ``value`` is the tables' own int object."""
+        above. ``value`` must be an int (a bool counts as 0 or 1)."""
         element = self._elements.get(value)
         if element is None:  # most GF(2^16) draws miss, and a KeyError costs more than .get
+            value = index(value)  # TypeError for a float, the plain int for a bool
             if not 0 <= value < self.q:
                 raise ValueError(f"value 0x{value:x} is outside GF(2^{self.m})")
-            element = FieldElement(self._exp[self._log[value]] if value else 0, self)
+            element = FieldElement(value, self)
             if value < 256:
                 self._elements[value] = element
         return element

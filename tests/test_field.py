@@ -1,11 +1,17 @@
 """GF(2^m) arithmetic, checked exhaustively for small m against a
 schoolbook polynomial oracle."""
 
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from array import array
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import nps2
 from nps2.field import FieldMismatchError, FieldSpec
 from test_codec_properties import PRIMITIVE_POLYS
 
@@ -248,7 +254,7 @@ def built_tables(m: int, poly: int, g: int):
         f = FieldSpec(m, poly, g)
     except ValueError as exc:
         return str(exc)
-    return f._exp, f._log
+    return list(f._exp), list(f._log)
 
 
 @pytest.mark.parametrize("m", sorted(PRIMITIVE_POLYS))
@@ -261,6 +267,15 @@ def test_tables_match_shift_and_add_walk(m):
         assert isinstance(expected, tuple) or g == 3  # the tabulated generator is primitive
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(7, 10), st.data())
+def test_tables_match_the_walk_on_both_sides_of_the_array_switch(m, data):
+    # lists up to GF(2^8), arrays above: either gives the walk's tables or its message
+    poly = PRIMITIVE_POLYS[m]
+    g = data.draw(st.integers(2, (1 << m) - 1), label="generator")
+    assert built_tables(m, poly, g) == walk_tables(m, poly, g)
+
+
 def test_reducible_polynomial_message():
     # x^4 + x^2 + 1 = (x^2 + x + 1)^2: the walk of 0x7 never returns to 1
     with pytest.raises(ValueError) as exc:
@@ -268,20 +283,58 @@ def test_reducible_polynomial_message():
     assert str(exc.value) == "generator 0x7 does not have order 15; 0x15 may be reducible"
 
 
-def test_tables_share_one_int_per_value():
-    f = FieldSpec(16, 0x1100B, 2)
-    assert len({id(v) for v in f._exp} | {id(v) for v in f._log[1:]}) <= f.q
-    element = f.element(40000)
-    assert element.value is f._exp[f._log[40000]]
-    assert f.element(0).value == 0
+def test_tables_are_lists_to_gf256_and_16_bit_arrays_above():
+    for m in (1, 8, 9, 16):
+        f = FieldSpec(m, PRIMITIVE_POLYS[m], 1 if m == 1 else 2)
+        for table, size in ((f._exp, 2 * (f.q - 1)), (f._log, f.q)):
+            assert len(table) == size
+            if m <= 8:
+                assert type(table) is list
+            else:
+                assert type(table) is array and table.typecode == "H"
+    assert type(f.element(40000).value) is int
+
+
+@pytest.mark.parametrize("m", [8, 16])
+def test_element_takes_ints_only(m):
+    f = FieldSpec(m, PRIMITIVE_POLYS[m], 2)
+    one = f.element(True)  # before 1 is boxed
+    assert type(one.value) is int and one.value == 1
+    assert type(f.element(True).value) is int and f.element(True) is one  # after
+    for value in (v for v in (3, 40000) if v < f.q):  # in the cached range and above it
+        with pytest.raises(TypeError):
+            f.element(float(value))
+    for value in (f.q, -1):
+        with pytest.raises(ValueError, match="is outside"):
+            f.element(value)
 
 
 def test_gf65536_tables_stay_small():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
         f = FieldSpec(16, 0x1100B, 2)
-        held = tracemalloc.get_traced_memory()[0] - before
+        held, peak = (v - before for v in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
-    assert f.q == 1 << 16 and held <= 3.6 * 2**20
+    assert f.q == 1 << 16 and held <= 0.5 * 2**20 and peak <= 0.75 * 2**20
+
+
+def test_gf256_sweep_never_imports_array():
+    # only a table build above GF(2^8) loads the array module
+    code = (
+        "import sys\n"
+        "from nps2.cli import parse_config, run\n"
+        "assert run(parse_config(['sweep', '--scheme', 'nps2-i', '--n', '6'])) == 0\n"
+        "assert 'array' not in sys.modules, 'GF(2^8)'\n"
+        "run(parse_config(['run', '--n', '6', '--field-m', '16', '--field-poly', '1100b']))\n"
+        "assert 'array' in sys.modules, 'GF(2^16)'\n"
+    )
+    src = os.path.dirname(os.path.dirname(nps2.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
