@@ -9,8 +9,8 @@ import json
 import os
 import random
 import sys
+import time
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
@@ -354,7 +354,7 @@ def _finish(config: RunConfig, results: Iterable[SessionResult]) -> int:
             scenario = result.scenario.value
             histogram[scenario] = histogram.get(scenario, 0) + 1
         text = _json({
-            "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+            "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()),
             "config": config.echo(),
             "schedule_capacity": capacity,
             "results": [],

@@ -53,8 +53,8 @@ class CoefficientRows:
         if not sum_only:
             check_width(width, field)
         row_sum = (field.one(),) * width
-        # generator^t comes straight off the field's exp table
-        row_weighted = row_sum if sum_only else tuple(map(field.element, field._exp[:width]))
+        # generator^t straight off the field's exp table, via a list: a map has no length hint
+        row_weighted = row_sum if sum_only else tuple([*map(field.element, field._exp[:width])])
         object.__setattr__(self, "row_sum", row_sum)
         object.__setattr__(self, "row_weighted", row_weighted)
 

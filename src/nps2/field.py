@@ -8,6 +8,7 @@ polynomial.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from operator import index
 
@@ -18,6 +19,36 @@ DEFAULT_GENERATOR = 0x02
 
 class FieldMismatchError(ValueError):
     """Elements from differently configured fields were combined."""
+
+
+def _spans(c: int, poly: int, q: int, low: int, high: int) -> tuple[list[int], list[int]]:
+    """c * x as lo[x % 2^low] ^ hi[x >> low], since it is GF(2)-linear in x."""
+    lo, hi = [0], [0]
+    for t in [lo] * low + [hi] * high:
+        t += [x ^ c for x in t]
+        c <<= 1
+        if c & q:
+            c ^= poly
+    return lo, hi
+
+
+def _double(powers: list[int], c: int, poly: int, q: int) -> bytearray:
+    """g^0 .. g^(q-1) as native 16-bit values, from the first powers and c, the next
+    one: each pass appends c times the known powers, by split-table lookups on byte
+    planes (as in RAID-6 and Plank, Greenan and Miller, FAST 2013), and squares c."""
+    planes = [bytearray(x >> s & 255 for x in powers) for s in (0, 8)]  # low, high
+    while len(planes[0]) < q:
+        lo, hi = _spans(c, poly, q, 8, 8)  # by the low and by the high byte of x
+        low_lo, high_lo, low_hi, high_hi = (
+            int.from_bytes(p.translate(bytes(x >> s & 255 for x in t)), "little")
+            for s in (0, 8) for p, t in zip(planes, (lo, hi)))
+        n = len(planes[0])
+        planes[0] += (low_lo ^ high_lo).to_bytes(n, "little")
+        planes[1] += (low_hi ^ high_hi).to_bytes(n, "little")
+        c = lo[c & 255] ^ hi[c >> 8]
+    packed, low_at = bytearray(2 * q), int(sys.byteorder == "big")
+    packed[low_at::2], packed[1 - low_at::2] = planes
+    return packed
 
 
 class FieldSpec:
@@ -33,8 +64,9 @@ class FieldSpec:
     generator : int
         Element whose multiplicative order must be exactly 2^m - 1.
 
-    Construction walks the generator's powers to build exp/log tables.
-    That walk doubles as validation: a full cycle of length 2^m - 1 is
+    Construction walks the generator's first powers and, for m > 8, doubles
+    them by byte-plane table lookups to build the exp/log tables. The
+    powers double as validation: a full cycle of length 2^m - 1 is
     possible only if the polynomial is irreducible and the generator is
     primitive, which the coefficient rows rely on for distinct weights.
     """
@@ -72,39 +104,37 @@ class FieldSpec:
 
     def _build_tables(self) -> None:
         m, q, poly, g = self.m, self.q, self.reduction_poly, self.generator
-        order = q - 1
-        # x * g is GF(2)-linear in x, so it is lo[x & mask] ^ hi[x >> h], where
-        # lo and hi span the products of g with x^k below and above bit h
-        h = (m + 1) // 2
-        lo, hi, v = [0], [0], g
-        for t in [lo] * h + [hi] * (m - h):
-            t += [x ^ v for x in t]
-            v <<= 1
-            if v & q:
-                v ^= poly
-        if m > 8:  # 16-bit arrays keep no int object per value, as lists would
-            from array import array
-            exp, log = array("H", bytes(4 * order)), array("H", bytes(2 * q))
-        else:  # every value is a cached small int, and a list is the faster read
-            exp, log = [0] * (2 * order), [0] * q
-        x, mask = 1, (1 << h) - 1
-        for i in range(order):
-            exp[i] = x
-            log[x] = i
+        order, width = q - 1, 1 if m <= 8 else 2  # bytes a packed power takes
+        h = (m + 1) // 2  # walk the first min(q, 256) powers, x * g as lo[x & mask] ^ hi[x >> h]
+        lo, hi = _spans(g, poly, q, h, m - h)
+        powers, x, mask = [0] * min(q, 256), 1, (1 << h) - 1
+        for i in range(len(powers)):
+            powers[i] = x
             x = lo[x & mask] ^ hi[x >> h]
-        exp[order:] = exp[:order]  # doubled, so a sum of two logs needs no reduction
-        if exp.count(1) > 2:  # the walk returned to 1 early, at the first such i
+        if m <= 8:  # every value is a cached small int, and a list is the faster read
+            packed, exp, log = bytes(powers), powers[:order] * 2, [0] * q
+        else:  # 16-bit arrays keep no int object per value, as lists would
+            from array import array
+            packed, exp, log = _double(powers, x, poly, q), array("H"), array("H", bytes(2 * q))
+        one = (1).to_bytes(width, sys.byteorder)  # the first 1 after g^0 is at g's order
+        i = packed.find(one, width, width * order)
+        while i > 0 and i % width:  # a match across two values
+            i = packed.find(one, i + 1, width * order)
+        if i > 0:
             raise ValueError(
-                f"generator 0x{self.generator:x} has order {exp.index(1, 1)}, "
-                f"expected {order}; not primitive"
+                f"generator 0x{g:x} has order {i // width}, expected {order}; not primitive"
             )
-        if x != 1:
+        if packed[-width:] != one:
             raise ValueError(
-                f"generator 0x{self.generator:x} does not have order {order}; "
-                f"0x{self.reduction_poly:x} may be reducible"
+                f"generator 0x{g:x} does not have order {order}; 0x{poly:x} may be reducible"
             )
-        self._exp = exp
-        self._log = log
+        if m > 8:  # doubled, so a sum of two logs needs no reduction
+            del packed[-width:]
+            exp.frombytes(packed)
+            exp.frombytes(packed)
+        for i, x in zip(range(order), exp):
+            log[x] = i
+        self._exp, self._log = exp, log
 
     # -- element construction -------------------------------------------
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
-from fractions import Fraction
 from functools import cache
 from typing import NamedTuple
 
@@ -179,6 +178,7 @@ def protected_slots(schedule: SessionSchedule, round_index: int) -> tuple[Protec
 
 def schedule_capacity(schedule: SessionSchedule) -> Fraction:
     """Fraction of path-slots carrying working data; (n-2)/n for both schemes."""
+    from fractions import Fraction  # loaded on first use: the run path never needs it
     return Fraction(sum(map(len, schedule.protected)), schedule.rounds * schedule.n)
 
 

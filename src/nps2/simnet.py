@@ -14,7 +14,6 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -138,6 +137,7 @@ class SessionResult:
     @property
     def normalized_capacity(self) -> Fraction:
         """The share of the n paths that stayed active for the session."""
+        from fractions import Fraction  # loaded on first use: the run path never needs it
         n = self.schedule.n
         return Fraction(n - len(self.failure), n)
 
@@ -332,7 +332,7 @@ def run_session(
         data = generate_source_data(n, schedule.rounds, session_index + 1, seed,
                                     field)[session_index]
     if not (type(data) is tuple and all(type(row) is tuple for row in data)):
-        data = tuple(map(tuple, data))
+        data = tuple([*map(tuple, data)])  # from a list: a map has no length hint
     if len(data) != n or any(map(int.__gt__, schedule.units, map(len, data))):
         raise ValueError(f"data must be {n} rows at least {list(schedule.units)} long, "
                          f"got {list(map(len, data))}")
@@ -369,7 +369,7 @@ def run_session(
         data=data,
         solved=tuple(solved),
         outcome=Outcome.COMPLETE if exact and not unrecoverable else Outcome.UNRECOVERABLE,
-        scenarios=tuple(plan[0] for plan in plans.values()),
+        scenarios=tuple([plan[0] for plan in plans.values()]),  # sized, as data is
         unrecoverable_rounds=tuple(unrecoverable),
         received=tuple(received),
     )
@@ -425,7 +425,7 @@ def sweep_failures(
     if data is None:
         data = generate_source_data(n, build_schedule(scheme, n, session_index).rounds,
                                     session_index + 1, seed, field)[session_index]
-    data = tuple(map(tuple, data))
+    data = tuple([*map(tuple, data)])  # from a list: a map has no length hint
     results = tuple(
         run_session(scheme, n, field, pattern, seed=seed, session_index=session_index,
                     sum_only=sum_only, data=data)

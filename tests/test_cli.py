@@ -1,8 +1,10 @@
 import gc
 import json
 import os
+import re
 import tempfile
 import tracemalloc
+from datetime import datetime, timezone
 
 import pytest
 
@@ -177,6 +179,16 @@ def test_run_random_failures_deterministic(tmp_path):
     b = json.loads(out2.read_text())
     a.pop("generated_at"), b.pop("generated_at")
     assert a == b
+
+
+def test_generated_at_is_utc_now_in_seconds(tmp_path):
+    # every byte comparison scrubs this line, so its shape and value are checked here
+    out = tmp_path / "r.json"
+    assert run(parse_config(["run", "--n", "6", "--fail", "2", "--report", str(out)])) == 0
+    stamp = json.loads(out.read_text())["generated_at"]
+    assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00", stamp), stamp
+    now = datetime.now(timezone.utc)
+    assert abs((datetime.fromisoformat(stamp) - now).total_seconds()) < 5
 
 
 def test_trace_ordering_and_stability(tmp_path):

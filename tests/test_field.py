@@ -267,13 +267,41 @@ def test_tables_match_shift_and_add_walk(m):
         assert isinstance(expected, tuple) or g == 3  # the tabulated generator is primitive
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(7, 10), st.data())
+def _any_field(m, data):
+    """Any degree-m polynomial with a constant term, reducible or not, and any
+    generator in 2..q-1 (1 for m = 1)."""
+    poly = 1 << m | data.draw(st.integers(0, (1 << m - 1) - 1), label="middle bits") << 1 | 1
+    return poly, 1 if m == 1 else data.draw(st.integers(2, (1 << m) - 1), label="generator")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 12), st.data())
 def test_tables_match_the_walk_on_both_sides_of_the_array_switch(m, data):
-    # lists up to GF(2^8), arrays above: either gives the walk's tables or its message
-    poly = PRIMITIVE_POLYS[m]
-    g = data.draw(st.integers(2, (1 << m) - 1), label="generator")
+    # lists up to GF(2^8), arrays doubled by byte planes above: either gives the
+    # walk's tables or its message
+    poly, g = _any_field(m, data)
     assert built_tables(m, poly, g) == walk_tables(m, poly, g)
+
+
+@settings(max_examples=6, deadline=None)  # the oracle walks up to 65,535 powers bit by bit
+@given(st.integers(13, 16), st.data())
+def test_tables_match_the_walk_up_to_gf65536(m, data):
+    poly, g = _any_field(m, data)
+    assert built_tables(m, poly, g) == walk_tables(m, poly, g)
+
+
+def test_gf65536_early_order_and_reducible_messages():
+    order3 = FieldSpec(16, 0x1100B, 2)._exp[65535 // 3]  # g^21845 has order 3
+    x16_plus_1 = 0x10001  # x^16 + 1 = (x + 1)^16
+    cases = {
+        (0x1100B, order3): f"generator 0x{order3:x} has order 3, expected 65535; not primitive",
+        (x16_plus_1, 0x2): "generator 0x2 has order 16, expected 65535; not primitive",
+        (x16_plus_1, 0x3): "generator 0x3 does not have order 65535; 0x10001 may be reducible",
+    }
+    for (poly, g), message in cases.items():
+        with pytest.raises(ValueError) as exc:
+            FieldSpec(16, poly, g)
+        assert str(exc.value) == message == walk_tables(16, poly, g)
 
 
 def test_reducible_polynomial_message():
@@ -322,12 +350,23 @@ def test_gf65536_tables_stay_small():
 
 
 def test_gf256_sweep_never_imports_array():
-    # only a table build above GF(2^8) loads the array module
+    # only a table build above GF(2^8) loads the array module, and only the two
+    # capacity readers load fractions (and with it decimal); nothing loads datetime
     code = (
         "import sys\n"
         "from nps2.cli import parse_config, run\n"
         "assert run(parse_config(['sweep', '--scheme', 'nps2-i', '--n', '6'])) == 0\n"
         "assert 'array' not in sys.modules, 'GF(2^8)'\n"
+        "loaded = {'fractions', 'decimal', 'datetime'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n"
+        "from nps2 import FailurePattern, FieldSpec, Scheme, build_schedule, run_session\n"
+        "from nps2 import schedule_capacity\n"
+        "capacity = schedule_capacity(build_schedule(Scheme.NPS2_I, 6))\n"
+        "result = run_session(Scheme.NPS2_II, 6, FieldSpec(), FailurePattern({2, 5}))\n"
+        "from fractions import Fraction\n"
+        "assert type(capacity) is Fraction and capacity == Fraction(2, 3), capacity\n"
+        "share = result.normalized_capacity\n"
+        "assert type(share) is Fraction and share == Fraction(2, 3), share\n"
         "run(parse_config(['run', '--n', '6', '--field-m', '16', '--field-poly', '1100b']))\n"
         "assert 'array' in sys.modules, 'GF(2^16)'\n"
     )
