@@ -11,7 +11,7 @@ import random
 import sys
 import time
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii
+from functools import cache
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .codec import build_rows, check_width
@@ -73,10 +73,13 @@ class RunConfig:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # every add_argument builds a formatter, which by default loads shutil (and bz2,
+    # lzma, zlib) for the terminal's width: only help and usage texts need that
     parser = argparse.ArgumentParser(
         prog="nps2",
         description="Simulate coded protection of n disjoint paths against "
         "one or two per-session link failures.",
+        formatter_class=lambda prog: argparse.HelpFormatter(prog, width=80),
     )
     parser.add_argument(
         "command",
@@ -100,6 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--trace", metavar="PATH", help="write a JSON-lines packet trace")
     parser.add_argument("--report", metavar="PATH", help="write the JSON report here")
     parser.add_argument("--json", action="store_true", help="JSON output for dumps")
+    parser.formatter_class = argparse.HelpFormatter
     return parser
 
 
@@ -242,20 +246,32 @@ def parse_config(argv: Sequence[str] | None = None) -> RunConfig:
     )
 
 
-def _session_entry(result: SessionResult) -> dict:
-    n = result.schedule.n
-    return {
-        "session": result.session_index,
-        "failed_paths": sorted(result.failure.failed_paths),
-        "outcome": result.outcome.value,
-        "scenario": result.scenario.value,
-        "round_scenarios": {
-            str(r): s.value for r, s in sorted(result.round_scenarios.items())
-        },
-        "recovered_count": result.recovered_count,
-        "normalized_capacity": f"{n - len(result.failure)}/{n}",
-        "detail": result.detail,
-    }
+@cache
+def _round_lines(pairs: tuple[tuple[int, int], ...]) -> str:
+    """An entry's round_scenarios lines in json's key order ("1", "10", ..., "2"), as a
+    str.format template of each round's pair's index in order of first use."""
+    first = {pair: i for i, pair in enumerate(dict.fromkeys(pairs))}
+    lines = sorted(f'"{r}": "{{{first[p]}}}"' for r, p in enumerate(pairs, 1))
+    return sys.intern(",\n        ".join(lines))  # one string for all NPS2-I pairs of an n
+
+
+def _entry(result: SessionResult, scenario: str) -> str:
+    """The session's report entry as json.dumps(indent=2, sort_keys=True) lays
+    it out, indented as in the report's results; ``scenario`` is the session's."""
+    n, failed, detail = result.schedule.n, result.failure.failed_paths, result.detail
+    paths = "[\n        " + ",\n        ".join(map(str, failed)) + "\n      ]" if failed else "[]"
+    return f"""{{
+      "detail": {"null" if detail is None else json.dumps(detail)},
+      "failed_paths": {paths},
+      "normalized_capacity": "{n - len(failed)}/{n}",
+      "outcome": "{result.outcome.value}",
+      "recovered_count": {len(result.solved)},
+      "round_scenarios": {{
+        {_round_lines(result.schedule.pairs).format(*[s.value for s in result.scenarios])}
+      }},
+      "scenario": "{scenario}",
+      "session": {result.session_index}
+    }}"""
 
 
 def _in_place(target: str) -> bool:
@@ -301,6 +317,18 @@ def _staged(*paths: str | None) -> Iterator[list]:
         raise
 
 
+def _spool(path: str | None) -> TextIO:
+    """A read-write file for the report's entries that leaves no name behind:
+    for a report file, a temp file beside its target, unlinked once open."""
+    target = path and os.path.realpath(path)
+    if not target or _in_place(target):
+        import tempfile  # only for a report to stdout or to a device
+        return tempfile.TemporaryFile("w+", encoding="utf-8")
+    spool = open(tmp := f"{target}.{os.urandom(4).hex()}.tmp", "x+", encoding="utf-8")
+    os.remove(tmp)
+    return spool
+
+
 def _writer(path: str, file: TextIO) -> Callable[[str], None]:
     """Write text through to ``file``, so that none is left for a close to
     fail on, raising an OSError again naming ``path``."""
@@ -313,45 +341,28 @@ def _writer(path: str, file: TextIO) -> Callable[[str], None]:
     return write
 
 
-def _json(obj, indent: str = "") -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)`` of JSON data keyed by
-    strings, with ``indent`` before each line but the first. json's own
-    indenting encoder builds a cycle of closures on each call, which a call
-    per session would leave to the cycle collector; this builds none."""
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if type(obj) is int:  # most leaves; json.dumps would build an encoder for each
-        return repr(obj)
-    if not (obj and isinstance(obj, (dict, list))):
-        return json.dumps(obj)  # a float, true, false, null, [] or {}
-    inner = indent + "  "
-    sep = ",\n" + inner
-    if isinstance(obj, dict):
-        items = sep.join(f"{encode_basestring_ascii(key)}: {_json(value, inner)}"
-                         for key, value in sorted(obj.items()))
-        return f"{{\n{inner}{items}\n{indent}}}"
-    return f"[\n{inner}{sep.join(_json(value, inner) for value in obj)}\n{indent}]"
+def _json(obj) -> str:
+    """The CLI's JSON layout, for the report's head and tail and the dumps;
+    a report entry, written once a session, has its own f-string."""
+    return json.dumps(obj, indent=2, sort_keys=True)
 
 
 def _finish(config: RunConfig, results: Iterable[SessionResult]) -> int:
     """Consume the session stream once: write each session's trace lines
     and report entry as it ends, and keep only the report's totals."""
-    import tempfile  # not at module level: `import nps2.cli` need not load it
-
     capacity = f"{config.n - 2}/{config.n}"
     total = completed = recovered = 0
     histogram: dict[str, int] = {}
-    with tempfile.TemporaryFile("w+", encoding="utf-8") as spool, \
-            _staged(config.trace_path, config.report_path) as (trace, report):
+    with _staged(config.trace_path, config.report_path) as (trace, report), \
+            _spool(config.report_path) as spool:
         for result in results:
-            if trace:
-                trace("".join(line + "\n" for line in trace_lines(result)))
-            # the entry indented as in the results list of the whole report
-            spool.write(f"{',' if total else ''}\n    {_json(_session_entry(result), '    ')}")
+            if trace and (lines := trace_lines(result)):
+                trace("\n".join(lines) + "\n")
+            scenario = result.scenario.value
+            spool.write(f"{',' if total else ''}\n    {_entry(result, scenario)}")
             total += 1
             completed += result.complete
             recovered += result.recovered_count
-            scenario = result.scenario.value
             histogram[scenario] = histogram.get(scenario, 0) + 1
         text = _json({
             "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()),
@@ -367,7 +378,7 @@ def _finish(config: RunConfig, results: Iterable[SessionResult]) -> int:
         write = report or sys.stdout.write
         write(head + '"results": [')
         spool.seek(0)
-        while chunk := spool.read(1 << 16):
+        while chunk := spool.read(1 << 13):  # small reads, so copying out sets no memory peak
             write(chunk)
         write("\n  ]" + tail + "\n")
         if report:

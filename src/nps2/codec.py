@@ -21,6 +21,9 @@ class Row(Enum):
     WEIGHTED = "weighted"
 
 
+_WEIGHTED = Row.WEIGHTED  # read once: a read through the class is slow
+
+
 class FieldCapacityError(ValueError):
     """The field is too small to give the weighted row distinct entries."""
 
@@ -70,13 +73,15 @@ def check_width(width: int, field: FieldSpec) -> None:
 
 
 def build_rows(width: int, field: FieldSpec, *, sum_only: bool = False) -> CoefficientRows:
-    """Build the coefficient rows for ``width`` protected slots.
+    """The coefficient rows for ``width`` protected slots, held by ``field`` once built.
 
     Requires width <= 2^m - 1 so the weighted entries are pairwise
     distinct. With ``sum_only`` both rows are all ones and the bound is
     waived; this is the binary-field parity mode, good for one erasure.
     """
-    return CoefficientRows(width, field, sum_only)
+    if (rows := field._rows.get((width, sum_only))) is None:  # a bad width raises each call
+        rows = field._rows[width, sum_only] = CoefficientRows(width, field, sum_only)
+    return rows
 
 
 def encode_pair(
@@ -116,7 +121,7 @@ def residualize(
     if not isinstance(row, Row):
         raise KeyError(row)
     exp, log = field._exp, field._log
-    weighted = row is Row.WEIGHTED and not rows.sum_only
+    weighted = row is _WEIGHTED and not rows.sum_only
     residual = y_received.value
     seen = [False] * rows.width
     for rank, value in known:

@@ -71,7 +71,7 @@ class FieldSpec:
     primitive, which the coefficient rows rely on for distinct weights.
     """
 
-    __slots__ = ("m", "q", "reduction_poly", "generator", "_exp", "_log", "_elements")
+    __slots__ = ("m", "q", "reduction_poly", "generator", "_exp", "_log", "_elements", "_rows")
 
     def __init__(
         self,
@@ -100,6 +100,7 @@ class FieldSpec:
         self.reduction_poly = reduction_poly
         self.generator = generator
         self._elements: dict[int, FieldElement] = {}  # values below 256, on first use
+        self._rows: dict = {}  # codec.build_rows' rows, by (width, sum_only)
         self._build_tables()
 
     def _build_tables(self) -> None:

@@ -14,7 +14,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .codec import (
@@ -38,6 +38,8 @@ from .schemes import (
 )
 
 SessionData = Sequence[Sequence[FieldElement]]  # [source-1][data_index-1]
+
+_SUM, _WEIGHTED, _SUM_KIND = Row.SUM, Row.WEIGHTED, SlotKind.PROTECTION_SUM  # class reads are slow
 
 
 class Scenario(Enum):
@@ -183,7 +185,7 @@ def generate_source_data(
             r = getrandbits(bits)  # randrange(2^m) draws m + 1 bits until one is below 2^m
             while r >= q:
                 r = getrandbits(bits)
-            symbols.append(element(r))
+            symbols.append(element(r) if r < 256 else FieldElement(r, field))  # not cached
         return symbols
 
     return [[row() for _ in range(n)] for _ in range(sessions)]
@@ -202,21 +204,11 @@ def transmit_round(
     protection payloads exist even when some sources' own paths failed.
     """
     prot = protected_slots(schedule, round_index)
-    pair = encode_pair([data[p - 1][d - 1] for p, d in prot], rows)
-    return {path: payload for path, _, payload in _round_payloads(
-        schedule.grid[round_index - 1], data, pair, failure.failed_paths)}
-
-
-def _round_payloads(row, data, pair, failed):
-    """(path, kind, payload) of each path of a round not in ``failed``, laid
-    out by the round's ``grid`` row: a working slot carries its source symbol,
-    a carrier its half of the (sum, weighted) ``pair``."""
-    y_sum, y_weighted = pair
-    for path, slot in enumerate(row, 1):
-        if path not in failed:
-            kind = slot.kind
-            yield path, kind, (data[path - 1][slot.data_index - 1] if kind is SlotKind.WORKING
-                               else y_sum if kind is SlotKind.PROTECTION_SUM else y_weighted)
+    y_sum, y_weighted = encode_pair([data[p - 1][d - 1] for p, d in prot], rows)
+    return {path: data[path - 1][d - 1] if (d := slot.data_index)
+            else y_sum if slot.kind is _SUM_KIND else y_weighted
+            for path, slot in enumerate(schedule.grid[round_index - 1], 1)
+            if path not in failure.failed_paths}
 
 
 def _delivered(slots, live, symbol, recovered):
@@ -267,8 +259,8 @@ def _decode(plan, slots, received, known, rows):
     scenario, missing, _ = plan
     if missing and scenario is not Scenario.EXCESS_LOSS:
         y_sum, y_weighted = received
-        rs = None if y_sum is None else residualize(y_sum, known, Row.SUM, rows)
-        rw = None if y_weighted is None else residualize(y_weighted, known, Row.WEIGHTED, rows)
+        rs = None if y_sum is None else residualize(y_sum, known, _SUM, rows)
+        rw = None if y_weighted is None else residualize(y_weighted, known, _WEIGHTED, rows)
         try:
             values = ((solve_one(missing[0], rs, rw, rows),) if len(missing) == 1
                       else solve_two(missing, rs, rw, rows))
@@ -434,21 +426,37 @@ def sweep_failures(
     return SweepReport(results)
 
 
+@cache
+def _trace_forms(n: int, width: int) -> tuple:
+    """Each path's three trace line heads, in SlotKind order, and the hex
+    digits of a payload's high and low byte: kept per (n, hex width) alone."""
+    return (tuple(tuple(f'{{"kind":"{kind.value}","path":{p},"payload_hex":"' for kind in SlotKind)
+                  for p in range(1, n + 1)),
+            [f"{v:0{width - 2}x}" for v in range(256)] if width > 2 else [""],
+            [f"{v:0{min(width, 2)}x}" for v in range(256)])
+
+
 def trace_lines(result: SessionResult) -> list[str]:
     """The ``--trace`` JSON lines of a session's surviving packets in (round,
     path) order, formatted from the grid, ``data`` and ``received``. Each line
     is ``json.dumps`` with ``sort_keys=True, separators=(",", ":")`` of the
     packet's session, round, sender, path (sender i owns path i), slot kind and
-    payload_hex, the payload zero-padded to the field's hex width."""
+    payload_hex, the payload zero-padded to the field's hex width, put together
+    from its path and kind's head, its payload's digits and its round's text."""
     data, failed, schedule = result.data, result.failure.failed_paths, result.schedule
     p, d = schedule.protected[0][0]  # a symbol the session sent: rows may be short
-    width = (data[p - 1][d - 1].spec.m + 3) // 4
-    session_text = f',"session":{result.session_index}}}'
+    heads, high, low = _trace_forms(schedule.n, (data[p - 1][d - 1].spec.m + 3) // 4)
+    tails = [f'{p},"session":{result.session_index}}}' for p in range(1, schedule.n + 1)]
     it = iter(result.received)
     lines = []
-    for r, (row, pair) in enumerate(zip(schedule.grid, zip(it, it)), 1):
+    add = lines.append
+    for r, (row, y_sum, y_weighted) in enumerate(zip(schedule.grid, it, it), 1):
         round_text = f'","round":{r},"sender":'
-        lines += [f'{{"kind":"{kind.value}","path":{path},"payload_hex":"'
-                  f'{payload.value:0{width}x}{round_text}{path}{session_text}'
-                  for path, kind, payload in _round_payloads(row, data, pair, failed)]
+        for p, slot in enumerate(row):
+            if p + 1 not in failed:
+                if d := slot.data_index:
+                    k, v = 0, data[p][d - 1].value
+                else:
+                    k, v = (1, y_sum.value) if slot.kind is _SUM_KIND else (2, y_weighted.value)
+                add(f"{heads[p][k]}{high[v >> 8]}{low[v & 255]}{round_text}{tails[p]}")
     return lines

@@ -2,14 +2,18 @@ import gc
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from datetime import datetime, timezone
 
 import pytest
 
+import nps2.cli
+import nps2.simnet
 from nps2.cli import _staged, main, parse_config, run
-from nps2.schemes import Scheme
+from nps2.schemes import Scheme, build_schedule
 
 
 def _report(config):
@@ -340,7 +344,8 @@ def test_unopenable_report_fails_before_any_session(tmp_path, capsys, monkeypatc
                          ids=["report", "summary"])
 def test_failed_stdout_leaves_no_output(outputs, tmp_path, capsys, monkeypatch):
     # the report or the summary line goes to stdout inside the staged block,
-    # so its failure removes the outputs; the spool goes to tmp_path too
+    # so its failure removes the outputs; a stdout report's spool comes from
+    # tempfile, routed to tmp_path too, and a file report's is made beside it
     if not os.path.exists("/dev/full"):
         pytest.skip("no /dev/full")
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
@@ -392,10 +397,9 @@ def test_streamed_report_keeps_its_format(tmp_path, capsys):
                          ids=["trace-report", "report", "trace", "stdout"])
 def test_session_failing_mid_stream_leaves_nothing(error, outputs, tmp_path, capsys,
                                                    monkeypatch):
-    # sessions 0-2 are written before session 3 raises; the spool goes to
-    # tmp_path too, so an empty directory means no trace, report, spool or temp file
-    import nps2.cli
-
+    # sessions 0-2 are written before session 3 raises; a file report's spool
+    # is made beside it and tempfile's is routed to tmp_path too, so an empty
+    # directory means no trace, report, spool or temp file
     original = nps2.cli.run_session
 
     def failing(*args, session_index, **kwargs):
@@ -411,6 +415,83 @@ def test_session_failing_mid_stream_leaves_nothing(error, outputs, tmp_path, cap
         run(cfg)
     assert os.listdir(tmp_path) == []
     assert capsys.readouterr().out == ""
+
+
+def test_file_report_spools_beside_it_without_a_name(tmp_path, monkeypatch):
+    # tempfile points nowhere, so a run that used it would fail; while the
+    # sessions run, the report's directory holds only the two staged outputs
+    seen = []
+    original = nps2.cli.trace_lines
+
+    def listing(result):
+        seen.append(sorted(name.split(".")[0] for name in os.listdir(tmp_path)))
+        return original(result)
+
+    monkeypatch.setattr(nps2.cli, "trace_lines", listing)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+    monkeypatch.chdir(tmp_path)
+    cfg = parse_config(["run", "--n", "6", "--fail-random", "2", "--sessions", "3",
+                        "--trace", "t.jsonl", "--report", "r.json"])
+    assert run(cfg) == 0
+    assert seen == [["r", "t"]] * 3
+    assert sorted(os.listdir(tmp_path)) == ["r.json", "t.jsonl"]
+
+
+def test_file_report_run_loads_no_tempfile(tmp_path):
+    # without site, which may load tempfile itself, a run writing its report
+    # to a file leaves tempfile, and the modules it would load, unimported
+    code = (
+        "import sys\n"
+        "from nps2.cli import parse_config, run\n"
+        "run(parse_config(['run', '--n', '8', '--field-m', '16', '--field-poly', '1100b',\n"
+        "                  '--fail-random', '2', '--sessions', '20',\n"
+        "                  '--trace', 't.jsonl', '--report', 'r.json']))\n"
+        "loaded = {'tempfile', 'shutil'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n"
+    )
+    src = os.path.dirname(os.path.dirname(nps2.cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(os.listdir(tmp_path)) == ["r.json", "t.jsonl"]
+
+
+def test_help_reads_the_terminal_width(monkeypatch, capsys):
+    # the parser adds its arguments under a fixed width, but help wraps to
+    # the terminal's, as argparse's default formatter does
+    widths = []
+    for columns in ("60", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit):
+            parse_config(["--help"])
+        widths.append(max(map(len, capsys.readouterr().out.splitlines())))
+    assert widths[0] <= 58 < widths[1]
+
+
+def test_trace_heads_and_round_lines_are_bounded(tmp_path):
+    # trace heads are kept per (n, hex width), 3 a path, whatever the pairs
+    # or the failures; entries' round lines once per schedule's pairs, and an
+    # NPS2-I run at n=34 cycles through 17 of them
+    forms, round_lines = nps2.simnet._trace_forms, nps2.cli._round_lines
+    forms.cache_clear()
+    round_lines.cache_clear()
+    outputs = ["--trace", str(tmp_path / "t.jsonl"), "--report", str(tmp_path / "r.json")]
+    for argv in (["run", "--n", "8", "--field-m", "16", "--field-poly", "1100b",
+                  "--sessions", "20", "--fail-random", "2"],
+                 ["run", "--scheme", "nps2-i", "--n", "34", "--sessions", "40",
+                  "--fail-random", "2"],
+                 ["sweep", "--n", "32"]):
+        assert run(parse_config(argv + outputs)) == 0
+    assert forms.cache_info().currsize == 3
+    heads = {key: {h for path in forms(*key)[0] for h in path}
+             for key in [(8, 4), (34, 2), (32, 2)]}
+    assert {key: len(h) for key, h in heads.items()} == {(8, 4): 24, (34, 2): 102, (32, 2): 96}
+    assert forms.cache_info().currsize == 3  # the reads above were all hits
+    assert round_lines.cache_info().currsize == 1 + 17 + 1
+    # NPS2-I's pairs all give one template, which the 17 keys share
+    shared = {id(round_lines(build_schedule(Scheme.NPS2_I, 34, d).pairs)) for d in range(17)}
+    assert len(shared) == 1 and round_lines.cache_info().currsize == 19
 
 
 def test_memory_stays_flat_in_sessions(tmp_path):

@@ -2,7 +2,7 @@
 status 0, 1 or 2 for every input, 2 always comes with an ``nps2: error:``
 line, and a run that ends in 2 leaves no report, trace or temp file. The
 streamed run and sweep write the bytes of an eager reference, and the
-CLI's JSON writer writes those of json.dumps."""
+CLI's JSON writer and its report entries write those of json.dumps."""
 
 import contextlib
 import io
@@ -12,13 +12,15 @@ import random
 import tempfile
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from nps2.cli import CONFIG_KEYS, MODES, _json, _session_entry, parse_config, run
+from nps2.cli import CONFIG_KEYS, MODES, _entry, _json, parse_config, run
+from nps2.field import FieldSpec
 from nps2.schemes import Scheme, build_schedule
 from nps2.simnet import (
     NO_FAILURES,
     FailurePattern,
+    SessionResult,
     SweepReport,
     generate_source_data,
     run_session,
@@ -255,6 +257,52 @@ def streamed(draw):
     return argv, draw(st.booleans()), draw(st.booleans())
 
 
+def _session_entry(result: SessionResult) -> dict:
+    """A session's report entry as JSON data: what the CLI's entry text must
+    read as, once json.dumps lays it out."""
+    n = result.schedule.n
+    return {
+        "session": result.session_index,
+        "failed_paths": sorted(result.failure.failed_paths),
+        "outcome": result.outcome.value,
+        "scenario": result.scenario.value,
+        "round_scenarios": {
+            str(r): s.value for r, s in sorted(result.round_scenarios.items())
+        },
+        "recovered_count": result.recovered_count,
+        "normalized_capacity": f"{n - len(result.failure)}/{n}",
+        "detail": result.detail,
+    }
+
+
+@st.composite
+def sessions(draw):
+    """A session of either scheme on 3..34 paths over GF(2^8), so NPS2-I runs
+    up to 34 rounds and NPS2-II up to 17, with 0-3 failed paths."""
+    scheme = draw(st.sampled_from(list(Scheme)))
+    n = draw(st.integers(3, 34) if scheme is Scheme.NPS2_I
+             else st.integers(2, 17).map(lambda k: 2 * k))
+    failed = draw(st.lists(st.integers(1, n), max_size=3, unique=True))
+    return scheme, n, failed, draw(st.integers(0, 40)), draw(st.integers(0, 2**32))
+
+
+GF256 = FieldSpec()
+
+
+@settings(max_examples=150, deadline=None)
+@given(sessions())
+@example((Scheme.NPS2_I, 34, [], 5, 1))  # 34 rounds, detail null
+@example((Scheme.NPS2_I, 12, [3, 4, 5], 0, 1))  # every round lost, detail set
+@example((Scheme.NPS2_II, 24, [1, 5, 9], 3, 1))  # 12 rounds, some lost
+def test_entry_text_is_json_dumps_of_the_entry(case):
+    scheme, n, failed, idx, seed = case
+    result = run_session(scheme, n, GF256, FailurePattern(failed), session_index=idx,
+                         data=generate_source_data(n, n, 1, seed, GF256)[0])
+    expect = json.dumps(_session_entry(result), indent=2, sort_keys=True)
+    assert _entry(result, result.scenario.value) == expect.replace("\n", "\n    ")
+    assert (result.detail is None) == result.complete
+
+
 def eager(config) -> tuple[list, dict]:
     """Every session's result of a run or sweep, from the whole data tensor
     drawn at once, and the report built from the list of results."""
@@ -331,7 +379,6 @@ JSON = st.recursive(
 
 
 @settings(max_examples=300, deadline=None)
-@given(JSON, st.sampled_from(["", "  ", "    "]))
-def test_json_writer_matches_json_dumps(obj, indent):
-    expect = json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + indent)
-    assert _json(obj, indent) == expect
+@given(JSON)
+def test_json_writer_matches_json_dumps(obj):
+    assert _json(obj) == json.dumps(obj, indent=2, sort_keys=True)

@@ -5,8 +5,10 @@ cross-checked against an exhaustive-substitution decoder that knows
 nothing about elimination.
 """
 
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -70,6 +72,38 @@ def test_build_rows_capacity_error_names_minimum_m():
         build_rows(256, FieldSpec())
     with pytest.raises(ValueError):
         build_rows(0, GF8)
+
+
+def test_build_rows_holds_one_rows_per_field():
+    # the field holds its rows, keyed by (width, sum_only); an equal but
+    # distinct field gets rows of its own, which name it and not the first
+    rows = build_rows(5, GF8)
+    assert build_rows(5, GF8) is rows
+    assert build_rows(5, GF8, sum_only=True) is build_rows(5, GF8, sum_only=True) is not rows
+    twin = FieldSpec(3, 0b1011, 0b10)
+    assert twin == GF8 and build_rows(5, twin) == rows
+    assert build_rows(5, twin) is not rows and build_rows(5, twin).field is twin
+
+
+def test_build_rows_bad_width_raises_every_call():
+    for _ in range(3):
+        with pytest.raises(FieldCapacityError):
+            build_rows(4, GF4)
+        with pytest.raises(ValueError, match="positive"):
+            build_rows(0, GF8)
+    assert (4, False) not in GF4._rows and (0, False) not in GF8._rows
+
+
+def test_build_rows_die_with_their_field():
+    # the field holds its rows, so the rows outliving it would mean the
+    # field did too: both go at the next collection, as the field and its
+    # boxed elements do
+    field = FieldSpec(16, 0x1100B, 2)
+    held = weakref.ref(build_rows(30, field))
+    assert held() is not None
+    del field
+    gc.collect()
+    assert held() is None
 
 
 def test_build_rows_minors_invertible():

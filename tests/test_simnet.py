@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import nps2.simnet
-from nps2.cli import _session_entry
+from nps2.cli import _entry
 from nps2.codec import build_rows, encode_pair
 from nps2.field import FieldSpec
 from nps2.schemes import Scheme, SlotKind, build_schedule, schedule_capacity
@@ -514,7 +514,7 @@ def test_sweep_sessions_share_grid_but_not_delivered(scheme):
     assert zero.schedule is three.schedule
     assert [{json.loads(line)["session"] for line in trace_lines(r)} for r in (zero, three)] == [
         {0}, {3}]
-    assert [_session_entry(r)["session"] for r in (zero, three)] == [0, 3]
+    assert [json.loads(_entry(r, r.scenario.value))["session"] for r in (zero, three)] == [0, 3]
 
 
 @pytest.mark.parametrize("solver, failed", [("solve_two", {3, 4}), ("solve_one", {3})])
