@@ -17,7 +17,6 @@ from .schemes import (
     ProtectedSlot,
     Scheme,
     SessionSchedule,
-    Slot,
     SlotKind,
     build_schedule,
     protected_slots,
@@ -56,7 +55,6 @@ __all__ = [
     "Scheme",
     "SessionResult",
     "SessionSchedule",
-    "Slot",
     "SlotKind",
     "SweepReport",
     "UnrecoverableError",

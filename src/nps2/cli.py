@@ -20,6 +20,7 @@ from .schemes import Scheme, build_schedule, check_path_count, schedule_labels
 from .simnet import (
     FailurePattern,
     SessionResult,
+    _totals,
     generate_source_data,
     run_session,
     sweep_failures,
@@ -317,16 +318,24 @@ def _staged(*paths: str | None) -> Iterator[list]:
         raise
 
 
-def _spool(path: str | None) -> TextIO:
-    """A read-write file for the report's entries that leaves no name behind:
-    for a report file, a temp file beside its target, unlinked once open."""
+@contextlib.contextmanager
+def _spool(path: str | None) -> Iterator[tuple[TextIO, Callable[[str], None]]]:
+    """A read-write file for the report's entries that leaves no name behind,
+    and its _writer: for a report file, a temp file beside its target, unlinked
+    once open, whose write errors name the report's path; else a temp file in
+    the temp directory, whose write errors name that directory."""
     target = path and os.path.realpath(path)
     if not target or _in_place(target):
         import tempfile  # only for a report to stdout or to a device
-        return tempfile.TemporaryFile("w+", encoding="utf-8")
-    spool = open(tmp := f"{target}.{os.urandom(4).hex()}.tmp", "x+", encoding="utf-8")
-    os.remove(tmp)
-    return spool
+        spool, path = tempfile.TemporaryFile("w+", encoding="utf-8"), tempfile.gettempdir()
+    else:
+        spool = open(tmp := f"{target}.{os.urandom(4).hex()}.tmp", "x+", encoding="utf-8")
+        os.remove(tmp)
+    try:
+        yield spool, _writer(path, spool)
+    finally:
+        with contextlib.suppress(OSError):  # a failed write's bytes fail the close's flush again
+            spool.close()
 
 
 def _writer(path: str, file: TextIO) -> Callable[[str], None]:
@@ -349,21 +358,19 @@ def _json(obj) -> str:
 
 def _finish(config: RunConfig, results: Iterable[SessionResult]) -> int:
     """Consume the session stream once: write each session's trace lines
-    and report entry as it ends, and keep only the report's totals."""
+    and report entry as it passes, and keep only the report's totals."""
     capacity = f"{config.n - 2}/{config.n}"
-    total = completed = recovered = 0
-    histogram: dict[str, int] = {}
     with _staged(config.trace_path, config.report_path) as (trace, report), \
-            _spool(config.report_path) as spool:
-        for result in results:
-            if trace and (lines := trace_lines(result)):
-                trace("\n".join(lines) + "\n")
-            scenario = result.scenario.value
-            spool.write(f"{',' if total else ''}\n    {_entry(result, scenario)}")
-            total += 1
-            completed += result.complete
-            recovered += result.recovered_count
-            histogram[scenario] = histogram.get(scenario, 0) + 1
+            _spool(config.report_path) as (spool, spooled):
+        def written() -> Iterator[tuple[SessionResult, str]]:
+            for i, result in enumerate(results):
+                if trace and (lines := trace_lines(result)):
+                    trace("\n".join(lines) + "\n")
+                scenario = result.scenario.value
+                spooled(f"{',' if i else ''}\n    {_entry(result, scenario)}")
+                yield result, scenario
+
+        total, completed, recovered, histogram = _totals(written())
         text = _json({
             "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()),
             "config": config.echo(),

@@ -29,19 +29,6 @@ class SlotKind(Enum):
     PROTECTION_WEIGHTED = "protection-weighted"
 
 
-@dataclass(frozen=True)
-class Slot:
-    kind: SlotKind
-    data_index: int | None = None  # 1-based, working slots only
-
-    def __post_init__(self):
-        if self.kind is SlotKind.WORKING:
-            if self.data_index is None or self.data_index < 1:
-                raise ValueError("working slots need a positive data_index")
-        elif self.data_index is not None:
-            raise ValueError("protection slots carry no data_index")
-
-
 class ProtectedSlot(NamedTuple):
     """A working slot of one round; equal to its (source, data_index) key,
     as source path and carrying path are the same."""
@@ -57,18 +44,16 @@ class SessionSchedule:
     pairs[r-1] is round r's (sum, weighted) protection carriers; the rest is
     derived from (n, pairs) by one rule for both schemes. Every other path
     sends its data units in order, so its data index in round r is the
-    number of rounds up to r in which it worked. grid[r-1][p-1] is path p's
-    slot in round r and protected[r-1] the round's working slots in rank
-    order; both share their Slots and ProtectedSlots with every schedule on
-    n paths. units[p-1] is the number of data units path p sends in the
-    session. Equality and hash are by (scheme, n, pairs); ValueError unless
+    number of rounds up to r in which it worked. protected[r-1] holds the
+    round's working slots in path order, which is rank order, sharing its
+    ProtectedSlots with every schedule on n paths; units[p-1] counts path p's
+    data units. Equality and hash are by (scheme, n, pairs); ValueError unless
     there are 1..n rounds, each on two distinct carriers in 1..n.
     """
 
     scheme: Scheme
     n: int
     pairs: tuple[tuple[int, int], ...]
-    grid: tuple[tuple[Slot, ...], ...] = dc_field(init=False, repr=False, compare=False)
     protected: tuple[tuple[ProtectedSlot, ...], ...] = dc_field(
         init=False, repr=False, compare=False)
     units: tuple[int, ...] = dc_field(init=False, repr=False, compare=False)
@@ -77,23 +62,18 @@ class SessionSchedule:
         n = self.n
         if not 1 <= len(self.pairs) <= n:
             raise ValueError(f"a schedule on {n} paths runs 1..{n} rounds, got {len(self.pairs)}")
-        slots, cells = _working_cells(n)
+        cells = _working_cells(n)
         sent = [0] * n  # data units each path has sent so far
-        grid, protected = [], []
+        protected = []
         for pair in self.pairs:
             if len(pair) != 2 or pair[0] == pair[1] or not all(1 <= p <= n for p in pair):
                 raise ValueError(f"a protection pair is two distinct paths in 1..{n}, got {pair}")
-            row, work = [], []
+            work = []
             for p, d in enumerate(sent):
-                if p + 1 in pair:
-                    row.append(_PROTECTION_SLOTS[pair.index(p + 1)])
-                else:
+                if p + 1 not in pair:
                     sent[p] = d + 1
-                    row.append(slots[d])
                     work.append(cells[p][d])
-            grid.append(tuple(row))
             protected.append(tuple(work))
-        object.__setattr__(self, "grid", tuple(grid))
         object.__setattr__(self, "protected", tuple(protected))
         object.__setattr__(self, "units", tuple(sent))
 
@@ -106,21 +86,12 @@ class SessionSchedule:
         frozen set on each call."""
         return frozenset(s for row in self.protected for s in row)
 
-    def _check_round(self, round_index: int) -> None:
-        if not 1 <= round_index <= self.rounds:
-            raise ValueError(f"round {round_index} out of range 1..{self.rounds}")
-
-
-_PROTECTION_SLOTS = Slot(SlotKind.PROTECTION_SUM), Slot(SlotKind.PROTECTION_WEIGHTED)
-
 
 @cache
-def _working_cells(n: int) -> tuple[tuple[Slot, ...], tuple[tuple[ProtectedSlot, ...], ...]]:
-    """The working Slot of data unit d at index d-1, and path p's
-    ProtectedSlot of unit d at [p-1][d-1], for d up to n."""
+def _working_cells(n: int) -> tuple[tuple[ProtectedSlot, ...], ...]:
+    """Path p's ProtectedSlot of data unit d at [p-1][d-1], for d up to n."""
     units = range(1, n + 1)
-    return (tuple(Slot(SlotKind.WORKING, d) for d in units),
-            tuple(tuple(ProtectedSlot(p, d) for d in units) for p in units))
+    return tuple(tuple(ProtectedSlot(p, d) for d in units) for p in units)
 
 
 def check_path_count(scheme: Scheme, n: int) -> None:
@@ -172,7 +143,8 @@ def protected_slots(schedule: SessionSchedule, round_index: int) -> tuple[Protec
     Their position in this tuple is the rank used for the weighted
     coefficient row, so coefficients are a pure function of the schedule.
     """
-    schedule._check_round(round_index)
+    if not 1 <= round_index <= schedule.rounds:
+        raise ValueError(f"round {round_index} out of range 1..{schedule.rounds}")
     return schedule.protected[round_index - 1]
 
 
@@ -182,20 +154,14 @@ def schedule_capacity(schedule: SessionSchedule) -> Fraction:
     return Fraction(sum(map(len, schedule.protected)), schedule.rounds * schedule.n)
 
 
-def slot_label(slot: Slot, path: int, round_index: int) -> str:
-    """Matrix-cell label: x_<path>^<data index> or y_<path>^<round>."""
-    if slot.kind is SlotKind.WORKING:
-        return f"x_{path}^{slot.data_index}"
-    return f"y_{path}^{round_index}"
-
-
 def schedule_labels(schedule: SessionSchedule) -> list[list[str]]:
     """Label matrix oriented like the protection matrices: rows are
-    connections, columns are round times."""
-    return [
-        [
-            slot_label(schedule.grid[r - 1][path - 1], path, r)
-            for r in range(1, schedule.rounds + 1)
-        ]
-        for path in range(1, schedule.n + 1)
-    ]
+    connections, columns are round times. Round r's carriers read y_p^r,
+    every other path x_p^d, its data index d from the round's working slots."""
+    labels = [[] for _ in range(schedule.n)]
+    for r, (pair, slots) in enumerate(zip(schedule.pairs, schedule.protected), 1):
+        for p in pair:
+            labels[p - 1].append(f"y_{p}^{r}")
+        for p, d in slots:
+            labels[p - 1].append(f"x_{p}^{d}")
+    return labels

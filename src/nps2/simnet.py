@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
 from functools import cache, cached_property
@@ -39,7 +38,7 @@ from .schemes import (
 
 SessionData = Sequence[Sequence[FieldElement]]  # [source-1][data_index-1]
 
-_SUM, _WEIGHTED, _SUM_KIND = Row.SUM, Row.WEIGHTED, SlotKind.PROTECTION_SUM  # class reads are slow
+_SUM, _WEIGHTED = Row.SUM, Row.WEIGHTED  # class reads are slow
 
 
 class Scenario(Enum):
@@ -203,12 +202,9 @@ def transmit_round(
     The distributor is an ideal oracle over all sources' data, so the
     protection payloads exist even when some sources' own paths failed.
     """
-    prot = protected_slots(schedule, round_index)
-    y_sum, y_weighted = encode_pair([data[p - 1][d - 1] for p, d in prot], rows)
-    return {path: data[path - 1][d - 1] if (d := slot.data_index)
-            else y_sum if slot.kind is _SUM_KIND else y_weighted
-            for path, slot in enumerate(schedule.grid[round_index - 1], 1)
-            if path not in failure.failed_paths}
+    sent = {p: data[p - 1][d - 1] for p, d in protected_slots(schedule, round_index)}
+    sent.update(zip(schedule.pairs[round_index - 1], encode_pair(list(sent.values()), rows)))
+    return {p: sent[p] for p in range(1, schedule.n + 1) if p not in failure.failed_paths}
 
 
 def _delivered(slots, live, symbol, recovered):
@@ -374,32 +370,48 @@ def all_patterns(n: int) -> list[FailurePattern]:
             *(FailurePattern({a, b}) for a in paths for b in range(a + 1, n + 1))]
 
 
+def _totals(sessions: Iterable[tuple[SessionResult, str]]) -> tuple[int, int, int, dict[str, int]]:
+    """The session count, complete count, recovered total and sessions per summary
+    scenario (in order of first use) of (result, scenario value) pairs, in one pass."""
+    total = completed = recovered = 0
+    histogram: dict[str, int] = {}
+    for result, scenario in sessions:
+        total += 1
+        completed += result.complete
+        recovered += len(result.solved)
+        histogram[scenario] = histogram.get(scenario, 0) + 1
+    return total, completed, recovered, histogram
+
+
 @dataclass
 class SweepReport:
-    """A batch of sessions; every total is derived from ``results``."""
+    """A batch of sessions; every total is folded from ``results`` on each read."""
 
     results: tuple[SessionResult, ...]
 
+    def _fold(self) -> tuple[int, int, int, dict[str, int]]:
+        return _totals((r, r.scenario.value) for r in self.results)
+
     @property
     def session_count(self) -> int:
-        return len(self.results)
+        return self._fold()[0]
 
     @property
     def complete_count(self) -> int:
-        return sum(r.complete for r in self.results)
+        return self._fold()[1]
 
     @property
     def complete_rate(self) -> float:
-        return self.complete_count / len(self.results)
+        return self.complete_count / self.session_count
 
     @property
     def scenario_histogram(self) -> dict[str, int]:
         """Sessions per summary scenario, each session counted once."""
-        return dict(Counter(r.scenario.value for r in self.results))
+        return self._fold()[3]
 
     @property
     def recovered_total(self) -> int:
-        return sum(r.recovered_count for r in self.results)
+        return self._fold()[2]
 
 
 def sweep_failures(
@@ -428,35 +440,46 @@ def sweep_failures(
 
 @cache
 def _trace_forms(n: int, width: int) -> tuple:
-    """Each path's three trace line heads, in SlotKind order, and the hex
-    digits of a payload's high and low byte: kept per (n, hex width) alone."""
-    return (tuple(tuple(f'{{"kind":"{kind.value}","path":{p},"payload_hex":"' for kind in SlotKind)
-                  for p in range(1, n + 1)),
+    """The trace line heads by SlotKind and path and the sender texts by path,
+    entry 0 of each unused, the round texts in round order, and the hex digits
+    of a payload's high and low byte: kept per (n, hex width) alone."""
+    paths = range(n + 1)
+    return (tuple(tuple(f'{{"kind":"{kind.value}","path":{p},"payload_hex":"' for p in paths)
+                  for kind in SlotKind),
+            tuple(f'{p},"session":' for p in paths),
+            tuple(f'","round":{r},"sender":' for r in range(1, n + 1)),
             [f"{v:0{width - 2}x}" for v in range(256)] if width > 2 else [""],
             [f"{v:0{min(width, 2)}x}" for v in range(256)])
 
 
 def trace_lines(result: SessionResult) -> list[str]:
     """The ``--trace`` JSON lines of a session's surviving packets in (round,
-    path) order, formatted from the grid, ``data`` and ``received``. Each line
-    is ``json.dumps`` with ``sort_keys=True, separators=(",", ":")`` of the
-    packet's session, round, sender, path (sender i owns path i), slot kind and
-    payload_hex, the payload zero-padded to the field's hex width, put together
-    from its path and kind's head, its payload's digits and its round's text."""
+    path) order. Each is ``json.dumps`` with ``sort_keys=True, separators=(",",
+    ":")`` of the packet's session, round, sender, path (sender i owns path i),
+    slot kind and payload_hex, zero-padded to the field's hex width, put together
+    from its kind and path's head, its payload's digits, its round's and sender's."""
     data, failed, schedule = result.data, result.failure.failed_paths, result.schedule
     p, d = schedule.protected[0][0]  # a symbol the session sent: rows may be short
-    heads, high, low = _trace_forms(schedule.n, (data[p - 1][d - 1].spec.m + 3) // 4)
-    tails = [f'{p},"session":{result.session_index}}}' for p in range(1, schedule.n + 1)]
+    heads, senders, rounds, high, low = _trace_forms(schedule.n,
+                                                     (data[p - 1][d - 1].spec.m + 3) // 4)
+    session = f"{result.session_index}}}"
+    tails = [f"{sender}{session}" for sender in senders]
+    rows, working = (None, *data), heads[0]  # by path from 1
     it = iter(result.received)
     lines = []
-    add = lines.append
-    for r, (row, y_sum, y_weighted) in enumerate(zip(schedule.grid, it, it), 1):
-        round_text = f'","round":{r},"sender":'
-        for p, slot in enumerate(row):
-            if p + 1 not in failed:
-                if d := slot.data_index:
-                    k, v = 0, data[p][d - 1].value
-                else:
-                    k, v = (1, y_sum.value) if slot.kind is _SUM_KIND else (2, y_weighted.value)
-                add(f"{heads[p][k]}{high[v >> 8]}{low[v & 255]}{round_text}{tails[p]}")
+    add, insert = lines.append, lines.insert
+    for round_text, (p_sum, p_wtd), slots, y_sum, y_weighted in zip(
+            rounds, schedule.pairs, schedule.protected, it, it):
+        start = len(lines)
+        for p, d in slots:  # ascending by path
+            if p not in failed:
+                v = rows[p][d - 1].value
+                add(f"{working[p]}{high[v >> 8]}{low[v & 255]}{round_text}{tails[p]}")
+        carriers = (p_sum, 1, y_sum), (p_wtd, 2, y_weighted)
+        for p, k, y in carriers if p_sum < p_wtd else carriers[::-1]:  # lower path first
+            if p not in failed:
+                v = y.value
+                # after the round's lines of the paths below p that did not fail
+                insert(start + p - 1 - bisect_left(failed, p),
+                       f"{heads[k][p]}{high[v >> 8]}{low[v & 255]}{round_text}{tails[p]}")
     return lines

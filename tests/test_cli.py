@@ -1,3 +1,4 @@
+import functools
 import gc
 import json
 import os
@@ -14,6 +15,7 @@ import nps2.cli
 import nps2.simnet
 from nps2.cli import _staged, main, parse_config, run
 from nps2.schemes import Scheme, build_schedule
+from nps2.simnet import Outcome, run_session
 
 
 def _report(config):
@@ -470,8 +472,9 @@ def test_help_reads_the_terminal_width(monkeypatch, capsys):
 
 
 def test_trace_heads_and_round_lines_are_bounded(tmp_path):
-    # trace heads are kept per (n, hex width), 3 a path, whatever the pairs
-    # or the failures; entries' round lines once per schedule's pairs, and an
+    # trace heads are kept per (n, hex width), 3 a path (by kind, then path
+    # from 1), whatever the pairs or the failures; entries' round lines once
+    # per schedule's pairs, and an
     # NPS2-I run at n=34 cycles through 17 of them
     forms, round_lines = nps2.simnet._trace_forms, nps2.cli._round_lines
     forms.cache_clear()
@@ -484,7 +487,7 @@ def test_trace_heads_and_round_lines_are_bounded(tmp_path):
                  ["sweep", "--n", "32"]):
         assert run(parse_config(argv + outputs)) == 0
     assert forms.cache_info().currsize == 3
-    heads = {key: {h for path in forms(*key)[0] for h in path}
+    heads = {key: {h for kind in forms(*key)[0] for h in kind[1:]}
              for key in [(8, 4), (34, 2), (32, 2)]}
     assert {key: len(h) for key, h in heads.items()} == {(8, 4): 24, (34, 2): 102, (32, 2): 96}
     assert forms.cache_info().currsize == 3  # the reads above were all hits
@@ -492,6 +495,53 @@ def test_trace_heads_and_round_lines_are_bounded(tmp_path):
     # NPS2-I's pairs all give one template, which the 17 keys share
     shared = {id(round_lines(build_schedule(Scheme.NPS2_I, 34, d).pairs)) for d in range(17)}
     assert len(shared) == 1 and round_lines.cache_info().currsize == 19
+
+
+def test_report_totals_equal_a_naive_count(tmp_path, monkeypatch):
+    # on sum-only rows an NPS2-I session that loses two working paths is
+    # unrecoverable, one that loses a carrier is complete; the report's totals
+    # are those of its own entries and of the library's sessions
+    monkeypatch.setattr(nps2.cli, "run_session", functools.partial(run_session, sum_only=True))
+    path = tmp_path / "r.json"
+    cfg = parse_config(["run", "--scheme", "nps2-i", "--n", "5", "--sessions", "40",
+                        "--fail-random", "2", "--seed", "2", "--report", str(path)])
+    assert run(cfg) == 1
+    report = json.loads(path.read_text())
+    entries = report["results"]
+    complete = sum(e["outcome"] == "complete" for e in entries)
+    assert 0 < complete < len(entries) == 40
+    histogram = {}
+    for entry in entries:
+        histogram[entry["scenario"]] = histogram.get(entry["scenario"], 0) + 1
+    assert report["scenario_histogram"] == histogram
+    assert report["recovered_count_total"] == sum(e["recovered_count"] for e in entries) > 0
+    assert report["complete_rate"] == complete / 40 and report["all_complete"] is False
+    results = list(nps2.cli._sessions(cfg))
+    assert report["recovered_count_total"] == sum(len(r.recovered) for r in results)
+    assert complete == sum(r.outcome is Outcome.COMPLETE for r in results)
+
+
+def test_spool_write_errors_name_the_report(tmp_path):
+    # a file size limit stops the report's spool, a temp file beside it, well
+    # before the sessions end; the error names the report, not stdout, and
+    # leaves no report and no temp file behind
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_FSIZE, (100_000, 100_000))
+
+    src = os.path.dirname(os.path.dirname(nps2.cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nps2.cli", "run", "--n", "8", "--sessions", "2000",
+         "--fail-random", "2", "--report", "r.json"],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": path}, preexec_fn=limit,
+        capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert "nps2: error: cannot write r.json: File too large" in proc.stderr
+    assert "standard output" not in proc.stderr
+    assert proc.stdout == ""
+    assert os.listdir(tmp_path) == []
 
 
 def test_memory_stays_flat_in_sessions(tmp_path):

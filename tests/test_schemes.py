@@ -9,14 +9,31 @@ from nps2.schemes import (
     ProtectedSlot,
     Scheme,
     SessionSchedule,
-    Slot,
     SlotKind,
     build_schedule,
     protected_slots,
     schedule_capacity,
     schedule_labels,
-    slot_label,
 )
+
+WORKING, SUM, WEIGHTED = SlotKind.WORKING, SlotKind.PROTECTION_SUM, SlotKind.PROTECTION_WEIGHTED
+
+
+def cells(schedule) -> list[list[tuple]]:
+    """The paper's rule for every cell, as an oracle independent of the
+    library: cells[r-1][p-1] is path p's (SlotKind, data index) in round r. A
+    carrier's kind comes from pairs[r-1] and its data index is None; any other
+    path's data index is the number of rounds up to r in which it worked."""
+    matrix = []
+    for r, pair in enumerate(schedule.pairs, 1):
+        row = []
+        for p in range(1, schedule.n + 1):
+            if p in pair:
+                row.append((SUM if p == pair[0] else WEIGHTED, None))
+            else:
+                row.append((WORKING, sum(p not in earlier for earlier in schedule.pairs[:r])))
+        matrix.append(row)
+    return matrix
 
 
 def test_nps2i_n4_session0():
@@ -24,20 +41,16 @@ def test_nps2i_n4_session0():
     assert sched.pairs[0] == (1, 2)
     assert sched.rounds == 4
     for r in range(1, 5):
-        assert sched.grid[r - 1][0].kind is SlotKind.PROTECTION_SUM
-        assert sched.grid[r - 1][1].kind is SlotKind.PROTECTION_WEIGHTED
-        for path in (3, 4):
-            slot = sched.grid[r - 1][path - 1]
-            assert slot.kind is SlotKind.WORKING
-            assert slot.data_index == r
+        assert cells(sched)[r - 1] == [(SUM, None), (WEIGHTED, None), (WORKING, r), (WORKING, r)]
+        assert sched.protected[r - 1] == ((3, r), (4, r))
     assert sched.emitted() == {(p, d) for p in (3, 4) for d in range(1, 5)}
 
 
 def test_nps2i_minimal_n3():
     sched = build_schedule(Scheme.NPS2_I, 3, 0)
     for r in range(1, 4):
-        working = [s for s in sched.grid[r - 1] if s.kind is SlotKind.WORKING]
-        assert len(working) == 1
+        assert sched.protected[r - 1] == ((3, r),)
+        assert [kind for kind, _ in cells(sched)[r - 1]].count(WORKING) == 1
 
 
 def test_nps2i_pair_rotation():
@@ -70,10 +83,9 @@ def test_nps2ii_n4_matches_protection_matrix():
 
 def test_nps2ii_n6_path5_sequence():
     sched = build_schedule(Scheme.NPS2_II, 6)
-    kinds = [sched.grid[r - 1][4] for r in (1, 2, 3)]
-    assert kinds[0] == Slot(SlotKind.WORKING, 1)
-    assert kinds[1] == Slot(SlotKind.WORKING, 2)
-    assert kinds[2].kind is SlotKind.PROTECTION_SUM
+    assert [row[4] for row in cells(sched)] == [(WORKING, 1), (WORKING, 2), (SUM, None)]
+    assert schedule_labels(sched)[4] == ["x_5^1", "x_5^2", "y_5^3"]
+    assert (5, 1) in sched.protected[0] and (5, 2) in sched.protected[1]
 
 
 def test_nps2ii_rejects_bad_n():
@@ -94,11 +106,12 @@ ROUND_STRUCTURE_CASES = [(Scheme.NPS2_I, n, s) for n in (3, 4, 7) for s in (0, 3
 )
 def test_round_structure(scheme, n, session_index):
     sched = build_schedule(scheme, n, session_index)
-    for row in sched.grid:
-        kinds = [slot.kind for slot in row]
-        assert kinds.count(SlotKind.PROTECTION_SUM) == 1
-        assert kinds.count(SlotKind.PROTECTION_WEIGHTED) == 1
-        assert kinds.count(SlotKind.WORKING) == sched.n - 2
+    for row, pair, slots in zip(cells(sched), sched.pairs, sched.protected, strict=True):
+        kinds = [kind for kind, _ in row]
+        assert kinds.count(SUM) == 1
+        assert kinds.count(WEIGHTED) == 1
+        assert kinds.count(WORKING) == sched.n - 2 == len(slots)
+        assert {p for p, _ in slots}.isdisjoint(pair)
 
 
 @pytest.mark.parametrize("sched", [build_schedule(*case) for case in ROUND_STRUCTURE_CASES] + [
@@ -114,7 +127,7 @@ def test_nps2ii_fairness():
         for path in range(1, n + 1):
             protection_rounds = [
                 r for r in range(1, sched.rounds + 1)
-                if sched.grid[r - 1][path - 1].kind is not SlotKind.WORKING
+                if path not in {p for p, _ in sched.protected[r - 1]}
             ]
             assert protection_rounds == [(path + 1) // 2]
 
@@ -125,20 +138,14 @@ def test_nps2ii_completeness():
         expected = {(i, d) for i in range(1, n + 1) for d in range(1, n // 2)}
         assert sched.emitted() == expected
         # transmitted exactly once: count multiset size
-        count = sum(
-            1 for row in sched.grid for slot in row if slot.kind is SlotKind.WORKING
-        )
+        count = sum(map(len, sched.protected))
         assert count == len(expected)
 
 
 def test_nps2ii_data_index_consecutive():
     sched = build_schedule(Scheme.NPS2_II, 8)
     for path in range(1, 9):
-        seq = [
-            sched.grid[r - 1][path - 1].data_index
-            for r in range(1, sched.rounds + 1)
-            if sched.grid[r - 1][path - 1].kind is SlotKind.WORKING
-        ]
+        seq = [d for slots in sched.protected for p, d in slots if p == path]
         assert seq == list(range(1, len(seq) + 1))
 
 
@@ -194,25 +201,23 @@ def test_schedule_capacity_exact():
     assert schedule_capacity(build_schedule(Scheme.NPS2_I, 3, 0)) == Fraction(1, 3)
 
 
-def test_slot_validation():
-    with pytest.raises(ValueError):
-        Slot(SlotKind.WORKING)
-    with pytest.raises(ValueError):
-        Slot(SlotKind.WORKING, 0)
-    with pytest.raises(ValueError):
-        Slot(SlotKind.PROTECTION_SUM, 1)
-
-
-def test_slot_labels():
-    assert slot_label(Slot(SlotKind.WORKING, 3), 7, 4) == "x_7^3"
-    assert slot_label(Slot(SlotKind.PROTECTION_SUM), 2, 5) == "y_2^5"
-    assert slot_label(Slot(SlotKind.PROTECTION_WEIGHTED), 2, 5) == "y_2^5"
+def test_schedule_labels_name_carriers_by_round_and_working_cells_by_unit():
+    # the matrix of a schedule that is neither scheme's: path 7 works in
+    # rounds 1, 2 and 4, so it sends unit 3 in round 4; both carriers of a
+    # round read y_p^r, whichever row they carry
+    sched = SessionSchedule(Scheme.NPS2_I, 7, ((1, 2), (6, 5), (7, 3), (2, 1)))
+    labels = schedule_labels(sched)
+    assert labels[6] == ["x_7^1", "x_7^2", "y_7^3", "x_7^3"]
+    assert labels[4] == ["x_5^1", "y_5^2", "x_5^2", "x_5^3"]
+    assert [row[0] for row in labels] == ["y_1^1", "y_2^1", "x_3^1", "x_4^1", "x_5^1", "x_6^1",
+                                          "x_7^1"]
+    assert labels[1][3] == "y_2^4" and labels[0][3] == "y_1^4"
 
 
 def test_schedule_lookup_validation():
     sched = build_schedule(Scheme.NPS2_I, 4, 0)
     assert sched.scheme is Scheme.NPS2_I
-    # n and rounds are read off the grid
+    # n is a field and rounds the number of protection pairs
     assert (sched.n, sched.rounds) == (4, 4)
     sched = build_schedule(Scheme.NPS2_II, 8)
     assert (sched.n, sched.rounds) == (8, 4)
@@ -234,7 +239,7 @@ def test_schedules_share_one_layout_per_key():
     assert rebuilt is not shared
     assert rebuilt == shared and hash(rebuilt) == hash(shared)
     assert rebuilt.pairs == shared.pairs and rebuilt.emitted() == shared.emitted()
-    assert rebuilt.grid == shared.grid and rebuilt.protected == shared.protected
+    assert rebuilt.protected == shared.protected and rebuilt.units == shared.units
 
 
 def test_schedule_equality_is_by_scheme_n_and_pairs():
@@ -274,7 +279,6 @@ def test_slots_are_shared_between_pairs():
     first, second = build_schedule(Scheme.NPS2_I, 8, 0), build_schedule(Scheme.NPS2_I, 8, 1)
     # pairs (1, 2) and (3, 4): paths 5..8 send unit 3 in round 3 of both
     assert all(a is b for a, b in zip(first.protected[2][2:], second.protected[2][2:], strict=True))
-    assert first.grid[2][7] is second.grid[2][7]
     # and across schemes: NPS2-II's path 1 sends unit 1 in round 2
     assert build_schedule(Scheme.NPS2_II, 8).protected[1][0] is second.protected[0][0]
 

@@ -7,11 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from nps2.schemes import (
     Scheme,
-    SlotKind,
     build_schedule,
     protected_slots,
     schedule_capacity,
 )
+from test_schemes import SUM, WEIGHTED, WORKING, cells
 
 
 @st.composite
@@ -26,16 +26,14 @@ def schedules(draw):
 @given(schedules())
 def test_schedule_invariants(sched):
     n = sched.n
+    matrix = cells(sched)
     carried = []  # (path, data_index) of every working slot
-    for r, row in enumerate(sched.grid, 1):
-        kinds = [slot.kind for slot in row]
-        assert kinds.count(SlotKind.PROTECTION_SUM) == 1
-        assert kinds.count(SlotKind.PROTECTION_WEIGHTED) == 1
-        pair = (kinds.index(SlotKind.PROTECTION_SUM) + 1,
-                kinds.index(SlotKind.PROTECTION_WEIGHTED) + 1)
-        assert sched.pairs[r - 1] == pair
+    for r, row in enumerate(matrix, 1):
+        kinds = [kind for kind, _ in row]
+        assert kinds.count(SUM) == 1
+        assert kinds.count(WEIGHTED) == 1
         assert protected_slots(sched, r) == tuple(
-            (p, row[p - 1].data_index) for p in range(1, n + 1) if p not in pair
+            (p, d) for p, (kind, d) in enumerate(row, 1) if kind is WORKING
         )
         carried += protected_slots(sched, r)
     assert schedule_capacity(sched) == Fraction(n - 2, n)
@@ -45,16 +43,15 @@ def test_schedule_invariants(sched):
     # NPS2-I; for NPS2-II r before the path's protection round ceil(p/2)
     # and r-1 after it
     ii = sched.scheme is Scheme.NPS2_II
-    for r, row in enumerate(sched.grid, 1):
-        for p, slot in enumerate(row, 1):
-            if slot.kind is SlotKind.WORKING:
-                assert slot.data_index == (r - 1 if ii and r > (p + 1) // 2 else r)
+    for r, slots in enumerate(sched.protected, 1):
+        for p, d in slots:
+            assert d == (r - 1 if ii and r > (p + 1) // 2 else r)
 
     if sched.scheme is Scheme.NPS2_II:
         for path in range(1, n + 1):
-            protecting = [r for r in range(1, sched.rounds + 1)
-                          if sched.grid[r - 1][path - 1].kind is not SlotKind.WORKING]
+            protecting = [r for r, row in enumerate(matrix, 1) if row[path - 1][0] is not WORKING]
             assert protecting == [(path + 1) // 2]
+        assert sched.pairs == tuple((2 * r - 1, 2 * r) for r in range(1, sched.rounds + 1))
         expected = {(p, d) for p in range(1, n + 1) for d in range(1, n // 2)}
     else:
         assert set(sched.pairs) == {sched.pairs[0]}

@@ -17,6 +17,7 @@ from nps2.simnet import (
     FailurePattern,
     Outcome,
     Scenario,
+    SweepReport,
     all_patterns,
     generate_source_data,
     recover_round,
@@ -25,6 +26,7 @@ from nps2.simnet import (
     trace_lines,
     transmit_round,
 )
+from test_schemes import cells
 
 GF256 = FieldSpec()
 GF4 = FieldSpec(2, 0b111, 0b10)
@@ -50,7 +52,7 @@ def test_transmit_round_nps2ii_n4_round1():
     data = generate_source_data(4, 2, 1, 5, GF256)[0]
     survivors = transmit_round(sched, 1, data, NO_FAILURES, rows)
     assert list(survivors) == [1, 2, 3, 4]
-    assert [sched.grid[0][p - 1].kind for p in survivors] == [
+    assert [cells(sched)[0][p - 1][0] for p in survivors] == [
         SlotKind.PROTECTION_SUM,
         SlotKind.PROTECTION_WEIGHTED,
         SlotKind.WORKING,
@@ -237,9 +239,9 @@ def test_conservation():
             result = run_session(scheme, n, GF256, pattern, seed=44)
             erased = sum(
                 1
-                for row in sched.grid
-                for path, slot in enumerate(row, 1)
-                if slot.kind is SlotKind.WORKING and path in pattern
+                for row in cells(sched)
+                for path, (kind, _) in enumerate(row, 1)
+                if kind is SlotKind.WORKING and path in pattern
             )
             assert result.recovered_count == erased
             assert set(result.delivered) == sched.emitted()
@@ -253,14 +255,14 @@ def test_capacity_accounting():
 
 
 def test_scenario_tag_matches_slot_kinds():
-    # re-derive the tag from the schedule grid, independently of the engine
+    # re-derive the tag from the cells' kinds, independently of the engine
     for scheme, n in ((Scheme.NPS2_I, 5), (Scheme.NPS2_II, 6)):
         for pattern in all_patterns(n):
             result = run_session(scheme, n, GF256, pattern, seed=3)
             sched = result.schedule
             for r, tag in result.round_scenarios.items():
                 kinds = [
-                    sched.grid[r - 1][p - 1].kind
+                    cells(sched)[r - 1][p - 1][0]
                     for p in sorted(pattern.failed_paths)
                 ]
                 working = kinds.count(SlotKind.WORKING)
@@ -498,7 +500,7 @@ def test_failure_pattern_rejects_bool_paths():
 
 
 @pytest.mark.parametrize("scheme", list(Scheme))
-def test_sweep_sessions_share_grid_but_not_delivered(scheme):
+def test_sweep_sessions_share_schedule_but_not_delivered(scheme):
     report = sweep_failures(scheme, 6, GF256, seed=21)
     assert len({id(r.schedule) for r in report.results}) == 1
     assert len({id(r.delivered) for r in report.results}) == len(report.results)
@@ -544,6 +546,28 @@ def test_a_wrong_solve_makes_the_session_unrecoverable(monkeypatch, solver, fail
     assert wrong == {(max(failed), 1): data[max(failed) - 1][0].value ^ 1}
     monkeypatch.undo()
     assert run_session(Scheme.NPS2_I, 6, GF256, failure, seed=3).complete
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_sweep_report_totals_equal_a_naive_count(scheme):
+    # on sum-only rows a sweep's sessions that lose two working paths in a
+    # round are unrecoverable, and three failed paths lose every round
+    results = sweep_failures(scheme, 6, GF256, seed=4, sum_only=True).results + tuple(
+        run_session(scheme, 6, GF256, FailurePattern({1, 3, 5}), seed=s) for s in (1, 2))
+    report = SweepReport(results)
+    complete = sum(r.outcome is Outcome.COMPLETE for r in results)
+    assert 0 < complete < len(results)
+    histogram = {}
+    for r in results:
+        histogram[r.scenario.value] = histogram.get(r.scenario.value, 0) + 1
+    assert report.session_count == len(results)
+    assert report.complete_count == complete
+    assert report.complete_rate == complete / len(results)
+    assert report.recovered_total == sum(len(r.recovered) for r in results) > 0
+    assert list(report.scenario_histogram.items()) == list(histogram.items())
+    # the totals are read off the results each time, so they follow a new batch
+    report.results = results[:3]  # no failure, then paths 1 and 2
+    assert (report.session_count, report.complete_count) == (3, 3)
 
 
 def closed_form_histogram(scheme: Scheme, n: int) -> dict[str, int]:

@@ -1,12 +1,14 @@
 """Property tests of the session engine: trace_lines formats exactly
 json.dumps of the records of an eager transmission built from the data
-tensor, the grid and encode_pair, both for data that run_session draws from
-a seed and for given data, and transmit_round returns the same payloads. The ``delivered`` maps of a result and of a round equal an eager
-collector's map, key order included, and a result builds its map only when
-it is first read. run_session equals a session pieced together round by
-round from transmit_round and recover_round. generate_source_data draws
-the randrange stream, and a shared RNG drawn one session at a time
-continues it."""
+tensor, the paper's cell rule and encode_pair, both for data that
+run_session draws from a seed and for given data, and transmit_round
+returns the same payloads; schedule_labels, transmit_round and trace_lines
+read the same cells on any valid schedule. The ``delivered`` maps of a
+result and of a round equal an eager collector's map, key order included,
+and a result builds its map only when it is first read. run_session equals
+a session pieced together round by round from transmit_round and
+recover_round. generate_source_data draws the randrange stream, and a
+shared RNG drawn one session at a time continues it."""
 
 import json
 import random
@@ -15,12 +17,13 @@ import tracemalloc
 from hypothesis import given, settings, strategies as st
 
 from nps2.codec import build_rows, encode_pair
-from nps2.schemes import Scheme, SlotKind, build_schedule
+from nps2.schemes import Scheme, SessionSchedule, SlotKind, build_schedule, schedule_labels
 from nps2.simnet import (
     NO_FAILURES,
     FailurePattern,
     Outcome,
     Scenario,
+    SessionResult,
     all_patterns,
     generate_source_data,
     recover_round,
@@ -30,24 +33,22 @@ from nps2.simnet import (
     transmit_round,
 )
 from test_codec_properties import FIELDS
+from test_schemes import WORKING, cells
 
 
 def eager_packets(schedule, data, failure, rows) -> list[tuple]:
     """Every surviving packet as (round, path, kind, payload), (round, path)
-    order, straight from the grid: a working slot sends its own symbol, a
-    carrier its row's protection symbol over the round's working symbols in
+    order, straight from the cell oracle: a working cell sends its own symbol,
+    a carrier its row's protection symbol over the round's working symbols in
     path order."""
     packets = []
-    for r, row in enumerate(schedule.grid, 1):
-        working = [data[p - 1][s.data_index - 1]
-                   for p, s in enumerate(row, 1) if s.kind is SlotKind.WORKING]
+    for r, row in enumerate(cells(schedule), 1):
+        working = [data[p - 1][d - 1] for p, (kind, d) in enumerate(row, 1) if kind is WORKING]
         y = dict(zip((SlotKind.PROTECTION_SUM, SlotKind.PROTECTION_WEIGHTED),
                      encode_pair(working, rows)))
-        for path, slot in enumerate(row, 1):
+        for path, (kind, d) in enumerate(row, 1):
             if path not in failure:
-                payload = (data[path - 1][slot.data_index - 1]
-                           if slot.kind is SlotKind.WORKING else y[slot.kind])
-                packets.append((r, path, slot.kind, payload))
+                packets.append((r, path, kind, data[path - 1][d - 1] if d else y[kind]))
     return packets
 
 
@@ -97,6 +98,46 @@ def test_packets_match_eager_transmission(case, laps):
         survivors = transmit_round(schedule, r, data, failure, rows)
         assert list(survivors.items()) == [(path, payload)
                                            for rr, path, _, payload in expect if rr == r]
+
+
+@st.composite
+def any_schedules(draw):
+    """Any valid schedule, of either scheme's name: n in 3..40 paths and 1..n
+    rounds, each on two distinct carriers in either order; with data for it,
+    0-3 failed paths and rows over a field wide enough for n-2 slots."""
+    n = draw(st.integers(3, 40))
+    pair = st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True).map(tuple)
+    schedule = SessionSchedule(draw(st.sampled_from(Scheme)), n,
+                               tuple(draw(st.lists(pair, min_size=1, max_size=n))))
+    field = FIELDS[draw(st.integers((n - 2).bit_length(), 16))]
+    data = tuple(tuple(field.element(draw(st.integers(0, field.q - 1))) for _ in range(n))
+                 for _ in range(n))
+    failed = draw(st.lists(st.integers(1, n), max_size=3, unique=True))
+    return schedule, data, FailurePattern(failed), build_rows(n - 2, field)
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_schedules(), st.integers(0, 1000))
+def test_any_schedule_reads_its_cells_from_pairs_and_protected(case, session):
+    # the labels, a round's survivors and a session's trace, checked against the cell
+    # oracle on schedules that neither scheme builds
+    schedule, data, failure, rows = case
+    matrix = cells(schedule)
+    assert schedule_labels(schedule) == [
+        [f"x_{p}^{d}" if kind is WORKING else f"y_{p}^{r}"
+         for r, (kind, d) in enumerate((row[p - 1] for row in matrix), 1)]
+        for p in range(1, schedule.n + 1)]
+    expect = eager_packets(schedule, data, failure, rows)
+    received = []
+    for r, pair in enumerate(schedule.pairs, 1):
+        survivors = transmit_round(schedule, r, data, failure, rows)
+        assert list(survivors.items()) == [(path, payload)
+                                           for rr, path, _, payload in expect if rr == r]
+        y_pair = encode_pair([data[p - 1][d - 1] for p, d in schedule.protected[r - 1]], rows)
+        received += (y if p not in failure else None for p, y in zip(pair, y_pair))
+    result = SessionResult(schedule, session, failure, data, solved=(), outcome=Outcome.COMPLETE,
+                           scenarios=(), received=tuple(received))
+    assert [json.loads(line) for line in trace_lines(result)] == records(session, expect)
 
 
 @settings(max_examples=150, deadline=None)
@@ -175,11 +216,11 @@ def eager_delivered(schedule, data, failure, sum_only) -> list[list[tuple]]:
     round is lost, the failed ones. A round is lost when its failed working
     paths outnumber its live carriers, or two share a sum-only row."""
     rounds = []
-    for row in schedule.grid:
-        working = [(p, s.data_index) for p, s in enumerate(row, 1) if s.kind is SlotKind.WORKING]
+    for row in cells(schedule):
+        working = [(p, d) for p, (kind, d) in enumerate(row, 1) if kind is WORKING]
         failed = [k for k in working if k[0] in failure]
-        carriers = sum(p not in failure for p, s in enumerate(row, 1)
-                       if s.kind is not SlotKind.WORKING)
+        carriers = sum(p not in failure for p, (kind, _) in enumerate(row, 1)
+                       if kind is not WORKING)
         lost = len(failed) > carriers or (sum_only and len(failed) == 2)
         keys = [k for k in working if k not in failed] + ([] if lost else failed)
         rounds.append([(k, data[k[0] - 1][k[1] - 1]) for k in keys])
