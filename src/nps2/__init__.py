@@ -14,7 +14,6 @@ from .codec import (
 )
 from .field import FieldElement, FieldMismatchError, FieldSpec
 from .schemes import (
-    ProtectedSlot,
     Scheme,
     SessionSchedule,
     SlotKind,
@@ -49,7 +48,6 @@ __all__ = [
     "FieldSpec",
     "NO_FAILURES",
     "Outcome",
-    "ProtectedSlot",
     "Row",
     "Scenario",
     "Scheme",

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
 from functools import cache
-from typing import NamedTuple
 
 
 class Scheme(Enum):
@@ -29,14 +28,6 @@ class SlotKind(Enum):
     PROTECTION_WEIGHTED = "protection-weighted"
 
 
-class ProtectedSlot(NamedTuple):
-    """A working slot of one round; equal to its (source, data_index) key,
-    as source path and carrying path are the same."""
-
-    path: int
-    data_index: int
-
-
 @dataclass(frozen=True)
 class SessionSchedule:
     """Which path carries which symbol at each round of a session.
@@ -45,16 +36,17 @@ class SessionSchedule:
     derived from (n, pairs) by one rule for both schemes. Every other path
     sends its data units in order, so its data index in round r is the
     number of rounds up to r in which it worked. protected[r-1] holds the
-    round's working slots in path order, which is rank order, sharing its
-    ProtectedSlots with every schedule on n paths; units[p-1] counts path p's
-    data units. Equality and hash are by (scheme, n, pairs); ValueError unless
-    there are 1..n rounds, each on two distinct carriers in 1..n.
+    round's working slots as plain (path, data_index) tuples in path order,
+    which is rank order, shared with every schedule on n paths; units[p-1]
+    counts path p's data units. Equality and hash are by (scheme, n, pairs);
+    ValueError unless there are 1..n rounds, each on two distinct carriers
+    in 1..n.
     """
 
     scheme: Scheme
     n: int
     pairs: tuple[tuple[int, int], ...]
-    protected: tuple[tuple[ProtectedSlot, ...], ...] = dc_field(
+    protected: tuple[tuple[tuple[int, int], ...], ...] = dc_field(
         init=False, repr=False, compare=False)
     units: tuple[int, ...] = dc_field(init=False, repr=False, compare=False)
 
@@ -81,17 +73,12 @@ class SessionSchedule:
     def rounds(self) -> int:
         return len(self.pairs)
 
-    def emitted(self) -> frozenset[ProtectedSlot]:
-        """All (source, data_index) pairs this schedule transmits, as a new
-        frozen set on each call."""
-        return frozenset(s for row in self.protected for s in row)
-
 
 @cache
-def _working_cells(n: int) -> tuple[tuple[ProtectedSlot, ...], ...]:
-    """Path p's ProtectedSlot of data unit d at [p-1][d-1], for d up to n."""
+def _working_cells(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Path p's (path, data_index) slot of data unit d at [p-1][d-1], for d up to n."""
     units = range(1, n + 1)
-    return tuple(tuple(ProtectedSlot(p, d) for d in units) for p in units)
+    return tuple(tuple((p, d) for d in units) for p in units)
 
 
 def check_path_count(scheme: Scheme, n: int) -> None:
@@ -105,12 +92,9 @@ def check_path_count(scheme: Scheme, n: int) -> None:
         raise ValueError(f"{scheme.value} needs n >= {min_n}, got n={n}")
 
 
-_shared_schedule = cache(SessionSchedule)
-
-
 def build_schedule(scheme: Scheme, n: int, session_index: int = 0) -> SessionSchedule:
     """Session ``session_index``'s schedule, one shared object per (scheme,
-    n, protection pairs). NPS2-I runs n rounds on the pair (2d mod n,
+    n, protection pair). NPS2-I runs n rounds on the pair (2d mod n,
     2d+1 mod n), 1-based, of session d; for odd n it wraps to (n, 1) once
     per n sessions. NPS2-II runs n/2 rounds, protection on (2L-1, 2L) in
     round L, so path i protects once, in round ceil(i/2), and sends data
@@ -125,19 +109,20 @@ def build_schedule(scheme: Scheme, n: int, session_index: int = 0) -> SessionSch
     if session_index < 0:
         raise ValueError(f"session_index must be nonnegative, got {session_index}")
     if scheme is Scheme.NPS2_II:
-        return _rotating_schedule(n)
-    pair = 2 * session_index % n + 1, (2 * session_index + 1) % n + 1
-    return _shared_schedule(scheme, n, (pair,) * n)
+        return _schedule(scheme, n, None)
+    return _schedule(scheme, n, (2 * session_index % n + 1, (2 * session_index + 1) % n + 1))
 
 
 @cache
-def _rotating_schedule(n: int) -> SessionSchedule:
-    """NPS2-II's one schedule on n paths, its pairs built once per n."""
-    return _shared_schedule(Scheme.NPS2_II, n, tuple((2 * ell - 1, 2 * ell)
-                                                     for ell in range(1, n // 2 + 1)))
+def _schedule(scheme: Scheme, n: int, pair: tuple[int, int] | None) -> SessionSchedule:
+    """The one schedule per (scheme, n, pair): NPS2-I's n rounds on ``pair``,
+    or NPS2-II's rotation when ``pair`` is None."""
+    pairs = ((pair,) * n if pair else
+             tuple((2 * ell - 1, 2 * ell) for ell in range(1, n // 2 + 1)))
+    return SessionSchedule(scheme, n, pairs)
 
 
-def protected_slots(schedule: SessionSchedule, round_index: int) -> tuple[ProtectedSlot, ...]:
+def protected_slots(schedule: SessionSchedule, round_index: int) -> tuple[tuple[int, int], ...]:
     """The n-2 working slots of a round, in ascending path order.
 
     Their position in this tuple is the rank used for the weighted

@@ -28,7 +28,6 @@ from .codec import (
 )
 from .field import FieldElement, FieldSpec
 from .schemes import (
-    ProtectedSlot,
     Scheme,
     SessionSchedule,
     SlotKind,
@@ -49,6 +48,9 @@ class Scenario(Enum):
     SINGLE_WORKING = "single-working"
     DOUBLE_WORKING = "double-working"
     EXCESS_LOSS = "excess-loss"
+
+
+_DESCENDING = tuple(reversed(Scenario))  # most severe first, built once: reversed() rebuilds it
 
 
 class Outcome(Enum):
@@ -108,24 +110,24 @@ class SessionResult:
     received: tuple[FieldElement | None, ...] = dc_field(default=(), repr=False)
 
     @cached_property
-    def recovered(self) -> dict[ProtectedSlot, FieldElement]:
+    def recovered(self) -> dict[tuple[int, int], FieldElement]:
         """The solved symbols by (source, data_index), built on first read:
         ``solved`` zipped with the slots on failed paths of each round not
         in ``unrecoverable_rounds``."""
         failed = self.failure.failed_paths
         lost = {r for r, _ in self.unrecoverable_rounds}
         erased = (s for r, slots in enumerate(self.schedule.protected, 1) if r not in lost
-                  for s in slots if s.path in failed)
+                  for s in slots if s[0] in failed)
         return dict(zip(erased, self.solved))
 
     @cached_property
-    def delivered(self) -> dict[ProtectedSlot, FieldElement]:
+    def delivered(self) -> dict[tuple[int, int], FieldElement]:
         """Every delivered symbol by (source, data_index), built on first read
         and this result's own after that: per round, direct then recovered."""
         data = self.data
         live = set(range(1, self.schedule.n + 1)).difference(self.failure.failed_paths)
         return dict(item for slots in self.schedule.protected for item in _delivered(
-            slots, live, lambda s: data[s.path - 1][s.data_index - 1], self.recovered))
+            slots, live, lambda s: data[s[0] - 1][s[1] - 1], self.recovered))
 
     @property
     def recovered_count(self) -> int:
@@ -154,7 +156,7 @@ class SessionResult:
     def scenario(self) -> Scenario:
         """Highest-severity round scenario, severity being declaration order
         in ``Scenario``; the session's summary tag."""
-        return next(s for s in reversed(Scenario) if s in self.scenarios)
+        return next(s for s in _DESCENDING if s in self.scenarios)
 
     @property
     def detail(self) -> str | None:
@@ -210,22 +212,22 @@ def transmit_round(
 def _delivered(slots, live, symbol, recovered):
     """One round's delivered (slot, symbol) items, in rank order: each slot on
     a ``live`` path with its direct ``symbol(slot)``, then those in ``recovered``."""
-    yield from ((s, symbol(s)) for s in slots if s.path in live)
+    yield from ((s, symbol(s)) for s in slots if s[0] in live)
     yield from ((s, recovered[s]) for s in slots if s in recovered)
 
 
 @dataclass
 class RoundRecovery:
-    slots: tuple[ProtectedSlot, ...] = dc_field(repr=False)  # the round's, in rank order
+    slots: tuple[tuple[int, int], ...] = dc_field(repr=False)  # the round's, in rank order
     survivors: Mapping[int, FieldElement] = dc_field(repr=False)
     scenario: Scenario
-    recovered: tuple[ProtectedSlot, ...] = ()
+    recovered: tuple[tuple[int, int], ...] = ()
     values: tuple[FieldElement, ...] = ()  # the recovered slots' symbols
     lost: tuple[int, ...] = ()  # failed working paths left unsolved, in rank order
 
     @property
-    def delivered(self) -> dict[ProtectedSlot, FieldElement]:
-        return dict(_delivered(self.slots, self.survivors, lambda s: self.survivors[s.path],
+    def delivered(self) -> dict[tuple[int, int], FieldElement]:
+        return dict(_delivered(self.slots, self.survivors, lambda s: self.survivors[s[0]],
                                dict(zip(self.recovered, self.values))))
 
 
@@ -237,7 +239,7 @@ def _round_plan(schedule, round_index, failed):
     slots = schedule.protected[round_index - 1]
     # ranks are positions in the round's slots, which ascend by path
     missing = [t for p in failed
-               if (t := bisect_left(slots, (p,))) < len(slots) and slots[t].path == p]
+               if (t := bisect_left(slots, (p,))) < len(slots) and slots[t][0] == p]
     alive = p_sum not in failed, p_wtd not in failed
     if len(missing) > sum(alive):
         scenario = Scenario.EXCESS_LOSS
@@ -264,7 +266,7 @@ def _decode(plan, slots, received, known, rows):
             pass
         else:
             return values, ()
-    return (), tuple(slots[t].path for t in missing)
+    return (), tuple(slots[t][0] for t in missing)
 
 
 def recover_round(
@@ -287,7 +289,7 @@ def recover_round(
     plan = scenario, missing, alive = _round_plan(schedule, round_index, failure.failed_paths)
     pair = schedule.pairs[round_index - 1]
     received = [survivors[p] if a else None for p, a in zip(pair, alive)]
-    known = [(t, survivors[s.path]) for t, s in enumerate(prot) if s.path in survivors]
+    known = [(t, survivors[p]) for t, (p, _) in enumerate(prot) if p in survivors]
     values, lost = _decode(plan, prot, received, known, rows)
     solved = tuple(prot[t] for t in missing) if values else ()
     return RoundRecovery(prot, survivors, scenario, solved, values, lost)

@@ -6,7 +6,6 @@ import pytest
 
 import nps2.schemes
 from nps2.schemes import (
-    ProtectedSlot,
     Scheme,
     SessionSchedule,
     SlotKind,
@@ -43,7 +42,8 @@ def test_nps2i_n4_session0():
     for r in range(1, 5):
         assert cells(sched)[r - 1] == [(SUM, None), (WEIGHTED, None), (WORKING, r), (WORKING, r)]
         assert sched.protected[r - 1] == ((3, r), (4, r))
-    assert sched.emitted() == {(p, d) for p in (3, 4) for d in range(1, 5)}
+    assert {s for row in sched.protected for s in row} == {(p, d) for p in (3, 4)
+                                                            for d in range(1, 5)}
 
 
 def test_nps2i_minimal_n3():
@@ -136,7 +136,7 @@ def test_nps2ii_completeness():
     for n in (4, 6, 8, 10):
         sched = build_schedule(Scheme.NPS2_II, n)
         expected = {(i, d) for i in range(1, n + 1) for d in range(1, n // 2)}
-        assert sched.emitted() == expected
+        assert {s for row in sched.protected for s in row} == expected
         # transmitted exactly once: count multiset size
         count = sum(map(len, sched.protected))
         assert count == len(expected)
@@ -151,25 +151,15 @@ def test_nps2ii_data_index_consecutive():
 
 def test_protected_slots_nps2ii_n4():
     sched = build_schedule(Scheme.NPS2_II, 4)
-    assert protected_slots(sched, 1) == (
-        ProtectedSlot(3, 1),
-        ProtectedSlot(4, 1),
-    )
-    assert protected_slots(sched, 2) == (
-        ProtectedSlot(1, 1),
-        ProtectedSlot(2, 1),
-    )
+    assert protected_slots(sched, 1) == ((3, 1), (4, 1))
+    assert protected_slots(sched, 2) == ((1, 1), (2, 1))
 
 
 def test_protected_slots_nps2i_dedicated():
     sched = build_schedule(Scheme.NPS2_I, 5, 4)  # protection pair (4, 5)
     assert sched.pairs[0] == (4, 5)
     for r in range(1, 6):
-        assert protected_slots(sched, r) == (
-            ProtectedSlot(1, r),
-            ProtectedSlot(2, r),
-            ProtectedSlot(3, r),
-        )
+        assert protected_slots(sched, r) == ((1, r), (2, r), (3, r))
 
 
 def test_protected_slots_round_range():
@@ -186,12 +176,12 @@ def test_rotating_protection_coverage():
     for n in (4, 6, 10):
         sched = build_schedule(Scheme.NPS2_II, n)
         for ell in range(1, sched.rounds + 1):
-            for slot in protected_slots(sched, ell):
-                if slot.path <= 2 * (ell - 1):
-                    assert slot.data_index == ell - 1
+            for path, data_index in protected_slots(sched, ell):
+                if path <= 2 * (ell - 1):
+                    assert data_index == ell - 1
                 else:
-                    assert slot.path >= 2 * ell + 1
-                    assert slot.data_index == ell
+                    assert path >= 2 * ell + 1
+                    assert data_index == ell
 
 
 def test_schedule_capacity_exact():
@@ -234,11 +224,11 @@ def test_schedules_share_one_layout_per_key():
     with pytest.raises(AttributeError):
         shared.pairs = ()
     # a schedule rebuilt after the cache forgot it equals the old one by value
-    nps2.schemes._shared_schedule.cache_clear()
+    nps2.schemes._schedule.cache_clear()
     rebuilt = build_schedule(Scheme.NPS2_I, 8, 4)
     assert rebuilt is not shared
     assert rebuilt == shared and hash(rebuilt) == hash(shared)
-    assert rebuilt.pairs == shared.pairs and rebuilt.emitted() == shared.emitted()
+    assert rebuilt.pairs == shared.pairs
     assert rebuilt.protected == shared.protected and rebuilt.units == shared.units
 
 
@@ -246,7 +236,6 @@ def test_schedule_equality_is_by_scheme_n_and_pairs():
     sched = build_schedule(Scheme.NPS2_II, 8)
     assert sched == SessionSchedule(Scheme.NPS2_II, 8, sched.pairs)
     assert sched != SessionSchedule(Scheme.NPS2_I, 8, sched.pairs)
-    assert sched.emitted() == sched.emitted() and sched.emitted() is not sched.emitted()
 
 
 def test_schedule_refuses_a_pair_that_is_not_two_distinct_paths():
@@ -283,8 +272,15 @@ def test_slots_are_shared_between_pairs():
     assert build_schedule(Scheme.NPS2_II, 8).protected[1][0] is second.protected[0][0]
 
 
+def test_working_slots_are_plain_path_unit_tuples():
+    for sched in (build_schedule(Scheme.NPS2_I, 7, 2), build_schedule(Scheme.NPS2_II, 8)):
+        for r, row in enumerate(sched.protected, 1):
+            assert protected_slots(sched, r) is row
+            assert all(type(s) is tuple and len(s) == 2 for s in row)
+
+
 def test_nps2i_rotation_stays_small():
-    nps2.schemes._shared_schedule.cache_clear()
+    nps2.schemes._schedule.cache_clear()
     nps2.schemes._working_cells.cache_clear()
     tracemalloc.start()
     try:

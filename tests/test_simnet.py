@@ -179,7 +179,7 @@ def test_recovered_round_loses_nothing():
     for failure in (NO_FAILURES, FailurePattern({1}), FailurePattern({3}), FailurePattern({3, 5})):
         rec = recover_round(transmit_round(sched, 1, data, failure, rows), sched, 1, rows, failure)
         assert rec.lost == ()
-        assert rec.delivered == {s: data[s.path - 1][s.data_index - 1] for s in rec.delivered}
+        assert rec.delivered == {(p, d): data[p - 1][d - 1] for p, d in rec.delivered}
         assert len(rec.delivered) == 4
 
 
@@ -244,7 +244,7 @@ def test_conservation():
                 if kind is SlotKind.WORKING and path in pattern
             )
             assert result.recovered_count == erased
-            assert set(result.delivered) == sched.emitted()
+            assert set(result.delivered) == {s for row in sched.protected for s in row}
 
 
 def test_capacity_accounting():

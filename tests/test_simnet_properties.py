@@ -263,7 +263,7 @@ def test_delivered_writes_stay_with_their_result(case):
         assert b.delivered[key] is before
     # one other emitted symbol makes another result, whatever the pattern
     other = [list(row) for row in data]
-    p, d = min(schedule.emitted())
+    p, d = min(s for row in schedule.protected for s in row)
     other[p - 1][d - 1] = field.element(data[p - 1][d - 1].value ^ 1)
     assert run_session(scheme, n, field, failure, session_index=session_index,
                        sum_only=sum_only, data=other) != b
