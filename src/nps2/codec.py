@@ -9,8 +9,9 @@ protection symbols and solving the remaining 1x1 or 2x2 system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .field import FieldElement, FieldSpec
@@ -39,27 +40,28 @@ class CoefficientRows:
 
     row_sum is all ones (RAID-6's P, added by XOR); row_weighted holds
     generator^t at rank t (Q), so any two columns form an invertible 2x2
-    minor. In sum-only mode both rows are all ones (plain parity,
-    single-erasure protection only).
+    minor; in sum-only mode both are all ones (parity, one erasure only).
+    Both are built on first read: the coder reads the field's exp table.
     """
 
     width: int
     field: FieldSpec
     sum_only: bool = False
-    row_sum: tuple[FieldElement, ...] = dc_field(init=False, repr=False, compare=False)
-    row_weighted: tuple[FieldElement, ...] = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        width, field, sum_only = self.width, self.field, self.sum_only
-        if width < 1:
-            raise ValueError(f"width must be positive, got {width}")
-        if not sum_only:
-            check_width(width, field)
-        row_sum = (field.one(),) * width
-        # generator^t straight off the field's exp table, via a list: a map has no length hint
-        row_weighted = row_sum if sum_only else tuple([*map(field.element, field._exp[:width])])
-        object.__setattr__(self, "row_sum", row_sum)
-        object.__setattr__(self, "row_weighted", row_weighted)
+        if self.width < 1:
+            raise ValueError(f"width must be positive, got {self.width}")
+        if not self.sum_only:
+            check_width(self.width, self.field)
+
+    @cached_property
+    def row_sum(self) -> tuple[FieldElement, ...]:
+        return (self.field.one(),) * self.width
+
+    @cached_property
+    def row_weighted(self) -> tuple[FieldElement, ...]:
+        exp = self.field._exp[:self.width]  # generator^t, via a list: a map has no length hint
+        return self.row_sum if self.sum_only else tuple([*map(self.field.element, exp)])
 
 
 def check_width(width: int, field: FieldSpec) -> None:
@@ -112,9 +114,9 @@ def residualize(
 ) -> FieldElement:
     """Strip the known contributions from a received protection symbol.
 
-    What remains is the row's combination over the missing ranks only
-    (subtraction is addition in characteristic 2): a known v at rank t goes
-    out as v from the sum row and as generator^t * v from the weighted row.
+    ``known`` ascends strictly by rank. What remains is the row's sum over
+    the missing ranks (subtraction is addition in characteristic 2): a known
+    v at rank t goes out as v from the sum row, generator^t * v from the other.
     """
     field = rows.field
     field._check(y_received)
@@ -122,14 +124,13 @@ def residualize(
         raise KeyError(row)
     exp, log = field._exp, field._log
     weighted = row is _WEIGHTED and not rows.sum_only
-    residual = y_received.value
-    seen = [False] * rows.width
+    residual, prev, width = y_received.value, -1, rows.width
     for rank, value in known:
-        if not 0 <= rank < rows.width:
-            raise ValueError(f"rank {rank} out of range for width {rows.width}")
-        if seen[rank]:
-            raise ValueError(f"duplicate rank {rank} in known contributions")
-        seen[rank] = True
+        if not prev < rank < width:
+            raise ValueError(f"rank {rank} out of range for width {width}" if not 0 <= rank < width
+                             else f"duplicate rank {rank} in known contributions" if rank == prev
+                             else f"rank {rank} follows rank {prev}: known ranks must ascend")
+        prev = rank
         if value.spec is not field:
             field._check(value)
         if v := value.value:
@@ -168,8 +169,8 @@ def solve_one(
         return residual_sum
     if residual_weighted is not None:
         rows.field._check(residual_weighted)
-        return rows.field.element(
-            rows.field._div(residual_weighted.value, rows.row_weighted[rank].value))
+        w = 1 if rows.sum_only else rows.field._exp[rank]  # generator^rank
+        return rows.field.element(rows.field._div(residual_weighted.value, w))
     raise UnrecoverableError(f"no protection residual available for rank {rank}")
 
 
@@ -191,9 +192,8 @@ def solve_two(
         raise UnrecoverableError(f"two unknowns at ranks {(t1, t2)} but a residual is missing")
     field = rows.field
     field._check(residual_sum, residual_weighted)
-    w1 = rows.row_weighted[t1].value
-    det = w1 ^ rows.row_weighted[t2].value
-    if not det:
+    w1, w2 = (1, 1) if rows.sum_only else (field._exp[t1], field._exp[t2])
+    if not (det := w1 ^ w2):
         raise UnrecoverableError(f"protection rows are not independent over ranks {t1}, {t2}")
     rs = residual_sum.value
     x2 = field._div(residual_weighted.value ^ field._mul(w1, rs), det)

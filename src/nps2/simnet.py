@@ -236,10 +236,9 @@ def _round_plan(schedule, round_index, failed):
     a function of its protection pair alone: its Scenario, the ascending ranks
     of its failed working slots, and whether each carrier lives."""
     p_sum, p_wtd = schedule.pairs[round_index - 1]
-    slots = schedule.protected[round_index - 1]
-    # ranks are positions in the round's slots, which ascend by path
-    missing = [t for p in failed
-               if (t := bisect_left(slots, (p,))) < len(slots) and slots[t][0] == p]
+    # a round's working slots are its other paths in path order: p's rank counts those below
+    missing = [p - 1 - (p_sum < p) - (p_wtd < p) for p in failed
+               if p != p_sum and p != p_wtd and p <= schedule.n]
     alive = p_sum not in failed, p_wtd not in failed
     if len(missing) > sum(alive):
         scenario = Scenario.EXCESS_LOSS

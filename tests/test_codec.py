@@ -23,6 +23,8 @@ from nps2.codec import (
     solve_two,
 )
 from nps2.field import FieldMismatchError, FieldSpec
+from nps2.schemes import Scheme
+from nps2.simnet import sweep_failures
 
 GF4 = FieldSpec(2, 0b111, 0b10)
 GF8 = FieldSpec(3, 0b1011, 0b010)
@@ -83,6 +85,17 @@ def test_build_rows_holds_one_rows_per_field():
     twin = FieldSpec(3, 0b1011, 0b10)
     assert twin == GF8 and build_rows(5, twin) == rows
     assert build_rows(5, twin) is not rows and build_rows(5, twin).field is twin
+
+
+def test_a_sweep_builds_no_coefficient_row():
+    # the engine scales by the field's exp table, so the rows as elements are
+    # built only when something reads them
+    spec = FieldSpec(4, 0x13, 2)
+    sweep_failures(Scheme.NPS2_I, 8, spec)
+    rows = build_rows(6, spec)
+    assert "row_sum" not in vars(rows) and "row_weighted" not in vars(rows)
+    assert rows.row_weighted == tuple(spec.pow(spec.alpha(), t) for t in range(6))
+    assert rows.row_sum == (spec.one(),) * 6
 
 
 def test_build_rows_bad_width_raises_every_call():
@@ -191,7 +204,7 @@ GF16 = FieldSpec(4, 0x13, 0x2)
     ([(0, GF8.one()), (1, GF8.one()), (2, GF16.one())], FieldMismatchError,
      "element of GF(2^4)/0x13 used in GF(2^3)/0xb"),
     ([(2, GF8.one()), (0, GF8.one()), (2, GF8.one())], ValueError,
-     "duplicate rank 2 in known contributions"),
+     "rank 0 follows rank 2: known ranks must ascend"),
     ([(0, GF8.one()), (-1, GF8.one())], ValueError, "rank -1 out of range for width 3"),
     ([(1, GF8.one()), (3, GF8.one())], ValueError, "rank 3 out of range for width 3"),
     # with several faults, the first entry in list order is the one named
@@ -201,6 +214,10 @@ GF16 = FieldSpec(4, 0x13, 0x2)
      "rank 5 out of range for width 3"),
     ([(0, GF8.one()), (0, GF8.one()), (9, GF8.one())], ValueError,
      "duplicate rank 0 in known contributions"),
+    # known ranks ascend strictly: a repeat of the one before, or a step down
+    ([(1, GF8.one()), (1, GF8.one())], ValueError, "duplicate rank 1 in known contributions"),
+    ([(2, GF8.one()), (1, GF8.one())], ValueError,
+     "rank 1 follows rank 2: known ranks must ascend"),
 ])
 def test_residualize_names_the_first_bad_entry(known, error, message):
     rows = build_rows(3, GF8)

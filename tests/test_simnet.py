@@ -150,6 +150,18 @@ def test_recover_round_excess_loss_keeps_direct_survivors():
     assert result.recovered_count == 0
 
 
+def test_recover_round_ignores_failed_paths_beyond_n():
+    # a pattern may name paths the schedule does not have; they are on no
+    # round's working slots, so path 3 is the round's one unknown
+    sched = build_schedule(Scheme.NPS2_I, 6)
+    rows = build_rows(4, GF256)
+    data = generate_source_data(6, 6, 1, 11, GF256)[0]
+    failure = FailurePattern({3, 9})
+    rec = recover_round(transmit_round(sched, 1, data, failure, rows), sched, 1, rows, failure)
+    assert rec.scenario is Scenario.SINGLE_WORKING
+    assert rec.recovered == ((3, 1),) and rec.values == (data[2][0],) and rec.lost == ()
+
+
 def test_recover_round_sum_only_double_working_is_lost():
     # over GF(2) with sum-only rows, two unknowns share one independent row
     sched = build_schedule(Scheme.NPS2_II, 6)

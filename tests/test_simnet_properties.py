@@ -3,12 +3,14 @@ json.dumps of the records of an eager transmission built from the data
 tensor, the paper's cell rule and encode_pair, both for data that
 run_session draws from a seed and for given data, and transmit_round
 returns the same payloads; schedule_labels, transmit_round and trace_lines
-read the same cells on any valid schedule. The ``delivered`` maps of a
-result and of a round equal an eager collector's map, key order included,
-and a result builds its map only when it is first read. run_session equals
-a session pieced together round by round from transmit_round and
-recover_round. generate_source_data draws the randrange stream, and a
-shared RNG drawn one session at a time continues it."""
+read the same cells on any valid schedule, and a round's plan ranks each
+failed working path by its position in the round's working slots. The
+``delivered`` maps of a result and of a round equal an eager collector's
+map, key order included, and a result builds its map only when it is
+first read. run_session equals a session pieced together round by round
+from transmit_round and recover_round. generate_source_data draws the
+randrange stream, and a shared RNG drawn one session at a time continues
+it."""
 
 import json
 import random
@@ -24,6 +26,7 @@ from nps2.simnet import (
     Outcome,
     Scenario,
     SessionResult,
+    _round_plan,
     all_patterns,
     generate_source_data,
     recover_round,
@@ -138,6 +141,18 @@ def test_any_schedule_reads_its_cells_from_pairs_and_protected(case, session):
     result = SessionResult(schedule, session, failure, data, solved=(), outcome=Outcome.COMPLETE,
                            scenarios=(), received=tuple(received))
     assert [json.loads(line) for line in trace_lines(result)] == records(session, expect)
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_schedules())
+def test_round_plan_ranks_are_positions_in_protected(case):
+    # the rank rule, p - 1 less the carriers below p, checked against a failed
+    # working path's position among the round's working slots on any schedule
+    schedule, _, failure, _ = case
+    for r, slots in enumerate(schedule.protected, 1):
+        paths = [p for p, _ in slots]
+        _, missing, _ = _round_plan(schedule, r, failure.failed_paths)
+        assert missing == [paths.index(p) for p in failure.failed_paths if p in paths]
 
 
 @settings(max_examples=150, deadline=None)
