@@ -12,9 +12,11 @@ protection symbols and let the other n-2 carry fresh data, yielding the
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
 from functools import cache
+from itertools import chain, islice
 
 
 class Scheme(Enum):
@@ -32,53 +34,35 @@ class SlotKind(Enum):
 class SessionSchedule:
     """Which path carries which symbol at each round of a session.
 
-    pairs[r-1] is round r's (sum, weighted) protection carriers; the rest is
-    derived from (n, pairs) by one rule for both schemes. Every other path
-    sends its data units in order, so its data index in round r is the
-    number of rounds up to r in which it worked. protected[r-1] holds the
-    round's working slots as plain (path, data_index) tuples in path order,
-    which is rank order, shared with every schedule on n paths; units[p-1]
-    counts path p's data units. Equality and hash are by (scheme, n, pairs);
-    ValueError unless there are 1..n rounds, each on two distinct carriers
-    in 1..n.
+    pairs[r-1] is round r's (sum, weighted) protection carriers and working[r-1]
+    its other paths in path order, which is rank order: one tuple per distinct
+    pair. units[p-1] counts the data units path p sends, in order (_unit_rounds).
+    Equality and hash are by (scheme, n, pairs); ValueError unless there are
+    1..n rounds, each on two distinct carriers in 1..n.
     """
 
     scheme: Scheme
     n: int
     pairs: tuple[tuple[int, int], ...]
-    protected: tuple[tuple[tuple[int, int], ...], ...] = dc_field(
-        init=False, repr=False, compare=False)
+    working: tuple[tuple[int, ...], ...] = dc_field(init=False, repr=False, compare=False)
     units: tuple[int, ...] = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = self.n
-        if not 1 <= len(self.pairs) <= n:
-            raise ValueError(f"a schedule on {n} paths runs 1..{n} rounds, got {len(self.pairs)}")
-        cells = _working_cells(n)
-        sent = [0] * n  # data units each path has sent so far
-        protected = []
+        n, rounds = self.n, len(self.pairs)
+        if not 1 <= rounds <= n:
+            raise ValueError(f"a schedule on {n} paths runs 1..{n} rounds, got {rounds}")
         for pair in self.pairs:
             if len(pair) != 2 or pair[0] == pair[1] or not all(1 <= p <= n for p in pair):
                 raise ValueError(f"a protection pair is two distinct paths in 1..{n}, got {pair}")
-            work = []
-            for p, d in enumerate(sent):
-                if p + 1 not in pair:
-                    sent[p] = d + 1
-                    work.append(cells[p][d])
-            protected.append(tuple(work))
-        object.__setattr__(self, "protected", tuple(protected))
-        object.__setattr__(self, "units", tuple(sent))
+        paths = tuple(range(1, n + 1))  # the ints every working tuple holds
+        working = {pair: tuple([p for p in paths if p not in pair]) for pair in set(self.pairs)}
+        carries = Counter(chain.from_iterable(self.pairs))  # rounds each path carries in
+        object.__setattr__(self, "working", tuple(map(working.__getitem__, self.pairs)))
+        object.__setattr__(self, "units", tuple(rounds - carries[p] for p in paths))
 
     @property
     def rounds(self) -> int:
         return len(self.pairs)
-
-
-@cache
-def _working_cells(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Path p's (path, data_index) slot of data unit d at [p-1][d-1], for d up to n."""
-    units = range(1, n + 1)
-    return tuple(tuple((p, d) for d in units) for p in units)
 
 
 def check_path_count(scheme: Scheme, n: int) -> None:
@@ -122,31 +106,44 @@ def _schedule(scheme: Scheme, n: int, pair: tuple[int, int] | None) -> SessionSc
     return SessionSchedule(scheme, n, pairs)
 
 
+def _unit_rounds(schedule: SessionSchedule):
+    """Each round's (r, pair, working paths, carried), the paper's data-unit rule
+    written once: carried[p] counts the rounds before r in which path p carried,
+    so a working path p sends its unit r - carried[p]. carried is one list by
+    path, advanced as the next round is drawn."""
+    carried = [0] * (schedule.n + 1)
+    for r, (pair, working) in enumerate(zip(schedule.pairs, schedule.working), 1):
+        yield r, pair, working, carried
+        for p in pair:
+            carried[p] += 1
+
+
 def protected_slots(schedule: SessionSchedule, round_index: int) -> tuple[tuple[int, int], ...]:
-    """The n-2 working slots of a round, in ascending path order.
+    """A round's n-2 working (path, data_index) slots in path order, built per call.
 
     Their position in this tuple is the rank used for the weighted
     coefficient row, so coefficients are a pure function of the schedule.
     """
     if not 1 <= round_index <= schedule.rounds:
         raise ValueError(f"round {round_index} out of range 1..{schedule.rounds}")
-    return schedule.protected[round_index - 1]
+    r, _, working, carried = next(islice(_unit_rounds(schedule), round_index - 1, None))
+    return tuple([(p, r - carried[p]) for p in working])
 
 
 def schedule_capacity(schedule: SessionSchedule) -> Fraction:
     """Fraction of path-slots carrying working data; (n-2)/n for both schemes."""
     from fractions import Fraction  # loaded on first use: the run path never needs it
-    return Fraction(sum(map(len, schedule.protected)), schedule.rounds * schedule.n)
+    return Fraction(sum(map(len, schedule.working)), schedule.rounds * schedule.n)
 
 
 def schedule_labels(schedule: SessionSchedule) -> list[list[str]]:
     """Label matrix oriented like the protection matrices: rows are
     connections, columns are round times. Round r's carriers read y_p^r,
-    every other path x_p^d, its data index d from the round's working slots."""
+    every other path x_p^d, sending its data unit d."""
     labels = [[] for _ in range(schedule.n)]
-    for r, (pair, slots) in enumerate(zip(schedule.pairs, schedule.protected), 1):
+    for r, pair, working, carried in _unit_rounds(schedule):
         for p in pair:
             labels[p - 1].append(f"y_{p}^{r}")
-        for p, d in slots:
-            labels[p - 1].append(f"x_{p}^{d}")
+        for p in working:
+            labels[p - 1].append(f"x_{p}^{r - carried[p]}")
     return labels

@@ -31,6 +31,7 @@ from .schemes import (
     Scheme,
     SessionSchedule,
     SlotKind,
+    _unit_rounds,
     build_schedule,
     protected_slots,
 )
@@ -116,8 +117,8 @@ class SessionResult:
         in ``unrecoverable_rounds``."""
         failed = self.failure.failed_paths
         lost = {r for r, _ in self.unrecoverable_rounds}
-        erased = (s for r, slots in enumerate(self.schedule.protected, 1) if r not in lost
-                  for s in slots if s[0] in failed)
+        erased = ((p, r - carried[p]) for r, _, working, carried in _unit_rounds(self.schedule)
+                  if r not in lost for p in working if p in failed)
         return dict(zip(erased, self.solved))
 
     @cached_property
@@ -126,8 +127,9 @@ class SessionResult:
         and this result's own after that: per round, direct then recovered."""
         data = self.data
         live = set(range(1, self.schedule.n + 1)).difference(self.failure.failed_paths)
-        return dict(item for slots in self.schedule.protected for item in _delivered(
-            slots, live, lambda s: data[s[0] - 1][s[1] - 1], self.recovered))
+        return dict(item for r, _, working, carried in _unit_rounds(self.schedule)
+                    for item in _delivered([(p, r - carried[p]) for p in working], live,
+                                           lambda s: data[s[0] - 1][s[1] - 1], self.recovered))
 
     @property
     def recovered_count(self) -> int:
@@ -249,10 +251,10 @@ def _round_plan(schedule, round_index, failed):
     return scenario, missing, alive
 
 
-def _decode(plan, slots, received, known, rows):
+def _decode(plan, working, received, known, rows):
     """(The missing ranks' symbols, lost paths) of a round with this ``plan``
-    and rank-ordered ``slots``, from the ``received`` (sum, weighted) symbols,
-    None where lost, and the surviving (rank, symbol) items ``known``."""
+    and ``working`` paths, from the ``received`` (sum, weighted) symbols, None
+    where lost, and the surviving (rank, symbol) items ``known``."""
     scenario, missing, _ = plan
     if missing and scenario is not Scenario.EXCESS_LOSS:
         y_sum, y_weighted = received
@@ -265,7 +267,7 @@ def _decode(plan, slots, received, known, rows):
             pass
         else:
             return values, ()
-    return (), tuple(slots[t][0] for t in missing)
+    return (), tuple(working[t] for t in missing)
 
 
 def recover_round(
@@ -289,7 +291,7 @@ def recover_round(
     pair = schedule.pairs[round_index - 1]
     received = [survivors[p] if a else None for p, a in zip(pair, alive)]
     known = [(t, survivors[p]) for t, (p, _) in enumerate(prot) if p in survivors]
-    values, lost = _decode(plan, prot, received, known, rows)
+    values, lost = _decode(plan, schedule.working[round_index - 1], received, known, rows)
     solved = tuple(prot[t] for t in missing) if values else ()
     return RoundRecovery(prot, survivors, scenario, solved, values, lost)
 
@@ -332,8 +334,10 @@ def run_session(
     exact = True
     plans = {}  # by protection pair: one per NPS2-I session, one a round for NPS2-II
 
-    for r, (pair, slots) in enumerate(zip(schedule.pairs, schedule.protected), 1):
-        payloads = [data[p - 1][d - 1] for p, d in slots]
+    by_path = (None, *data)
+    for r, pair, working, carried in _unit_rounds(schedule):
+        i = r - 1  # a working path p's unit, from 0, is i - carried[p]
+        payloads = [by_path[p][i - carried[p]] for p in working]
         y_sum, y_weighted = encode_pair(payloads, rows)
         if (plan := plans.get(pair)) is None:
             plan = plans[pair] = _round_plan(schedule, r, failed)
@@ -344,7 +348,7 @@ def run_session(
             known = list(enumerate(payloads))
             for t in reversed(missing):
                 del known[t]
-            values, lost = _decode(plan, slots, arrived, known, rows)
+            values, lost = _decode(plan, working, arrived, known, rows)
             solved += values
             for t, v in zip(missing, values):
                 exact = exact and v.value == payloads[t].value
@@ -460,22 +464,21 @@ def trace_lines(result: SessionResult) -> list[str]:
     slot kind and payload_hex, zero-padded to the field's hex width, put together
     from its kind and path's head, its payload's digits, its round's and sender's."""
     data, failed, schedule = result.data, result.failure.failed_paths, result.schedule
-    p, d = schedule.protected[0][0]  # a symbol the session sent: rows may be short
-    heads, senders, rounds, high, low = _trace_forms(schedule.n,
-                                                     (data[p - 1][d - 1].spec.m + 3) // 4)
+    p = schedule.working[0][0]  # its first unit, sent in round 1: rows may be short
+    heads, senders, rounds, high, low = _trace_forms(schedule.n, (data[p - 1][0].spec.m + 3) // 4)
     session = f"{result.session_index}}}"
     tails = [f"{sender}{session}" for sender in senders]
-    rows, working = (None, *data), heads[0]  # by path from 1
+    rows, working_head = (None, *data), heads[0]  # by path from 1
     it = iter(result.received)
     lines = []
     add, insert = lines.append, lines.insert
-    for round_text, (p_sum, p_wtd), slots, y_sum, y_weighted in zip(
-            rounds, schedule.pairs, schedule.protected, it, it):
+    for (r, (p_sum, p_wtd), working, carried), round_text, y_sum, y_weighted in zip(
+            _unit_rounds(schedule), rounds, it, it):
         start = len(lines)
-        for p, d in slots:  # ascending by path
+        for p in working:  # ascending
             if p not in failed:
-                v = rows[p][d - 1].value
-                add(f"{working[p]}{high[v >> 8]}{low[v & 255]}{round_text}{tails[p]}")
+                v = rows[p][r - 1 - carried[p]].value
+                add(f"{working_head[p]}{high[v >> 8]}{low[v & 255]}{round_text}{tails[p]}")
         carriers = (p_sum, 1, y_sum), (p_wtd, 2, y_weighted)
         for p, k, y in carriers if p_sum < p_wtd else carriers[::-1]:  # lower path first
             if p not in failed:

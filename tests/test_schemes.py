@@ -35,21 +35,26 @@ def cells(schedule) -> list[list[tuple]]:
     return matrix
 
 
+def working_slots(schedule) -> list[tuple]:
+    """protected_slots of every round, in round order."""
+    return [protected_slots(schedule, r) for r in range(1, schedule.rounds + 1)]
+
+
 def test_nps2i_n4_session0():
     sched = build_schedule(Scheme.NPS2_I, 4, 0)
     assert sched.pairs[0] == (1, 2)
     assert sched.rounds == 4
     for r in range(1, 5):
         assert cells(sched)[r - 1] == [(SUM, None), (WEIGHTED, None), (WORKING, r), (WORKING, r)]
-        assert sched.protected[r - 1] == ((3, r), (4, r))
-    assert {s for row in sched.protected for s in row} == {(p, d) for p in (3, 4)
+        assert protected_slots(sched, r) == ((3, r), (4, r))
+    assert {s for row in working_slots(sched) for s in row} == {(p, d) for p in (3, 4)
                                                             for d in range(1, 5)}
 
 
 def test_nps2i_minimal_n3():
     sched = build_schedule(Scheme.NPS2_I, 3, 0)
     for r in range(1, 4):
-        assert sched.protected[r - 1] == ((3, r),)
+        assert protected_slots(sched, r) == ((3, r),)
         assert [kind for kind, _ in cells(sched)[r - 1]].count(WORKING) == 1
 
 
@@ -85,7 +90,7 @@ def test_nps2ii_n6_path5_sequence():
     sched = build_schedule(Scheme.NPS2_II, 6)
     assert [row[4] for row in cells(sched)] == [(WORKING, 1), (WORKING, 2), (SUM, None)]
     assert schedule_labels(sched)[4] == ["x_5^1", "x_5^2", "y_5^3"]
-    assert (5, 1) in sched.protected[0] and (5, 2) in sched.protected[1]
+    assert (5, 1) in protected_slots(sched, 1) and (5, 2) in protected_slots(sched, 2)
 
 
 def test_nps2ii_rejects_bad_n():
@@ -106,7 +111,7 @@ ROUND_STRUCTURE_CASES = [(Scheme.NPS2_I, n, s) for n in (3, 4, 7) for s in (0, 3
 )
 def test_round_structure(scheme, n, session_index):
     sched = build_schedule(scheme, n, session_index)
-    for row, pair, slots in zip(cells(sched), sched.pairs, sched.protected, strict=True):
+    for row, pair, slots in zip(cells(sched), sched.pairs, working_slots(sched), strict=True):
         kinds = [kind for kind, _ in row]
         assert kinds.count(SUM) == 1
         assert kinds.count(WEIGHTED) == 1
@@ -127,7 +132,7 @@ def test_nps2ii_fairness():
         for path in range(1, n + 1):
             protection_rounds = [
                 r for r in range(1, sched.rounds + 1)
-                if path not in {p for p, _ in sched.protected[r - 1]}
+                if path not in {p for p, _ in protected_slots(sched, r)}
             ]
             assert protection_rounds == [(path + 1) // 2]
 
@@ -136,16 +141,16 @@ def test_nps2ii_completeness():
     for n in (4, 6, 8, 10):
         sched = build_schedule(Scheme.NPS2_II, n)
         expected = {(i, d) for i in range(1, n + 1) for d in range(1, n // 2)}
-        assert {s for row in sched.protected for s in row} == expected
+        assert {s for row in working_slots(sched) for s in row} == expected
         # transmitted exactly once: count multiset size
-        count = sum(map(len, sched.protected))
+        count = sum(map(len, working_slots(sched)))
         assert count == len(expected)
 
 
 def test_nps2ii_data_index_consecutive():
     sched = build_schedule(Scheme.NPS2_II, 8)
     for path in range(1, 9):
-        seq = [d for slots in sched.protected for p, d in slots if p == path]
+        seq = [d for slots in working_slots(sched) for p, d in slots if p == path]
         assert seq == list(range(1, len(seq) + 1))
 
 
@@ -220,7 +225,7 @@ def test_schedules_share_one_layout_per_key():
     assert shared is build_schedule(Scheme.NPS2_I, 8, 4)  # pair (1, 2) again
     assert shared is not build_schedule(Scheme.NPS2_I, 8, 1)
     assert shared != build_schedule(Scheme.NPS2_I, 8, 1)
-    assert protected_slots(shared, 1) is protected_slots(build_schedule(Scheme.NPS2_I, 8, 4), 1)
+    assert protected_slots(shared, 1) == protected_slots(build_schedule(Scheme.NPS2_I, 8, 4), 1)
     with pytest.raises(AttributeError):
         shared.pairs = ()
     # a schedule rebuilt after the cache forgot it equals the old one by value
@@ -229,7 +234,7 @@ def test_schedules_share_one_layout_per_key():
     assert rebuilt is not shared
     assert rebuilt == shared and hash(rebuilt) == hash(shared)
     assert rebuilt.pairs == shared.pairs
-    assert rebuilt.protected == shared.protected and rebuilt.units == shared.units
+    assert rebuilt.working == shared.working and rebuilt.units == shared.units
 
 
 def test_schedule_equality_is_by_scheme_n_and_pairs():
@@ -264,24 +269,30 @@ def test_nps2i_cache_holds_a_whole_rotation():
         assert build_schedule(Scheme.NPS2_I, 64, d) is build_schedule(Scheme.NPS2_I, 64, d + 32)
 
 
-def test_slots_are_shared_between_pairs():
-    first, second = build_schedule(Scheme.NPS2_I, 8, 0), build_schedule(Scheme.NPS2_I, 8, 1)
-    # pairs (1, 2) and (3, 4): paths 5..8 send unit 3 in round 3 of both
-    assert all(a is b for a, b in zip(first.protected[2][2:], second.protected[2][2:], strict=True))
-    # and across schemes: NPS2-II's path 1 sends unit 1 in round 2
-    assert build_schedule(Scheme.NPS2_II, 8).protected[1][0] is second.protected[0][0]
+@pytest.mark.parametrize("scheme", Scheme, ids=lambda s: s.value)
+def test_large_schedule_holds_one_working_tuple_per_pair(scheme):
+    # n=1024 holds no cell per (path, unit): NPS2-I's rounds share one tuple of
+    # working paths, and NPS2-II has one per round
+    nps2.schemes._schedule.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sched = build_schedule(scheme, 1024)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 8 * 2**20
+    assert len(set(map(id, sched.working))) == (1 if scheme is Scheme.NPS2_I else 512)
 
 
 def test_working_slots_are_plain_path_unit_tuples():
     for sched in (build_schedule(Scheme.NPS2_I, 7, 2), build_schedule(Scheme.NPS2_II, 8)):
-        for r, row in enumerate(sched.protected, 1):
-            assert protected_slots(sched, r) is row
+        for row in working_slots(sched):
             assert all(type(s) is tuple and len(s) == 2 for s in row)
 
 
 def test_nps2i_rotation_stays_small():
     nps2.schemes._schedule.cache_clear()
-    nps2.schemes._working_cells.cache_clear()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]

@@ -11,7 +11,7 @@ from nps2.schemes import (
     protected_slots,
     schedule_capacity,
 )
-from test_schemes import SUM, WEIGHTED, WORKING, cells
+from test_schemes import SUM, WEIGHTED, WORKING, cells, working_slots
 
 
 @st.composite
@@ -43,7 +43,7 @@ def test_schedule_invariants(sched):
     # NPS2-I; for NPS2-II r before the path's protection round ceil(p/2)
     # and r-1 after it
     ii = sched.scheme is Scheme.NPS2_II
-    for r, slots in enumerate(sched.protected, 1):
+    for r, slots in enumerate(working_slots(sched), 1):
         for p, d in slots:
             assert d == (r - 1 if ii and r > (p + 1) // 2 else r)
 
@@ -57,4 +57,4 @@ def test_schedule_invariants(sched):
         assert set(sched.pairs) == {sched.pairs[0]}
         expected = {(p, r) for p in range(1, n + 1) if p not in sched.pairs[0]
                     for r in range(1, sched.rounds + 1)}
-    assert {s for row in sched.protected for s in row} == expected
+    assert {s for row in working_slots(sched) for s in row} == expected

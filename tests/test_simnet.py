@@ -26,7 +26,7 @@ from nps2.simnet import (
     trace_lines,
     transmit_round,
 )
-from test_schemes import cells
+from test_schemes import cells, working_slots
 
 GF256 = FieldSpec()
 GF4 = FieldSpec(2, 0b111, 0b10)
@@ -256,7 +256,7 @@ def test_conservation():
                 if kind is SlotKind.WORKING and path in pattern
             )
             assert result.recovered_count == erased
-            assert set(result.delivered) == {s for row in sched.protected for s in row}
+            assert set(result.delivered) == {s for row in working_slots(sched) for s in row}
 
 
 def test_capacity_accounting():

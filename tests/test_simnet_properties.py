@@ -19,7 +19,14 @@ import tracemalloc
 from hypothesis import given, settings, strategies as st
 
 from nps2.codec import build_rows, encode_pair
-from nps2.schemes import Scheme, SessionSchedule, SlotKind, build_schedule, schedule_labels
+from nps2.schemes import (
+    Scheme,
+    SessionSchedule,
+    SlotKind,
+    build_schedule,
+    protected_slots,
+    schedule_labels,
+)
 from nps2.simnet import (
     NO_FAILURES,
     FailurePattern,
@@ -36,7 +43,7 @@ from nps2.simnet import (
     transmit_round,
 )
 from test_codec_properties import FIELDS
-from test_schemes import WORKING, cells
+from test_schemes import WORKING, cells, working_slots
 
 
 def eager_packets(schedule, data, failure, rows) -> list[tuple]:
@@ -113,7 +120,8 @@ def any_schedules(draw):
     schedule = SessionSchedule(draw(st.sampled_from(Scheme)), n,
                                tuple(draw(st.lists(pair, min_size=1, max_size=n))))
     field = FIELDS[draw(st.integers((n - 2).bit_length(), 16))]
-    data = tuple(tuple(field.element(draw(st.integers(0, field.q - 1))) for _ in range(n))
+    rng = random.Random(draw(st.integers(0, 2**32)))  # one draw, not one per symbol
+    data = tuple(tuple(field.element(rng.randrange(field.q)) for _ in range(n))
                  for _ in range(n))
     failed = draw(st.lists(st.integers(1, n), max_size=3, unique=True))
     return schedule, data, FailurePattern(failed), build_rows(n - 2, field)
@@ -121,7 +129,7 @@ def any_schedules(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(any_schedules(), st.integers(0, 1000))
-def test_any_schedule_reads_its_cells_from_pairs_and_protected(case, session):
+def test_any_schedule_reads_its_cells_from_pairs(case, session):
     # the labels, a round's survivors and a session's trace, checked against the cell
     # oracle on schedules that neither scheme builds
     schedule, data, failure, rows = case
@@ -136,7 +144,7 @@ def test_any_schedule_reads_its_cells_from_pairs_and_protected(case, session):
         survivors = transmit_round(schedule, r, data, failure, rows)
         assert list(survivors.items()) == [(path, payload)
                                            for rr, path, _, payload in expect if rr == r]
-        y_pair = encode_pair([data[p - 1][d - 1] for p, d in schedule.protected[r - 1]], rows)
+        y_pair = encode_pair([data[p - 1][d - 1] for p, d in protected_slots(schedule, r)], rows)
         received += (y if p not in failure else None for p, y in zip(pair, y_pair))
     result = SessionResult(schedule, session, failure, data, solved=(), outcome=Outcome.COMPLETE,
                            scenarios=(), received=tuple(received))
@@ -149,7 +157,7 @@ def test_round_plan_ranks_are_positions_in_protected(case):
     # the rank rule, p - 1 less the carriers below p, checked against a failed
     # working path's position among the round's working slots on any schedule
     schedule, _, failure, _ = case
-    for r, slots in enumerate(schedule.protected, 1):
+    for r, slots in enumerate(working_slots(schedule), 1):
         paths = [p for p, _ in slots]
         _, missing, _ = _round_plan(schedule, r, failure.failed_paths)
         assert missing == [paths.index(p) for p in failure.failed_paths if p in paths]
@@ -278,7 +286,7 @@ def test_delivered_writes_stay_with_their_result(case):
         assert b.delivered[key] is before
     # one other emitted symbol makes another result, whatever the pattern
     other = [list(row) for row in data]
-    p, d = min(s for row in schedule.protected for s in row)
+    p, d = min(s for row in working_slots(schedule) for s in row)
     other[p - 1][d - 1] = field.element(data[p - 1][d - 1].value ^ 1)
     assert run_session(scheme, n, field, failure, session_index=session_index,
                        sum_only=sum_only, data=other) != b
