@@ -29,23 +29,21 @@ from .simnet import (
 
 MODES = ("run", "sweep", "dump-schedule", "dump-rows")
 
-DEFAULT_SCHEME = Scheme.NPS2_II
-DEFAULT_N = 8
-DEFAULT_SESSIONS = 1
-
 
 @dataclass
 class RunConfig:
+    """A validated config: a field per config key, but field_m, _poly and _gen make field."""
+
     mode: str
     scheme: Scheme
     n: int
     field: FieldSpec
     sessions: int
-    fail_paths: tuple[int, ...] | None
+    fail: tuple[int, ...] | None
     fail_random: int | None
     seed: int
-    trace_path: str | None
-    report_path: str | None
+    trace: str | None
+    report: str | None
     as_json: bool = False
 
     def field_echo(self) -> dict:
@@ -56,8 +54,8 @@ class RunConfig:
         }
 
     def echo(self) -> dict:
-        if self.fail_paths is not None:
-            failure = {"paths": list(self.fail_paths)}
+        if self.fail is not None:
+            failure = {"paths": list(self.fail)}
         elif self.fail_random is not None:
             failure = {"random": self.fail_random}
         else:
@@ -73,57 +71,22 @@ class RunConfig:
         }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    # every add_argument builds a formatter, which by default loads shutil (and bz2,
-    # lzma, zlib) for the terminal's width: only help and usage texts need that
-    parser = argparse.ArgumentParser(
-        prog="nps2",
-        description="Simulate coded protection of n disjoint paths against "
-        "one or two per-session link failures.",
-        formatter_class=lambda prog: argparse.HelpFormatter(prog, width=80),
-    )
-    parser.add_argument(
-        "command",
-        nargs="?",
-        choices=MODES,
-        help="action to perform (config key mode); default: run with --fail or "
-        "--fail-random, else an exhaustive failure sweep",
-    )
-    parser.add_argument("--config", metavar="PATH", help="JSON config file; flags win")
-    parser.add_argument("--scheme", choices=[s.value for s in Scheme])
-    parser.add_argument("--n", help="number of disjoint paths")
-    parser.add_argument("--field-m", help="extension degree of GF(2^m)")
-    parser.add_argument("--field-poly", metavar="HEX", help="reduction polynomial")
-    parser.add_argument("--field-gen", metavar="HEX", help="field generator")
-    parser.add_argument("--sessions", help="sessions to simulate")
-    parser.add_argument("--fail", metavar="PATHS", help="comma list of failed paths")
-    parser.add_argument(
-        "--fail-random", metavar="K", help="fail K random paths per session"
-    )
-    parser.add_argument("--seed", help="RNG seed (fallback: env NPS2_SEED)")
-    parser.add_argument("--trace", metavar="PATH", help="write a JSON-lines packet trace")
-    parser.add_argument("--report", metavar="PATH", help="write the JSON report here")
-    parser.add_argument("--json", action="store_true", help="JSON output for dumps")
-    parser.formatter_class = argparse.HelpFormatter
-    return parser
-
-
-def _int(value) -> int:
-    """An int, or a decimal string holding one; bools and floats are refused
-    rather than read as 1 or truncated."""
+def _int(value, base: int = 10) -> int:
+    """An int, or a string holding one in ``base``; bools and floats are refused rather
+    than read as 1 or truncated, and so are "_" and non-ASCII digits, which int() reads."""
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise TypeError(f"expected an integer, got {value!r}")
-    return int(value)
+    if isinstance(value, str) and ("_" in value or not value.isascii()):
+        raise ValueError(f"malformed number {value!r}")
+    return int(value, base) if isinstance(value, str) else int(value)
 
 
 def _hex(value) -> int:
     """An int, or a hex string such as "11d" or "0x11d"."""
-    if isinstance(value, str):
-        try:
-            return int(value, 16)
-        except ValueError:
-            raise ValueError(f"malformed hex value {value!r}") from None
-    return _int(value)
+    try:
+        return _int(value, 16)
+    except ValueError:
+        raise ValueError(f"malformed hex value {value!r}") from None
 
 
 def _paths(value) -> tuple[int, ...]:
@@ -147,23 +110,44 @@ def _mode(value) -> str:
     return value
 
 
-# config key, also its flag's dest -> (coercion, default). parse_config
-# resolves each key from the flag, then the file, then the environment
-# (NPS2_SEED for the seed), then the default; JSON null counts as absent.
+# config key and RunConfig field -> (coercion, default, argparse options of its flag
+# --key-with-dashes, or for mode of the positional command). parse_config resolves each
+# key from the flag, the file, the environment (NPS2_SEED), the default; null is absent.
 CONFIG_KEYS = {
-    "scheme": (Scheme, DEFAULT_SCHEME),
-    "n": (_int, DEFAULT_N),
-    "field_m": (_int, DEFAULT_M),
-    "field_poly": (_hex, DEFAULT_REDUCTION_POLY),
-    "field_gen": (_hex, DEFAULT_GENERATOR),
-    "sessions": (_int, DEFAULT_SESSIONS),
-    "seed": (_int, 0),
-    "fail": (_paths, None),
-    "fail_random": (_int, None),
-    "trace": (_path, None),
-    "report": (_path, None),
-    "mode": (_mode, None),
+    "scheme": (Scheme, Scheme.NPS2_II, dict(choices=[s.value for s in Scheme])),
+    "n": (_int, 8, dict(help="number of disjoint paths")),
+    "field_m": (_int, DEFAULT_M, dict(help="extension degree of GF(2^m)")),
+    "field_poly": (_hex, DEFAULT_REDUCTION_POLY, dict(metavar="HEX", help="reduction polynomial")),
+    "field_gen": (_hex, DEFAULT_GENERATOR, dict(metavar="HEX", help="field generator")),
+    "sessions": (_int, 1, dict(help="sessions to simulate")),
+    "fail": (_paths, None, dict(metavar="PATHS", help="comma list of failed paths")),
+    "fail_random": (_int, None, dict(metavar="K", help="fail K random paths per session")),
+    "seed": (_int, 0, dict(help="RNG seed (fallback: env NPS2_SEED)")),
+    "trace": (_path, None, dict(metavar="PATH", help="write a JSON-lines packet trace")),
+    "report": (_path, None, dict(metavar="PATH", help="write the JSON report here")),
+    "mode": (_mode, None, dict(
+        nargs="?", choices=MODES, help="action to perform (config key mode); default: run "
+        "with --fail or --fail-random, else an exhaustive failure sweep")),
 }
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    # every add_argument builds a formatter, which by default loads shutil (and bz2,
+    # lzma, zlib) for the terminal's width: only help and usage texts need that
+    parser = argparse.ArgumentParser(
+        prog="nps2",
+        description="Simulate coded protection of n disjoint paths against "
+        "one or two per-session link failures.",
+        formatter_class=lambda prog: argparse.HelpFormatter(prog, width=80),
+    )
+    parser.add_argument("command", **CONFIG_KEYS["mode"][2])
+    parser.add_argument("--config", metavar="PATH", help="JSON config file; flags win")
+    for key, (_, _, options) in CONFIG_KEYS.items():
+        if key != "mode":
+            parser.add_argument("--" + key.replace("_", "-"), **options)
+    parser.add_argument("--json", action="store_true", help="JSON output for dumps")
+    parser.formatter_class = argparse.HelpFormatter
+    return parser
 
 
 def _load_config_file(parser: argparse.ArgumentParser, path: str) -> dict:
@@ -190,18 +174,19 @@ def parse_config(argv: Sequence[str] | None = None) -> RunConfig:
     env = {"seed": os.environ.get("NPS2_SEED")}
 
     cfg = {}
-    for key, (coerce, default) in CONFIG_KEYS.items():
+    for key, (coerce, default, _) in CONFIG_KEYS.items():
+        # the command is read after the loop, so a file's mode is checked under it too
         sources = (getattr(args, key, None), file_cfg.get(key), env.get(key))
         value = next((v for v in sources if v is not None), default)
         try:
             cfg[key] = None if value is None else coerce(value)
         except (TypeError, ValueError) as exc:
             parser.error(f"{key}: {exc}")
-    n, fail_paths, fail_random = cfg["n"], cfg["fail"], cfg["fail_random"]
-    if fail_paths is not None and fail_random is not None:
+    n, fail, fail_random = cfg["n"], cfg["fail"], cfg["fail_random"]
+    if fail is not None and fail_random is not None:
         parser.error("--fail and --fail-random are mutually exclusive")
-    failing = fail_paths is not None or fail_random is not None
-    mode = args.command or cfg["mode"] or ("run" if failing else "sweep")
+    failing = fail is not None or fail_random is not None
+    mode = cfg["mode"] = args.command or cfg["mode"] or ("run" if failing else "sweep")
     if failing and mode != "run":
         parser.error(f"--fail and --fail-random apply to run, not to {mode}")
     dump = mode.startswith("dump-")
@@ -213,38 +198,25 @@ def parse_config(argv: Sequence[str] | None = None) -> RunConfig:
     # -- cross-field validation -------------------------------------------
     try:
         check_path_count(cfg["scheme"], n)
-        field = FieldSpec(cfg["field_m"], cfg["field_poly"], cfg["field_gen"])
+        field = FieldSpec(cfg.pop("field_m"), cfg.pop("field_poly"), cfg.pop("field_gen"))
         check_width(n - 2, field)
     except ValueError as exc:
         parser.error(str(exc))
     if cfg["sessions"] < 1:
         parser.error(f"--sessions must be positive, got {cfg['sessions']}")
-    if fail_paths is not None:
-        bad = [p for p in fail_paths if not 1 <= p <= n]
+    if fail is not None:
+        bad = [p for p in fail if not 1 <= p <= n]
         if bad:
             parser.error(f"failed paths out of range 1..{n}: {bad}")
-        if len(set(fail_paths)) != len(fail_paths):
-            parser.error(f"duplicate paths in --fail: {list(fail_paths)}")
+        if len(set(fail)) != len(fail):
+            parser.error(f"duplicate paths in --fail: {list(fail)}")
     if fail_random is not None and not 0 <= fail_random <= n:
         parser.error(f"--fail-random must be in 0..{n}, got {fail_random}")
     if cfg["trace"] and cfg["report"]:
         target = os.path.realpath(cfg["trace"])
         if target == os.path.realpath(cfg["report"]) and not _in_place(target):
             parser.error(f"--trace and --report name the same file {target}")
-
-    return RunConfig(
-        mode=mode,
-        scheme=cfg["scheme"],
-        n=n,
-        field=field,
-        sessions=cfg["sessions"],
-        fail_paths=fail_paths,
-        fail_random=fail_random,
-        seed=cfg["seed"],
-        trace_path=cfg["trace"],
-        report_path=cfg["report"],
-        as_json=args.json,
-    )
+    return RunConfig(field=field, as_json=args.json, **cfg)
 
 
 @cache
@@ -360,8 +332,8 @@ def _finish(config: RunConfig, results: Iterable[SessionResult]) -> int:
     """Consume the session stream once: write each session's trace lines
     and report entry as it passes, and keep only the report's totals."""
     capacity = f"{config.n - 2}/{config.n}"
-    with _staged(config.trace_path, config.report_path) as (trace, report), \
-            _spool(config.report_path) as (spool, spooled):
+    with _staged(config.trace, config.report) as (trace, report), \
+            _spool(config.report) as (spool, spooled):
         def written() -> Iterator[tuple[SessionResult, str]]:
             for i, result in enumerate(results):
                 if trace and (lines := trace_lines(result)):
@@ -391,7 +363,7 @@ def _finish(config: RunConfig, results: Iterable[SessionResult]) -> int:
         if report:
             print(
                 f"{config.mode}: {completed}/{total} sessions complete, "
-                f"schedule capacity {capacity}, report written to {config.report_path}"
+                f"schedule capacity {capacity}, report written to {config.report}"
             )
         sys.stdout.flush()  # so that a failing stdout fails here, in the block
     return 0 if completed == total else 1
@@ -408,7 +380,7 @@ def _sessions(config: RunConfig) -> Iterator[SessionResult]:
             yield from sweep_failures(config.scheme, config.n, config.field, session_index=idx,
                                       data=data).results
             continue
-        failed = config.fail_paths or ()
+        failed = config.fail or ()
         if config.fail_random is not None:
             failed = pattern_rng.sample(range(1, config.n + 1), config.fail_random)
         yield run_session(config.scheme, config.n, config.field, FailurePattern(failed),

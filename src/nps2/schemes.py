@@ -38,7 +38,7 @@ class SessionSchedule:
     its other paths in path order, which is rank order: one tuple per distinct
     pair. units[p-1] counts the data units path p sends, in order (_unit_rounds).
     Equality and hash are by (scheme, n, pairs); ValueError unless there are
-    1..n rounds, each on two distinct carriers in 1..n.
+    1..n rounds, each on two distinct carriers, ints (not bools) in 1..n.
     """
 
     scheme: Scheme
@@ -52,7 +52,8 @@ class SessionSchedule:
         if not 1 <= rounds <= n:
             raise ValueError(f"a schedule on {n} paths runs 1..{n} rounds, got {rounds}")
         for pair in self.pairs:
-            if len(pair) != 2 or pair[0] == pair[1] or not all(1 <= p <= n for p in pair):
+            valid = all(type(p) is int and 1 <= p <= n for p in pair)
+            if len(pair) != 2 or pair[0] == pair[1] or not valid:
                 raise ValueError(f"a protection pair is two distinct paths in 1..{n}, got {pair}")
         paths = tuple(range(1, n + 1))  # the ints every working tuple holds
         working = {pair: tuple([p for p in paths if p not in pair]) for pair in set(self.pairs)}

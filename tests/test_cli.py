@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import gc
 import json
@@ -13,7 +14,7 @@ import pytest
 
 import nps2.cli
 import nps2.simnet
-from nps2.cli import _staged, main, parse_config, run
+from nps2.cli import CONFIG_KEYS, RunConfig, _build_parser, _staged, main, parse_config, run
 from nps2.schemes import Scheme, build_schedule
 from nps2.simnet import Outcome, run_session
 
@@ -57,7 +58,7 @@ def test_malformed_hex_rejected(capsys):
 def test_fail_flag_validation(capsys):
     cfg = parse_config(["--fail", "1,3"])
     assert cfg.mode == "run"
-    assert cfg.fail_paths == (1, 3)
+    assert cfg.fail == (1, 3)
     with pytest.raises(SystemExit):
         parse_config(["--fail", "1,99"])
     capsys.readouterr()
@@ -99,6 +100,39 @@ def test_config_file_field_keys(tmp_path):
     cfg = parse_config(["--config", str(path), "--field-m", "4", "--field-poly",
                         "13", "--field-gen", "2"])
     assert (cfg.field.m, cfg.field.reduction_poly, cfg.field.generator) == (4, 0x13, 2)
+
+
+def test_each_setting_has_one_flag_one_key_and_one_field():
+    # a key's flag is --key-with-dashes, but mode's is the command; RunConfig's
+    # fields are the keys, with field_m, field_poly and field_gen in field
+    flags = {s for action in _build_parser()._actions for s in action.option_strings}
+    keyed = {"--" + key.replace("_", "-") for key in CONFIG_KEYS.keys() - {"mode"}}
+    assert flags == {"-h", "--help", "--config", "--json"} | keyed
+    names = {f.name for f in dataclasses.fields(RunConfig)}
+    assert names == (CONFIG_KEYS.keys() - {"field_m", "field_poly", "field_gen"}) | {
+        "field", "as_json"}
+
+
+@pytest.mark.parametrize("cfg", [
+    {"mode": "run", "scheme": "nps2-i", "n": 6, "field_m": 4, "field_poly": "13",
+     "field_gen": "3", "sessions": 3, "fail": [2, 5], "fail_random": None, "seed": 7,
+     "trace": "t.jsonl", "report": "r.json"},
+    {"mode": "run", "scheme": "nps2-ii", "n": 8, "field_m": 16, "field_poly": "1100b",
+     "field_gen": "2", "sessions": 50, "fail": None, "fail_random": 2, "seed": 3,
+     "trace": "t.jsonl", "report": "r.json"},
+], ids=["fail", "fail-random"])
+def test_config_file_with_every_key_equals_its_flags(cfg, tmp_path):
+    assert cfg.keys() == CONFIG_KEYS.keys()
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    argv = [cfg["mode"]]
+    for key, value in cfg.items():
+        if key != "mode" and value is not None:
+            text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+            argv += ["--" + key.replace("_", "-"), text]
+    from_file = parse_config(["--config", str(path)])
+    assert from_file == parse_config(argv) != parse_config([])
+    assert (from_file.trace, from_file.report) == ("t.jsonl", "r.json")
 
 
 @pytest.mark.parametrize("cfg, key", [({"field": {"m": 3}}, "field"),

@@ -150,6 +150,10 @@ BAD_CONFIGS = [
     {"trace": 5},
     {"report": 7},
     {"field_poly": -0x11D},
+    # int() would read these as 10, 8 and 0x11d
+    {"n": "1_0"},
+    {"n": "\u0668"},
+    {"field_poly": "1_1d"},
 ]
 
 
@@ -174,7 +178,9 @@ def test_unparsable_config_file_exits_2(content, tmp_path, capsys):
     assert "nps2: error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [["--n", "4.5"], ["--seed", "1.9"], ["--sessions", "x"]])
+@pytest.mark.parametrize("argv", [["--n", "4.5"], ["--seed", "1.9"], ["--sessions", "x"],
+                                  ["--n", "1_0"], ["--n", "\u0668"], ["--field-poly", "1_1d"],
+                                  ["--fail", "1,\u0663"]])
 def test_malformed_flag_exits_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         parse_config(argv)
@@ -316,8 +322,8 @@ def eager(config) -> tuple[list, dict]:
         rng = random.Random(config.seed)
         results = []
         for idx in range(count):
-            if config.fail_paths is not None:
-                pattern = FailurePattern(config.fail_paths)
+            if config.fail is not None:
+                pattern = FailurePattern(config.fail)
             elif config.fail_random is not None:
                 pattern = FailurePattern(rng.sample(range(1, n + 1), config.fail_random))
             else:

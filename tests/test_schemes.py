@@ -252,6 +252,10 @@ def test_schedule_refuses_a_pair_that_is_not_two_distinct_paths():
         SessionSchedule(Scheme.NPS2_I, 4, ((1, 2), (2, 9)))
     with pytest.raises(ValueError, match="two distinct paths"):
         SessionSchedule(Scheme.NPS2_I, 4, ((1, 2, 3),))
+    # 1.5 would leave three working paths of four, and True would be labelled y_True
+    for pair in ((1.5, 2), (True, 2), (2, 3.0)):
+        with pytest.raises(ValueError, match=r"two distinct paths in 1\.\.4"):
+            SessionSchedule(Scheme.NPS2_I, 4, (pair,))
 
 
 def test_schedule_refuses_more_rounds_than_paths():
