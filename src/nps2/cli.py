@@ -99,7 +99,7 @@ def _paths(value) -> tuple[int, ...]:
 
 
 def _path(value) -> str:
-    if not isinstance(value, str):
+    if not isinstance(value, str) or not value:
         raise TypeError(f"expected a file path, got {value!r}")
     return value
 
@@ -140,11 +140,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "one or two per-session link failures.",
         formatter_class=lambda prog: argparse.HelpFormatter(prog, width=80),
     )
-    parser.add_argument("command", **CONFIG_KEYS["mode"][2])
     parser.add_argument("--config", metavar="PATH", help="JSON config file; flags win")
     for key, (_, _, options) in CONFIG_KEYS.items():
-        if key != "mode":
-            parser.add_argument("--" + key.replace("_", "-"), **options)
+        parser.add_argument(key if key == "mode" else "--" + key.replace("_", "-"), **options)
     parser.add_argument("--json", action="store_true", help="JSON output for dumps")
     parser.formatter_class = argparse.HelpFormatter
     return parser
@@ -175,7 +173,6 @@ def parse_config(argv: Sequence[str] | None = None) -> RunConfig:
 
     cfg = {}
     for key, (coerce, default, _) in CONFIG_KEYS.items():
-        # the command is read after the loop, so a file's mode is checked under it too
         sources = (getattr(args, key, None), file_cfg.get(key), env.get(key))
         value = next((v for v in sources if v is not None), default)
         try:
@@ -186,7 +183,7 @@ def parse_config(argv: Sequence[str] | None = None) -> RunConfig:
     if fail is not None and fail_random is not None:
         parser.error("--fail and --fail-random are mutually exclusive")
     failing = fail is not None or fail_random is not None
-    mode = cfg["mode"] = args.command or cfg["mode"] or ("run" if failing else "sweep")
+    mode = cfg["mode"] = cfg["mode"] or ("run" if failing else "sweep")
     if failing and mode != "run":
         parser.error(f"--fail and --fail-random apply to run, not to {mode}")
     dump = mode.startswith("dump-")

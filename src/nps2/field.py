@@ -66,7 +66,7 @@ class FieldSpec:
 
     Construction walks the generator's first powers and, for m > 8, doubles
     them by byte-plane table lookups to build the exp/log tables. The
-    powers double as validation: a full cycle of length 2^m - 1 is
+    tables double as validation: a full cycle of length 2^m - 1 is
     possible only if the polynomial is irreducible and the generator is
     primitive, which the coefficient rows rely on for distinct weights.
     """
@@ -104,37 +104,30 @@ class FieldSpec:
         self._build_tables()
 
     def _build_tables(self) -> None:
-        m, q, poly, g = self.m, self.q, self.reduction_poly, self.generator
-        order, width = q - 1, 1 if m <= 8 else 2  # bytes a packed power takes
+        m, q, poly, g, order = self.m, self.q, self.reduction_poly, self.generator, self.q - 1
         h = (m + 1) // 2  # walk the first min(q, 256) powers, x * g as lo[x & mask] ^ hi[x >> h]
         lo, hi = _spans(g, poly, q, h, m - h)
-        powers, x, mask = [0] * min(q, 256), 1, (1 << h) - 1
-        for i in range(len(powers)):
-            powers[i] = x
+        exp, x, mask = [0] * min(q, 256), 1, (1 << h) - 1
+        for i in range(len(exp)):
+            exp[i] = x
             x = lo[x & mask] ^ hi[x >> h]
         if m <= 8:  # every value is a cached small int, and a list is the faster read
-            packed, exp, log = bytes(powers), powers[:order] * 2, [0] * q
+            log = [0] * q
         else:  # 16-bit arrays keep no int object per value, as lists would
             from array import array
-            packed, exp, log = _double(powers, x, poly, q), array("H"), array("H", bytes(2 * q))
-        one = (1).to_bytes(width, sys.byteorder)  # the first 1 after g^0 is at g's order
-        i = packed.find(one, width, width * order)
-        while i > 0 and i % width:  # a match across two values
-            i = packed.find(one, i + 1, width * order)
-        if i > 0:
+            exp, log = array("H", _double(exp, x, poly, q)), array("H", [0]) * q
+        for i, x in zip(range(order), exp):
+            log[x] = i
+        if log[1]:  # a later power overwrote g^0 = 1: the first such is at g's order
             raise ValueError(
-                f"generator 0x{g:x} has order {i // width}, expected {order}; not primitive"
+                f"generator 0x{g:x} has order {exp.index(1, 1)}, expected {order}; not primitive"
             )
-        if packed[-width:] != one:
+        if exp[order] != 1:
             raise ValueError(
                 f"generator 0x{g:x} does not have order {order}; 0x{poly:x} may be reducible"
             )
-        if m > 8:  # doubled, so a sum of two logs needs no reduction
-            del packed[-width:]
-            exp.frombytes(packed)
-            exp.frombytes(packed)
-        for i, x in zip(range(order), exp):
-            log[x] = i
+        del exp[order:]
+        exp *= 2  # doubled, so a sum of two logs needs no reduction
         self._exp, self._log = exp, log
 
     # -- element construction -------------------------------------------

@@ -314,6 +314,17 @@ def test_config_mode_with_failures_exits_2(tmp_path, capsys):
     assert parse_config(["run", "--config", str(path)]).mode == "run"
 
 
+def test_file_mode_is_read_only_without_a_command(tmp_path, capsys):
+    # as a flag hides its key's file value, the command hides the file's mode
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"mode": "bogus"}))
+    for argv, code in ((["dump-rows"], 0), ([], 2)):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--config", str(path)])
+        assert exc.value.code == code
+    assert "nps2: error: mode: unknown mode 'bogus'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, cfg", [
     (["dump-rows", "--n", "6", "--report", "r.json", "--trace", "t.jsonl"], None),
     (["dump-schedule", "--trace", "t.jsonl"], None),

@@ -154,6 +154,9 @@ BAD_CONFIGS = [
     {"n": "1_0"},
     {"n": "\u0668"},
     {"field_poly": "1_1d"},
+    # an empty path would write no trace, and the report to stdout
+    {"trace": ""},
+    {"report": ""},
 ]
 
 
@@ -180,7 +183,7 @@ def test_unparsable_config_file_exits_2(content, tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [["--n", "4.5"], ["--seed", "1.9"], ["--sessions", "x"],
                                   ["--n", "1_0"], ["--n", "\u0668"], ["--field-poly", "1_1d"],
-                                  ["--fail", "1,\u0663"]])
+                                  ["--fail", "1,\u0663"], ["--trace", ""], ["--report", ""]])
 def test_malformed_flag_exits_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         parse_config(argv)
