@@ -255,10 +255,12 @@ def _staged(*paths: str | None) -> Iterator[list]:
     only after it ends; the block gets each path's _writer, or None for None.
     A regular or new file is written to a temp file beside the file its path
     resolves to and renamed over it, an _in_place target in place. On any
-    exception no temp file and no placed output is left, and an OSError from
-    opening, writing, closing or placing an output names its path."""
+    exception no temp file is left and each placed output's old file is put
+    back, or the output removed if it had none; an OSError from opening,
+    writing, closing or placing an output names its path."""
     opened: list[tuple[str, TextIO, str | None, str]] = []  # (path, file, temp file, target)
-    placed: list[str] = []
+    placed: list[tuple[str, str | None]] = []  # (target, hard link to its old file or None)
+    backups: list[str] = []
     path = None  # the output being opened, closed or placed
     try:
         for path in filter(None, paths):
@@ -273,18 +275,33 @@ def _staged(*paths: str | None) -> Iterator[list]:
             fh.close()
         for path, _, tmp, target in opened:
             if tmp:
+                backup = f"{target}.{os.urandom(4).hex()}.tmp"
+                try:
+                    os.link(target, backup)
+                    backups.append(backup)
+                except OSError:  # a new output, or a file system without hard links
+                    backup = None
                 os.replace(tmp, target)
-                placed.append(target)
+                placed.append((target, backup))
     except BaseException as exc:
         for _, fh, _, _ in opened:
             with contextlib.suppress(OSError):
                 fh.close()
-        for leftover in [tmp for _, _, tmp, _ in opened if tmp] + placed:
+        for target, backup in placed:
+            with contextlib.suppress(OSError):
+                if backup:
+                    os.replace(backup, target)
+                else:
+                    os.remove(target)
+        for leftover in [tmp for _, _, tmp, _ in opened if tmp] + backups:
             with contextlib.suppress(OSError):
                 os.remove(leftover)
         if isinstance(exc, OSError) and path is not None:
             raise OSError(exc.errno, exc.strerror, path) from exc
         raise
+    for backup in backups:
+        with contextlib.suppress(OSError):
+            os.remove(backup)
 
 
 @contextlib.contextmanager

@@ -10,7 +10,6 @@ round by which slot kinds were lost and solves for the erased symbols.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
 from functools import cache, cached_property
@@ -459,31 +458,24 @@ def _trace_forms(n: int, width: int) -> tuple:
 
 def trace_lines(result: SessionResult) -> list[str]:
     """The ``--trace`` JSON lines of a session's surviving packets in (round,
-    path) order. Each is ``json.dumps`` with ``sort_keys=True, separators=(",",
-    ":")`` of the packet's session, round, sender, path (sender i owns path i),
-    slot kind and payload_hex, zero-padded to the field's hex width, put together
-    from its kind and path's head, its payload's digits, its round's and sender's."""
-    data, failed, schedule = result.data, result.failure.failed_paths, result.schedule
+    path) order: each round walks the live paths, a carrier with its payload from
+    ``received``, any other path with unit r - carried[p] of its source row. Each
+    is ``json.dumps`` with ``sort_keys=True, separators=(",", ":")`` of the packet's
+    session, round, sender, path (sender i owns path i), slot kind and payload_hex,
+    zero-padded to the field's hex width, put together from _trace_forms' pieces."""
+    data, schedule = result.data, result.schedule
     p = schedule.working[0][0]  # its first unit, sent in round 1: rows may be short
     heads, senders, rounds, high, low = _trace_forms(schedule.n, (data[p - 1][0].spec.m + 3) // 4)
     session = f"{result.session_index}}}"
     tails = [f"{sender}{session}" for sender in senders]
-    rows, working_head = (None, *data), heads[0]  # by path from 1
-    it = iter(result.received)
-    lines = []
-    add, insert = lines.append, lines.insert
-    for (r, (p_sum, p_wtd), working, carried), round_text, y_sum, y_weighted in zip(
+    live = [p for p in range(1, schedule.n + 1) if p not in result.failure.failed_paths]
+    rows, it, lines = (None, *data), iter(result.received), []  # rows by path from 1
+    add = lines.append
+    for (r, (p_sum, p_wtd), _, carried), round_text, y_sum, y_weighted in zip(
             _unit_rounds(schedule), rounds, it, it):
-        start = len(lines)
-        for p in working:  # ascending
-            if p not in failed:
-                v = rows[p][r - 1 - carried[p]].value
-                add(f"{working_head[p]}{high[v >> 8]}{low[v & 255]}{round_text}{tails[p]}")
-        carriers = (p_sum, 1, y_sum), (p_wtd, 2, y_weighted)
-        for p, k, y in carriers if p_sum < p_wtd else carriers[::-1]:  # lower path first
-            if p not in failed:
-                v = y.value
-                # after the round's lines of the paths below p that did not fail
-                insert(start + p - 1 - bisect_left(failed, p),
-                       f"{heads[k][p]}{high[v >> 8]}{low[v & 255]}{round_text}{tails[p]}")
+        for p in live:
+            k, y = ((1, y_sum) if p == p_sum else (2, y_weighted) if p == p_wtd
+                    else (0, rows[p][r - 1 - carried[p]]))
+            v = y.value
+            add(f"{heads[k][p]}{high[v >> 8]}{low[v & 255]}{round_text}{tails[p]}")
     return lines

@@ -1,6 +1,8 @@
 import dataclasses
+import errno
 import functools
 import gc
+import itertools
 import json
 import os
 import re
@@ -621,3 +623,142 @@ def test_memory_stays_flat_in_sessions(tmp_path):
         gc.enable()
     assert large - small <= 256 * 1024
     assert len(cfg.field._elements) <= 256
+
+
+class _Faults:
+    """Counts a run's I/O steps, the write, flush and close of each file cli
+    opens and each os.replace, and makes the k-th raise ENOSPC; ``fired`` is
+    that step's (open mode, method), or None while no fault has fired."""
+
+    def __init__(self, k):
+        self.k, self.count, self.fired = k, 0, None
+
+    def step(self, where):
+        self.count += 1
+        if self.count == self.k:
+            self.fired = where
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def install(self, monkeypatch):
+        faults, real_open, real_replace = self, open, os.replace
+
+        class File:
+            def __init__(self, mode, file):
+                self._mode, self._file = mode, file
+
+            def __getattr__(self, name):
+                return getattr(self._file, name)
+
+            def write(self, text):
+                faults.step((self._mode, "write"))
+                return self._file.write(text)
+
+            def flush(self):
+                faults.step((self._mode, "flush"))
+                self._file.flush()
+
+            def close(self):
+                try:
+                    faults.step((self._mode, "close"))
+                finally:  # a failed close still closes the file
+                    self._file.close()
+
+        def faulty_open(path, mode="r", **kwargs):
+            return File(mode, real_open(path, mode, **kwargs))
+
+        def faulty_replace(src, dst):
+            faults.step(("replace", None))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(nps2.cli, "open", faulty_open, raising=False)
+        monkeypatch.setattr(nps2.cli, "os", _os_with(faulty_replace))
+
+
+def _os_with(replace):
+    """The os module as cli sees it, with ``replace`` in place of os.replace."""
+    class Os:
+        def __getattr__(self, name):
+            return getattr(os, name)
+
+    Os.replace = staticmethod(replace)
+    return Os()
+
+
+def _contents(directory):
+    """Each file's text, a report's generated_at line dropped."""
+    return {name: "".join(line for line in (directory / name).read_text().splitlines(True)
+                          if '"generated_at"' not in line)
+            for name in sorted(os.listdir(directory))}
+
+
+def test_failed_placement_puts_the_old_outputs_back(tmp_path, capsys, monkeypatch):
+    # the trace is placed, then placing the report fails: the trace's old
+    # file comes back, so the pair on disk is still the previous run's
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.jsonl").write_text("old trace\n")
+    (tmp_path / "r.json").write_text("old report\n")
+    cfg = parse_config(["run", "--n", "6", "--fail", "2", "--trace", "t.jsonl",
+                        "--report", "r.json"])
+    replaces = []
+
+    def second_fails(src, dst):
+        replaces.append(dst)
+        if len(replaces) == 2:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        os.replace(src, dst)
+
+    monkeypatch.setattr(nps2.cli, "os", _os_with(second_fails))
+    assert run(cfg) == 2
+    assert "nps2: error: cannot write r.json: No space left on device" in capsys.readouterr().err
+    assert _contents(tmp_path) == {"r.json": "old report\n", "t.jsonl": "old trace\n"}
+
+
+FAULT_ARGV = {"run": ["run", "--n", "6", "--sessions", "3", "--fail", "2,3,5"],
+              "sweep": ["sweep", "--n", "4"]}
+FAULT_OUTPUTS = {"trace": ["--trace", "t.jsonl"], "report": ["--report", "r.json"],
+                 "both": ["--trace", "t.jsonl", "--report", "r.json"], "stdout": []}
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+@pytest.mark.parametrize("outputs", FAULT_OUTPUTS)
+@pytest.mark.parametrize("mode", FAULT_ARGV)
+def test_every_io_fault_leaves_all_new_or_all_old_outputs(mode, outputs, existing, tmp_path,
+                                                          capsys, monkeypatch):
+    # the k-th I/O step of the run fails, for every k until none fails: the
+    # run exits 2 and the outputs are as before, or it completes and they
+    # are all new; only a failed close of the report's unlinked spool (opened
+    # "x+") is suppressed, as its entries were flushed as written
+    argv = FAULT_ARGV[mode] + FAULT_OUTPUTS[outputs]
+    names = FAULT_OUTPUTS[outputs][1::2]
+    clean = tmp_path / "clean"
+    clean.mkdir()
+    monkeypatch.chdir(clean)
+    expected = run(parse_config(argv))
+    assert expected == (1 if mode == "run" else 0)
+    new = _contents(clean)
+    spool_closes = 0
+    for k in itertools.count(1):
+        work = tmp_path / f"k{k}"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        monkeypatch.setattr(tempfile, "tempdir", str(work))
+        for name in names if existing else ():
+            (work / name).write_text(f"old {name}\n")
+        old = _contents(work)
+        cfg = parse_config(argv)
+        with monkeypatch.context() as patch:
+            faults = _Faults(k)
+            faults.install(patch)
+            code = run(cfg)
+        err = capsys.readouterr().err
+        if faults.fired is None:
+            assert code == expected and _contents(work) == new
+            break
+        if faults.fired == ("x+", "close"):
+            spool_closes += 1
+            assert code == expected and _contents(work) == new, faults.fired
+        else:
+            assert code == 2 and _contents(work) == old, (k, faults.fired)
+            assert "No space left on device" in err
+    assert k > 1 or not names
+    assert spool_closes == ("r.json" in names)
