@@ -228,7 +228,7 @@ def _round_lines(pairs: tuple[tuple[int, int], ...]) -> str:
 def _entry(result: SessionResult, scenario: str) -> str:
     """The session's report entry as json.dumps(indent=2, sort_keys=True) lays
     it out, indented as in the report's results; ``scenario`` is the session's."""
-    n, failed, detail = result.schedule.n, result.failure.failed_paths, result.detail
+    n, failed, detail = result.schedule.n, result.failure, result.detail
     paths = "[\n        " + ",\n        ".join(map(str, failed)) + "\n      ]" if failed else "[]"
     return f"""{{
       "detail": {"null" if detail is None else json.dumps(detail)},
@@ -250,27 +250,22 @@ def _in_place(target: str) -> bool:
 
 
 @contextlib.contextmanager
-def _staged(*paths: str | None) -> Iterator[list]:
-    """Open an output for each path before the block runs, and place them all
-    only after it ends; the block gets each path's _writer, or None for None.
-    A regular or new file is written to a temp file beside the file its path
-    resolves to and renamed over it, an _in_place target in place. On any
-    exception no temp file is left and each placed output's old file is put
-    back, or the output removed if it had none; an OSError from opening,
-    writing, closing or placing an output names its path."""
+def _staged(*paths: str | None) -> Iterator[tuple[list, Callable[[], None]]]:
+    """Open an output for each path before the block runs; the block gets each
+    path's _writer, or None for None, and ``place``, which it must call once they
+    are written: it closes them all and places them. A regular or new file is
+    written to a temp file beside the file its path resolves to and renamed over
+    it, an _in_place target in place. On any exception, also one after ``place``
+    such as a failing stdout, no temp file is left and each placed output's old
+    file is put back, or the output removed if it had none; an OSError from
+    opening, writing, closing or placing an output names its path."""
     opened: list[tuple[str, TextIO, str | None, str]] = []  # (path, file, temp file, target)
     placed: list[tuple[str, str | None]] = []  # (target, hard link to its old file or None)
     backups: list[str] = []
     path = None  # the output being opened, closed or placed
-    try:
-        for path in filter(None, paths):
-            target = os.path.realpath(path)
-            tmp = None if _in_place(target) else f"{target}.{os.urandom(4).hex()}.tmp"
-            fh = open(tmp or target, "x" if tmp else "w", encoding="utf-8")
-            opened.append((path, fh, tmp, target))
-        path = None
-        writers = iter([_writer(p, fh) for p, fh, _, _ in opened])
-        yield [next(writers) if p else None for p in paths]
+
+    def place() -> None:
+        nonlocal path
         for path, fh, _, _ in opened:
             fh.close()
         for path, _, tmp, target in opened:
@@ -283,6 +278,17 @@ def _staged(*paths: str | None) -> Iterator[list]:
                     backup = None
                 os.replace(tmp, target)
                 placed.append((target, backup))
+        path = None
+
+    try:
+        for path in filter(None, paths):
+            target = os.path.realpath(path)
+            tmp = None if _in_place(target) else f"{target}.{os.urandom(4).hex()}.tmp"
+            fh = open(tmp or target, "x" if tmp else "w", encoding="utf-8")
+            opened.append((path, fh, tmp, target))
+        path = None
+        writers = iter([_writer(p, fh) for p, fh, _, _ in opened])
+        yield [next(writers) if p else None for p in paths], place
     except BaseException as exc:
         for _, fh, _, _ in opened:
             with contextlib.suppress(OSError):
@@ -346,7 +352,7 @@ def _finish(config: RunConfig, results: Iterable[SessionResult]) -> int:
     """Consume the session stream once: write each session's trace lines
     and report entry as it passes, and keep only the report's totals."""
     capacity = f"{config.n - 2}/{config.n}"
-    with _staged(config.trace, config.report) as (trace, report), \
+    with _staged(config.trace, config.report) as ((trace, report), place), \
             _spool(config.report) as (spool, spooled):
         def written() -> Iterator[tuple[SessionResult, str]]:
             for i, result in enumerate(results):
@@ -368,17 +374,22 @@ def _finish(config: RunConfig, results: Iterable[SessionResult]) -> int:
             "all_complete": completed == total,
         })
         head, _, tail = text.partition('"results": []')
-        write = report or sys.stdout.write
-        write(head + '"results": [')
-        spool.seek(0)
-        while chunk := spool.read(1 << 13):  # small reads, so copying out sets no memory peak
-            write(chunk)
-        write("\n  ]" + tail + "\n")
+
+        def copy_out(write: Callable[[str], None]) -> None:
+            write(head + '"results": [')
+            spool.seek(0)
+            while chunk := spool.read(1 << 13):  # small reads, so copying out sets no memory peak
+                write(chunk)
+            write("\n  ]" + tail + "\n")
+
         if report:
-            print(
-                f"{config.mode}: {completed}/{total} sessions complete, "
-                f"schedule capacity {capacity}, report written to {config.report}"
-            )
+            copy_out(report)
+        place()  # stdout is written only once every output is placed
+        if report:
+            print(f"{config.mode}: {completed}/{total} sessions complete, "
+                  f"schedule capacity {capacity}, report written to {config.report}")
+        else:
+            copy_out(sys.stdout.write)
         sys.stdout.flush()  # so that a failing stdout fails here, in the block
     return 0 if completed == total else 1
 

@@ -58,34 +58,25 @@ class Outcome(Enum):
     UNRECOVERABLE = "unrecoverable"
 
 
-class FailurePattern:
-    """Paths that deliver nothing for an entire session (fail-stop)."""
+class FailurePattern(tuple):
+    """Paths that deliver nothing for an entire session (fail-stop): a tuple of
+    distinct path labels, ascending, equal to the plain tuple of its paths."""
 
-    __slots__ = ("failed_paths",)
+    __slots__ = ()
 
-    def __init__(self, failed_paths: Iterable[int] = ()):
+    def __new__(cls, failed_paths: Iterable[int] = ()):
         paths = set(failed_paths)
         for p in paths:
             if not isinstance(p, int) or isinstance(p, bool) or p < 1:
                 raise ValueError(f"path labels are positive integers, got {p!r}")
-        self.failed_paths = tuple(sorted(paths))  # distinct, ascending
+        return super().__new__(cls, sorted(paths))
 
-    def __len__(self) -> int:
-        return len(self.failed_paths)
-
-    def __contains__(self, path: int) -> bool:
-        return path in self.failed_paths
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FailurePattern):
-            return NotImplemented
-        return self.failed_paths == other.failed_paths
-
-    def __hash__(self) -> int:
-        return hash(self.failed_paths)
+    @property
+    def failed_paths(self) -> FailurePattern:
+        return self
 
     def __repr__(self) -> str:
-        return f"FailurePattern({list(self.failed_paths)})"
+        return f"FailurePattern({list(self)})"
 
 
 NO_FAILURES = FailurePattern()
@@ -114,7 +105,7 @@ class SessionResult:
         """The solved symbols by (source, data_index), built on first read:
         ``solved`` zipped with the slots on failed paths of each round not
         in ``unrecoverable_rounds``."""
-        failed = self.failure.failed_paths
+        failed = self.failure
         lost = {r for r, _ in self.unrecoverable_rounds}
         erased = ((p, r - carried[p]) for r, _, working, carried in _unit_rounds(self.schedule)
                   if r not in lost for p in working if p in failed)
@@ -125,7 +116,7 @@ class SessionResult:
         """Every delivered symbol by (source, data_index), built on first read
         and this result's own after that: per round, direct then recovered."""
         data = self.data
-        live = set(range(1, self.schedule.n + 1)).difference(self.failure.failed_paths)
+        live = set(range(1, self.schedule.n + 1)).difference(self.failure)
         return dict(item for r, _, working, carried in _unit_rounds(self.schedule)
                     for item in _delivered([(p, r - carried[p]) for p in working], live,
                                            lambda s: data[s[0] - 1][s[1] - 1], self.recovered))
@@ -207,7 +198,7 @@ def transmit_round(
     """
     sent = {p: data[p - 1][d - 1] for p, d in protected_slots(schedule, round_index)}
     sent.update(zip(schedule.pairs[round_index - 1], encode_pair(list(sent.values()), rows)))
-    return {p: sent[p] for p in range(1, schedule.n + 1) if p not in failure.failed_paths}
+    return {p: sent[p] for p in range(1, schedule.n + 1) if p not in failure}
 
 
 def _delivered(slots, live, symbol, recovered):
@@ -219,17 +210,11 @@ def _delivered(slots, live, symbol, recovered):
 
 @dataclass
 class RoundRecovery:
-    slots: tuple[tuple[int, int], ...] = dc_field(repr=False)  # the round's, in rank order
-    survivors: Mapping[int, FieldElement] = dc_field(repr=False)
     scenario: Scenario
-    recovered: tuple[tuple[int, int], ...] = ()
-    values: tuple[FieldElement, ...] = ()  # the recovered slots' symbols
-    lost: tuple[int, ...] = ()  # failed working paths left unsolved, in rank order
-
-    @property
-    def delivered(self) -> dict[tuple[int, int], FieldElement]:
-        return dict(_delivered(self.slots, self.survivors, lambda s: self.survivors[s[0]],
-                               dict(zip(self.recovered, self.values))))
+    recovered: tuple[tuple[int, int], ...]  # the solved slots, in rank order
+    values: tuple[FieldElement, ...]  # the recovered slots' symbols
+    lost: tuple[int, ...]  # failed working paths left unsolved, in rank order
+    delivered: dict[tuple[int, int], FieldElement]  # per slot: direct, then recovered
 
 
 def _round_plan(schedule, round_index, failed):
@@ -286,13 +271,15 @@ def recover_round(
     ``delivered`` holds only the symbols that arrived directly.
     """
     prot = protected_slots(schedule, round_index)
-    plan = scenario, missing, alive = _round_plan(schedule, round_index, failure.failed_paths)
+    plan = scenario, missing, alive = _round_plan(schedule, round_index, failure)
     pair = schedule.pairs[round_index - 1]
     received = [survivors[p] if a else None for p, a in zip(pair, alive)]
     known = [(t, survivors[p]) for t, (p, _) in enumerate(prot) if p in survivors]
     values, lost = _decode(plan, schedule.working[round_index - 1], received, known, rows)
     solved = tuple(prot[t] for t in missing) if values else ()
-    return RoundRecovery(prot, survivors, scenario, solved, values, lost)
+    delivered = dict(_delivered(prot, survivors, lambda s: survivors[s[0]],
+                                dict(zip(solved, values))))
+    return RoundRecovery(scenario, solved, values, lost, delivered)
 
 
 def run_session(
@@ -313,8 +300,7 @@ def run_session(
     rest is derived on read. The outcome is Complete exactly when no round
     is lost and every solved symbol equals its source's."""
     schedule = build_schedule(scheme, n, session_index)
-    failed = failure.failed_paths
-    for p in failed:
+    for p in failure:
         if p > n:
             raise ValueError(f"failed path {p} exceeds path count {n}")
     rows = build_rows(n - 2, field, sum_only=sum_only)
@@ -339,7 +325,7 @@ def run_session(
         payloads = [by_path[p][i - carried[p]] for p in working]
         y_sum, y_weighted = encode_pair(payloads, rows)
         if (plan := plans.get(pair)) is None:
-            plan = plans[pair] = _round_plan(schedule, r, failed)
+            plan = plans[pair] = _round_plan(schedule, r, failure)
         _, missing, (sum_alive, weighted_alive) = plan
         arrived = (y_sum if sum_alive else None, y_weighted if weighted_alive else None)
         received += arrived
@@ -468,7 +454,7 @@ def trace_lines(result: SessionResult) -> list[str]:
     heads, senders, rounds, high, low = _trace_forms(schedule.n, (data[p - 1][0].spec.m + 3) // 4)
     session = f"{result.session_index}}}"
     tails = [f"{sender}{session}" for sender in senders]
-    live = [p for p in range(1, schedule.n + 1) if p not in result.failure.failed_paths]
+    live = [p for p in range(1, schedule.n + 1) if p not in result.failure]
     rows, it, lines = (None, *data), iter(result.received), []  # rows by path from 1
     add = lines.append
     for (r, (p_sum, p_wtd), _, carried), round_text, y_sum, y_weighted in zip(

@@ -24,8 +24,14 @@ from nps2.codec import (
 )
 from nps2.cli import parse_config, run
 from nps2.field import FieldSpec
-from nps2.schemes import Scheme, build_schedule, schedule_capacity
-from nps2.simnet import FailurePattern, generate_source_data, run_session, sweep_failures
+from nps2.schemes import Scheme, build_schedule, protected_slots, schedule_capacity
+from nps2.simnet import (
+    FailurePattern,
+    all_patterns,
+    generate_source_data,
+    run_session,
+    sweep_failures,
+)
 
 GF256 = FieldSpec()
 GF8 = FieldSpec(3, 0b1011, 0b010)
@@ -37,6 +43,7 @@ SMALL_FIELDS = {
     3: GF8,
     4: FieldSpec(4, 0b10011, 0b0010),
 }
+CERTIFICATE_FIELDS = {3: GF8, 4: SMALL_FIELDS[4], 8: GF256, 16: FieldSpec(16, 0x1100B, 0b10)}
 
 
 @contextmanager
@@ -202,3 +209,29 @@ def test_criterion_8_negative_path(tmp_path):
         report = json.loads(report_path.read_text())
         assert report["all_complete"] is False
         assert all(r["outcome"] == "unrecoverable" for r in report["results"])
+
+
+def test_criterion_9_linearity_certificate():
+    # Under a fixed pattern the decode is GF(2)-linear in the data (the premise,
+    # checked by test_simnet_properties.py::test_decode_is_linear_over_gf2), and
+    # each round decodes alone: so one session per bit b < m and rank t < n-2,
+    # bit b set on each round's rank-t working symbol and zero elsewhere, proves
+    # exact recovery of every data tensor under that pattern
+    with criterion(9, "every bit-basis tensor recovers exactly under every 0/1/2 "
+                   "pattern, n in {4,6,8} x m in {3,4,8,16} and n=16 at m=8", 40.0):
+        for n, m in [(n, m) for n in (4, 6, 8) for m in (3, 4, 8, 16)] + [(16, 8)]:
+            field = CERTIFICATE_FIELDS[m]
+            zero = field.element(0)
+            for scheme in Scheme:
+                schedule = build_schedule(scheme, n)
+                slots = [protected_slots(schedule, r) for r in range(1, schedule.rounds + 1)]
+                for t, b in itertools.product(range(n - 2), range(m)):
+                    rows = [[zero] * schedule.rounds for _ in range(n)]
+                    for p, d in (round_slots[t] for round_slots in slots):
+                        rows[p - 1][d - 1] = field.element(1 << b)
+                    data = tuple(map(tuple, rows))
+                    for pattern in all_patterns(n):
+                        result = run_session(scheme, n, field, pattern, data=data)
+                        erased = {(p, d): data[p - 1][d - 1]
+                                  for round_slots in slots for p, d in round_slots if p in pattern}
+                        assert result.recovered == erased, (scheme, n, m, t, b, pattern)

@@ -360,7 +360,7 @@ def test_unwritable_report_names_path(tmp_path, capsys):
 def test_staged_cleans_up_on_any_exception(error, tmp_path):
     paths = str(tmp_path / "t.jsonl"), None, str(tmp_path / "r.json")
     with pytest.raises(error, match="stopped mid-write"):
-        with _staged(*paths) as (trace, absent, report):
+        with _staged(*paths) as ((trace, absent, report), _):
             assert absent is None
             trace("done\n")
             report("partial")
@@ -392,9 +392,10 @@ def test_unopenable_report_fails_before_any_session(tmp_path, capsys, monkeypatc
                                      ["--trace", "t.jsonl", "--report", "r.json"]],
                          ids=["report", "summary"])
 def test_failed_stdout_leaves_no_output(outputs, tmp_path, capsys, monkeypatch):
-    # the report or the summary line goes to stdout inside the staged block,
-    # so its failure removes the outputs; a stdout report's spool comes from
-    # tempfile, routed to tmp_path too, and a file report's is made beside it
+    # the report or the summary line goes to stdout once the outputs are placed,
+    # still inside the staged block, so its failure removes them; a stdout
+    # report's spool comes from tempfile, routed to tmp_path too, and a file
+    # report's is made beside it
     if not os.path.exists("/dev/full"):
         pytest.skip("no /dev/full")
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
@@ -713,6 +714,32 @@ def test_failed_placement_puts_the_old_outputs_back(tmp_path, capsys, monkeypatc
     assert _contents(tmp_path) == {"r.json": "old report\n", "t.jsonl": "old trace\n"}
 
 
+@pytest.mark.parametrize("outputs", [["--trace", "t.jsonl", "--report", "r.json"],
+                                     ["--trace", "t.jsonl"]], ids=["report-file", "report-stdout"])
+def test_failed_placement_prints_nothing(outputs, tmp_path, capsys, monkeypatch):
+    # the summary line, or a report to stdout, is written only once every output
+    # is placed: a run whose last placement fails prints nothing to stdout
+    monkeypatch.chdir(tmp_path)
+    names = outputs[1::2]
+    for name in names:
+        (tmp_path / name).write_text(f"old {name}\n")
+    cfg = parse_config(["run", "--n", "6", "--fail", "2"] + outputs)
+    replaces = []
+
+    def last_fails(src, dst):
+        replaces.append(dst)
+        if len(replaces) == len(names):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        os.replace(src, dst)
+
+    monkeypatch.setattr(nps2.cli, "os", _os_with(last_fails))
+    assert run(cfg) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"nps2: error: cannot write {names[-1]}: No space left on device" in err
+    assert _contents(tmp_path) == {name: f"old {name}\n" for name in names}
+
+
 FAULT_ARGV = {"run": ["run", "--n", "6", "--sessions", "3", "--fail", "2,3,5"],
               "sweep": ["sweep", "--n", "4"]}
 FAULT_OUTPUTS = {"trace": ["--trace", "t.jsonl"], "report": ["--report", "r.json"],
@@ -725,9 +752,10 @@ FAULT_OUTPUTS = {"trace": ["--trace", "t.jsonl"], "report": ["--report", "r.json
 def test_every_io_fault_leaves_all_new_or_all_old_outputs(mode, outputs, existing, tmp_path,
                                                           capsys, monkeypatch):
     # the k-th I/O step of the run fails, for every k until none fails: the
-    # run exits 2 and the outputs are as before, or it completes and they
-    # are all new; only a failed close of the report's unlinked spool (opened
-    # "x+") is suppressed, as its entries were flushed as written
+    # run exits 2, prints nothing to stdout and leaves the outputs as before,
+    # or it completes and they are all new; only a failed close of the
+    # report's unlinked spool (opened "x+") is suppressed, as its entries
+    # were flushed as written
     argv = FAULT_ARGV[mode] + FAULT_OUTPUTS[outputs]
     names = FAULT_OUTPUTS[outputs][1::2]
     clean = tmp_path / "clean"
@@ -736,6 +764,7 @@ def test_every_io_fault_leaves_all_new_or_all_old_outputs(mode, outputs, existin
     expected = run(parse_config(argv))
     assert expected == (1 if mode == "run" else 0)
     new = _contents(clean)
+    capsys.readouterr()
     spool_closes = 0
     for k in itertools.count(1):
         work = tmp_path / f"k{k}"
@@ -750,7 +779,7 @@ def test_every_io_fault_leaves_all_new_or_all_old_outputs(mode, outputs, existin
             faults = _Faults(k)
             faults.install(patch)
             code = run(cfg)
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         if faults.fired is None:
             assert code == expected and _contents(work) == new
             break
@@ -759,6 +788,6 @@ def test_every_io_fault_leaves_all_new_or_all_old_outputs(mode, outputs, existin
             assert code == expected and _contents(work) == new, faults.fired
         else:
             assert code == 2 and _contents(work) == old, (k, faults.fired)
-            assert "No space left on device" in err
+            assert "No space left on device" in err and out == "", (k, faults.fired)
     assert k > 1 or not names
     assert spool_closes == ("r.json" in names)

@@ -396,6 +396,37 @@ def test_failure_pattern_validation():
     assert repr(FailurePattern([5, 3])) == "FailurePattern([3, 5])"
 
 
+def test_failure_pattern_is_the_tuple_of_its_paths():
+    pattern = FailurePattern([3, 1, 3])
+    assert isinstance(pattern, tuple) and FailurePattern.__slots__ == ()
+    assert pattern == (1, 3) and (1, 3) == pattern and hash(pattern) == hash((1, 3))
+    assert pattern.failed_paths is pattern
+    assert {(1, 3): "pair"}[pattern] == "pair"
+    # tuple's own protocol, none written again
+    deleted = {"__init__", "__len__", "__contains__", "__eq__", "__hash__"}
+    assert not deleted & vars(FailurePattern).keys()
+    with pytest.raises(ValueError, match=r"^path labels are positive integers, got 0$"):
+        FailurePattern([2, 0])
+
+
+def test_round_recovery_keeps_only_what_recover_round_computed():
+    sched = build_schedule(Scheme.NPS2_II, 6)
+    rows = build_rows(4, GF256)
+    data = generate_source_data(6, sched.rounds, 1, 5, GF256)[0]
+    failure = FailurePattern({3, 5})
+    survivors = transmit_round(sched, 1, data, failure, rows)
+    rec = recover_round(survivors, sched, 1, rows, failure)
+    assert [f.name for f in fields(rec)] == ["scenario", "recovered", "values", "lost",
+                                             "delivered"]
+    assert rec.delivered is rec.delivered
+    before = dict(rec.delivered)
+    assert before == {(p, 1): data[p - 1][0] for p in (3, 4, 5, 6)}
+    # the caller's map is not kept: a later change to it leaves the recovery as it was
+    survivors[4] = GF256.element(survivors[4].value ^ 1)
+    del survivors[6]
+    assert rec.delivered == before
+
+
 def test_failed_path_out_of_range():
     with pytest.raises(ValueError, match="exceeds"):
         run_session(Scheme.NPS2_II, 4, GF256, FailurePattern({9}), seed=1)

@@ -10,7 +10,8 @@ map, key order included, and a result builds its map only when it is
 first read. run_session equals a session pieced together round by round
 from transmit_round and recover_round. generate_source_data draws the
 randrange stream, and a shared RNG drawn one session at a time continues
-it."""
+it. The symbols a session recovers from a XOR b are those it recovers
+from a XOR those from b."""
 
 import json
 import random
@@ -316,3 +317,34 @@ def test_sweep_results_keep_little_memory():
         tracemalloc.stop()
     assert report.complete_rate == 1.0 and report.results[0].failure == NO_FAILURES
     assert kept / report.session_count < 10_000
+
+
+@st.composite
+def tensor_pairs(draw):
+    """A scheme, n <= 10, a field of m >= 2 wide enough for n-2 weighted slots,
+    0-3 failed paths, and two data tensors of symbol values for session 0."""
+    scheme = draw(st.sampled_from(Scheme))
+    n = draw(st.integers(2, 5)) * 2 if scheme is Scheme.NPS2_II else draw(st.integers(3, 10))
+    field = FIELDS[draw(st.integers(max(2, (n - 2).bit_length()), 16))]
+    failed = draw(st.lists(st.integers(1, n), max_size=3, unique=True))
+    rng = random.Random(draw(st.integers(0, 2**32)))  # one draw, not one per symbol
+    a, b = ([[rng.randrange(field.q) for _ in range(n)] for _ in range(n)] for _ in "ab")
+    return scheme, n, field, FailurePattern(failed), a, b
+
+
+@settings(max_examples=100, deadline=None)
+@given(tensor_pairs())
+def test_decode_is_linear_over_gf2(case):
+    # the premise of acceptance criterion 9: under a fixed pattern the symbols
+    # recovered from a XOR b are those from a XOR those from b, slot by slot
+    scheme, n, field, failure, a, b = case
+
+    def recovered(values):
+        data = [[field.element(v) for v in row] for row in values]
+        result = run_session(scheme, n, field, failure, data=data)
+        return {slot: symbol.value for slot, symbol in result.recovered.items()}
+
+    from_a, from_b = recovered(a), recovered(b)
+    assert from_a.keys() == from_b.keys()
+    xor = [[u ^ v for u, v in zip(row_a, row_b)] for row_a, row_b in zip(a, b)]
+    assert recovered(xor) == {slot: from_a[slot] ^ from_b[slot] for slot in from_a}
