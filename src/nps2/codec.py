@@ -93,17 +93,22 @@ def encode_pair(
     rank t adds v to the sum and generator^t * v (v if sum-only) to the other."""
     if len(data) != rows.width:
         raise ValueError(f"expected {rows.width} data symbols, got {len(data)}")
-    field, sum_only = rows.field, rows.sum_only
-    exp, log = field._exp, field._log
+    field = rows.field
     y_sum = y_weighted = 0
+    if rows.sum_only:  # decided once: GF(2)'s exp table is shorter than a sum-only row
+        for d in data:
+            if d.spec is not field:
+                field._check(d)
+            y_sum ^= d.value
+        return field.element(y_sum), field.element(y_sum)
+    exp, log = field._exp, field._log
     for t, d in enumerate(data):
         if d.spec is not field:
             field._check(d)
         if v := d.value:
             y_sum ^= v
-            if not sum_only:
-                y_weighted ^= exp[log[v] + t]
-    return field.element(y_sum), field.element(y_sum if sum_only else y_weighted)
+            y_weighted ^= exp[log[v] + t]
+    return field.element(y_sum), field.element(y_weighted)
 
 
 def residualize(
@@ -119,7 +124,8 @@ def residualize(
     v at rank t goes out as v from the sum row, generator^t * v from the other.
     """
     field = rows.field
-    field._check(y_received)
+    if y_received.spec is not field:
+        field._check(y_received)
     if not isinstance(row, Row):
         raise KeyError(row)
     exp, log = field._exp, field._log
@@ -163,14 +169,22 @@ def solve_one(
     The sum row is preferred when both are available (its coefficient is
     1, no inversion needed).
     """
-    _check_ranks((rank,), 1, rows)
+    field = rows.field
+    if not (type(rank) is int and 0 <= rank < rows.width):
+        _check_ranks((rank,), 1, rows)
     if residual_sum is not None:
-        rows.field._check(residual_sum)
+        if residual_sum.spec is not field:
+            field._check(residual_sum)
         return residual_sum
     if residual_weighted is not None:
-        rows.field._check(residual_weighted)
-        w = 1 if rows.sum_only else rows.field._exp[rank]  # generator^rank
-        return rows.field.element(rows.field._div(residual_weighted.value, w))
+        if residual_weighted.spec is not field:
+            field._check(residual_weighted)
+        v = residual_weighted.value
+        if rows.sum_only:
+            return field.element(v)
+        exp, log = field._exp, field._log
+        w = exp[rank]  # generator^rank: v / w is a read of the tables
+        return field.element(exp[log[v] - log[w] + field.q - 1] if v else 0)
     raise UnrecoverableError(f"no protection residual available for rank {rank}")
 
 
@@ -187,14 +201,19 @@ def solve_two(
     second (w1*x1 + w2*x2 = rw), leaving (w1 + w2)*x2 = rw + w1*rs.
     Results come back in ascending rank order.
     """
-    t1, t2 = _check_ranks(ranks, 2, rows)
+    if not (type(ranks) in (list, tuple) and len(ranks) == 2 and type(t1 := ranks[0]) is int
+            and type(t2 := ranks[1]) is int and 0 <= t1 < t2 < rows.width):
+        t1, t2 = _check_ranks(ranks, 2, rows)
     if residual_sum is None or residual_weighted is None:
         raise UnrecoverableError(f"two unknowns at ranks {(t1, t2)} but a residual is missing")
     field = rows.field
-    field._check(residual_sum, residual_weighted)
-    w1, w2 = (1, 1) if rows.sum_only else (field._exp[t1], field._exp[t2])
+    if residual_sum.spec is not field or residual_weighted.spec is not field:
+        field._check(residual_sum, residual_weighted)
+    exp, log = field._exp, field._log
+    w1, w2 = (1, 1) if rows.sum_only else (exp[t1], exp[t2])
     if not (det := w1 ^ w2):
         raise UnrecoverableError(f"protection rows are not independent over ranks {t1}, {t2}")
     rs = residual_sum.value
-    x2 = field._div(residual_weighted.value ^ field._mul(w1, rs), det)
+    y = residual_weighted.value ^ (exp[log[w1] + log[rs]] if rs else 0)  # rw + w1 * rs
+    x2 = exp[log[y] - log[det] + field.q - 1] if y else 0  # y / det
     return field.element(rs ^ x2), field.element(x2)

@@ -282,6 +282,36 @@ def recover_round(
     return RoundRecovery(scenario, solved, values, lost, delivered)
 
 
+def _gather(data, schedule):
+    """Each round's (r, pair, working paths, their payloads in rank order, an
+    iterator of their (rank, payload) items), gathered as the round is drawn."""
+    by_path = (None, *data)
+    for r, pair, working, carried in _unit_rounds(schedule):
+        i = r - 1  # a working path p's unit, from 0, is i - carried[p]
+        payloads = [by_path[p][i - carried[p]] for p in working]
+        yield r, pair, working, payloads, enumerate(payloads)
+
+
+class _SweepRows(tuple):
+    """A sweep's frozen source rows, equal to the tuple of its tuple rows, that
+    keep each schedule's gathered rounds for every session run on them."""
+
+    def __new__(cls, data: SessionData):
+        rows = super().__new__(cls, [*map(tuple, data)])  # a map has no length hint
+        rows._rounds = {}  # by schedule
+        return rows
+
+    def rounds(self, schedule: SessionSchedule) -> tuple:
+        """``_gather``'s rounds of ``schedule``, with each round's items as a
+        tuple: kept from the first session that asks, filled in one pass and
+        stored in one assignment, so sessions that run at once may gather twice
+        but never read a partial list."""
+        if (rounds := self._rounds.get(schedule)) is None:
+            rounds = self._rounds[schedule] = tuple([
+                (*head, tuple(items)) for *head, items in _gather(self, schedule)])
+        return rounds
+
+
 def run_session(
     scheme: Scheme,
     n: int,
@@ -294,10 +324,11 @@ def run_session(
     data: SessionData | None = None,
 ) -> SessionResult:
     """Transmit and recover one full session. The result keeps ``data``,
-    frozen into tuple rows (a tuple of tuple rows is not copied), the solved
-    symbols and the arrived protection payloads as two flat tuples, the lost
-    rounds and each protection pair's scenario, from one plan per pair; the
-    rest is derived on read. The outcome is Complete exactly when no round
+    frozen into tuple rows (a tuple of tuple rows is not copied, nor are a
+    sweep's shared rows, whose rounds are gathered once for all its sessions),
+    the solved symbols and the arrived protection payloads as two flat tuples,
+    the lost rounds and each protection pair's scenario, from one plan per
+    pair; the rest is derived on read. The outcome is Complete exactly when no round
     is lost and every solved symbol equals its source's."""
     schedule = build_schedule(scheme, n, session_index)
     for p in failure:
@@ -307,7 +338,8 @@ def run_session(
     if data is None:
         data = generate_source_data(n, schedule.rounds, session_index + 1, seed,
                                     field)[session_index]
-    if not (type(data) is tuple and all(type(row) is tuple for row in data)):
+    if type(data) is not _SweepRows and not (
+            type(data) is tuple and all(type(row) is tuple for row in data)):
         data = tuple([*map(tuple, data)])  # from a list: a map has no length hint
     if len(data) != n or any(map(int.__gt__, schedule.units, map(len, data))):
         raise ValueError(f"data must be {n} rows at least {list(schedule.units)} long, "
@@ -319,10 +351,8 @@ def run_session(
     exact = True
     plans = {}  # by protection pair: one per NPS2-I session, one a round for NPS2-II
 
-    by_path = (None, *data)
-    for r, pair, working, carried in _unit_rounds(schedule):
-        i = r - 1  # a working path p's unit, from 0, is i - carried[p]
-        payloads = [by_path[p][i - carried[p]] for p in working]
+    rounds = data.rounds(schedule) if type(data) is _SweepRows else _gather(data, schedule)
+    for r, pair, working, payloads, items in rounds:
         y_sum, y_weighted = encode_pair(payloads, rows)
         if (plan := plans.get(pair)) is None:
             plan = plans[pair] = _round_plan(schedule, r, failure)
@@ -330,7 +360,7 @@ def run_session(
         arrived = (y_sum if sum_alive else None, y_weighted if weighted_alive else None)
         received += arrived
         if missing:
-            known = list(enumerate(payloads))
+            known = list(items)  # a fresh list each round: the kept rounds stay as they are
             for t in reversed(missing):
                 del known[t]
             values, lost = _decode(plan, working, arrived, known, rows)
@@ -415,11 +445,13 @@ def sweep_failures(
     data: SessionData | None = None,
 ) -> SweepReport:
     """Run one session per failure pattern of size 0, 1, and 2, all on one
-    data tensor: ``data`` if given, else the one run_session would draw."""
+    data tensor: ``data`` if given, else the one run_session would draw,
+    frozen once into rows that every result holds and that gather each
+    round's working payloads once for all the sessions."""
     if data is None:
         data = generate_source_data(n, build_schedule(scheme, n, session_index).rounds,
                                     session_index + 1, seed, field)[session_index]
-    data = tuple([*map(tuple, data)])  # from a list: a map has no length hint
+    data = _SweepRows(data)
     results = tuple(
         run_session(scheme, n, field, pattern, seed=seed, session_index=session_index,
                     sum_only=sum_only, data=data)

@@ -5,10 +5,10 @@ Each mutant names a file, a text in it, the text that replaces it, why the
 change is a defect, and the smallest set of tests that kills it. The runner
 first checks that every mutant's old text occurs exactly once, so a refactor
 that moves the code fails the gate loudly, and that every named test passes
-on an unmutated copy. Then, for each mutant, it copies src/ and tests/ to a
-temporary directory, applies the mutant there and runs its tests, which must
-fail. The tests run as tier-1 runs them: ``python -X dev -W error -m pytest
--W error``.
+on an unmutated copy. Then, for each mutant, it copies src/, tests/ and
+README.md to a temporary directory, applies the mutant there and runs its
+tests, which must fail. The tests run as tier-1 runs them: ``python -X dev
+-W error -m pytest -W error``.
 
 A mutant is never dropped to make the gate pass. One that a refactor makes
 equivalent, or whose code is gone, is replaced by one that plants the same
@@ -164,6 +164,24 @@ MUTANTS = (
         " only the linearity premise can show it",
         ("tests/test_simnet_properties.py::test_decode_is_linear_over_gf2",),
     ),
+    Mutant(
+        "sweep-rounds-ignore-carried", "src/nps2/simnet.py",
+        "(*head, tuple(items)) for *head, items in _gather(self, schedule)])",
+        "(r, pair, working, (ps := [self[p - 1][r - 1] for p in working]),"
+        " tuple(enumerate(ps))) for r, pair, working, _ in _unit_rounds(schedule)])",
+        "a sweep's shared rounds send unit r on every working path, ignoring its carried"
+        " rounds, while a lone session still gathers them right",
+        ("tests/test_simnet.py::test_sweep_sessions_equal_lone_sessions[nps2-ii]",),
+    ),
+    Mutant(
+        "solve-two-fast-path-unsorted", "src/nps2/codec.py",
+        "and type(t2 := ranks[1]) is int and 0 <= t1 < t2 < rows.width):",
+        "and type(t2 := ranks[1]) is int and t1 != t2 and 0 <= min(t1, t2)"
+        " and max(t1, t2) < rows.width):",
+        "solve_two's fast path takes two distinct in-range ranks in descending order"
+        " without sorting them, so it answers in the wrong rank order",
+        ("tests/test_readme.py::test_readme_python_block_runs[block2]",),
+    ),
 )
 
 
@@ -182,10 +200,12 @@ def check_table(mutants) -> list[str]:
 
 
 def copy_tree(into: Path) -> Path:
-    """A copy of src/ and tests/ under ``into``, without bytecode caches."""
+    """A copy of src/, tests/ and README.md, whose code blocks tests/test_readme.py
+    runs, under ``into``, without bytecode caches."""
     ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
     for part in ("src", "tests"):
         shutil.copytree(REPO / part, into / part, ignore=ignore)
+    shutil.copy2(REPO / "README.md", into / "README.md")
     return into
 
 

@@ -1,7 +1,8 @@
 """Property tests: the field axioms hold, and the int-valued field and
 codec agree with boxed FieldElement arithmetic and with a schoolbook
 oracle, for every degree m = 1..16; mixed fields are still rejected at the
-codec entry points."""
+codec entry points, and the solvers answer every input as their fully
+checked route does."""
 
 import functools
 import operator
@@ -13,6 +14,8 @@ from nps2.codec import (
     CoefficientRows,
     FieldCapacityError,
     Row,
+    UnrecoverableError,
+    _check_ranks,
     build_rows,
     encode_pair,
     residualize,
@@ -133,6 +136,101 @@ def test_sum_only_recovers_single_erasures(case, data):
     assert rs == rw == values[rank]
     assert solve_one(rank, rs, None, rows) == values[rank]
     assert solve_one(rank, None, rw, rows) == values[rank]
+
+
+@functools.cache
+def twin(m: int) -> FieldSpec:
+    """A spec equal to FIELDS[m] that is another instance."""
+    field = FIELDS[m]
+    return FieldSpec(m, field.reduction_poly, field.generator)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, MAX_WIDTH), st.data())
+def test_sum_only_encode_over_gf2(width, data):
+    # GF(2)'s exp table holds two entries, fewer than a sum-only row's ranks;
+    # a symbol of an equal field from another instance counts the same
+    field = FIELDS[1]
+    rows = build_rows(width, field, sum_only=True)
+    values = data.draw(st.lists(st.integers(0, 1), min_size=width, max_size=width))
+    specs = data.draw(st.lists(st.sampled_from([field, twin(1)]), min_size=width,
+                               max_size=width))
+    symbols = [spec.element(v) for spec, v in zip(specs, values)]
+    parity = field.element(functools.reduce(operator.xor, values))
+    assert encode_pair(symbols, rows) == (parity, parity)
+    assert all(y.spec is field for y in encode_pair(symbols, rows))
+
+
+def checked_solve_one(rank, residual_sum, residual_weighted, rows):
+    """solve_one with every check taken: the ranks through _check_ranks and
+    each residual through the field's _check."""
+    _check_ranks((rank,), 1, rows)
+    field = rows.field
+    if residual_sum is not None:
+        field._check(residual_sum)
+        return residual_sum
+    if residual_weighted is not None:
+        field._check(residual_weighted)
+        w = 1 if rows.sum_only else field._exp[rank]
+        return field.element(field._div(residual_weighted.value, w))
+    raise UnrecoverableError(f"no protection residual available for rank {rank}")
+
+
+def checked_solve_two(ranks, residual_sum, residual_weighted, rows):
+    """solve_two with every check taken, as checked_solve_one."""
+    t1, t2 = _check_ranks(ranks, 2, rows)
+    if residual_sum is None or residual_weighted is None:
+        raise UnrecoverableError(f"two unknowns at ranks {(t1, t2)} but a residual is missing")
+    field = rows.field
+    field._check(residual_sum, residual_weighted)
+    w1, w2 = (1, 1) if rows.sum_only else (field._exp[t1], field._exp[t2])
+    if not (det := w1 ^ w2):
+        raise UnrecoverableError(f"protection rows are not independent over ranks {t1}, {t2}")
+    rs = residual_sum.value
+    x2 = field._div(residual_weighted.value ^ field._mul(w1, rs), det)
+    return field.element(rs ^ x2), field.element(x2)
+
+
+def answer(solve, *args):
+    """The values and spec objects a solver returns, or its exception's type
+    and message."""
+    try:
+        result = solve(*args)
+    except Exception as exc:  # the property compares whatever either route raises
+        return type(exc), str(exc)
+    return [(e.value, id(e.spec)) for e in (result if isinstance(result, tuple) else (result,))]
+
+
+RANK_CONTAINERS = {"list": list, "tuple": tuple, "set": set,
+                   "generator": lambda ranks: (r for r in ranks)}
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_solvers_answer_as_their_checked_route(data):
+    # the solvers skip _check_ranks and _check only for inputs those would
+    # pass unchanged: any other rank container, order, count or range, or a
+    # residual of another spec instance, gets the checked route's answer,
+    # or its exception type and message
+    m = data.draw(st.sampled_from([1, 2, 3, 4, 8, 16]))
+    field = FIELDS[m]
+    sum_only = data.draw(st.booleans())
+    width = data.draw(st.integers(1, 16 if sum_only else min(field.q - 1, 16)))
+    rows = build_rows(width, field, sum_only=sum_only)
+    specs = {"same": field, "twin": twin(m), "foreign": FIELDS[4 if m == 3 else 3]}
+
+    def residual():
+        spec = specs.get(data.draw(st.sampled_from([None, *specs])))
+        return None if spec is None else spec.element(data.draw(st.integers(0, spec.q - 1)))
+
+    rank = st.one_of(st.integers(0, width - 1), st.sampled_from([-1, width]), st.booleans())
+    rs, rw = residual(), residual()
+    one = data.draw(rank)
+    assert answer(solve_one, one, rs, rw, rows) == answer(checked_solve_one, one, rs, rw, rows)
+    ranks = data.draw(st.lists(rank, max_size=3))
+    make = RANK_CONTAINERS[data.draw(st.sampled_from(sorted(RANK_CONTAINERS)))]
+    assert answer(solve_two, make(ranks), rs, rw, rows) == answer(
+        checked_solve_two, make(ranks), rs, rw, rows)
 
 
 GF8 = FIELDS[3]

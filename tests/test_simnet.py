@@ -485,6 +485,87 @@ def test_sweep_results_keep_two_flat_tuples():
     assert "recovered" in vars(last)
 
 
+def result_fields(result):
+    """What a session computed, with the spec of every element it holds."""
+    boxed = [(v.value, v.spec) for v in result.solved] + [
+        None if y is None else (y.value, y.spec) for y in result.received]
+    return (boxed, result.outcome, result.scenarios, result.unrecoverable_rounds,
+            result.delivered)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+def test_sweep_sessions_equal_lone_sessions(scheme):
+    # a sweep's sessions read the rounds their shared rows gathered once; a
+    # lone session given the same rows as tuples gathers each round itself,
+    # keeps that very tuple and no gathered round, and computes the same
+    n = 8
+    data = tuple(map(tuple, generate_source_data(
+        n, build_schedule(scheme, n).rounds, 1, 13, GF256)[0]))
+    report = sweep_failures(scheme, n, GF256, data=data)
+    shared = report.results[0].data
+    assert all(r.data is shared for r in report.results)
+    assert shared == data and shared is not data
+    assert all(type(row) is tuple for row in shared)
+    for swept in report.results:
+        lone = run_session(scheme, n, GF256, swept.failure, data=data)
+        assert lone.data is data and type(lone.data) is tuple
+        assert result_fields(lone) == result_fields(swept)
+    # rows given as lists are frozen into plain tuple rows, as before
+    listed = run_session(scheme, n, GF256, FailurePattern({3, 6}), data=[*map(list, data)])
+    assert type(listed.data) is tuple and listed.data == data
+    assert all(type(row) is tuple for row in listed.data)
+
+
+def test_threads_share_a_sweeps_rows():
+    # more threads than cores, switching every microsecond, each running
+    # sessions of both schemes on one sweep's rows before any has gathered a
+    # round: a thread that read a schedule's rounds while another was still
+    # filling them would see too few rounds and differ from the sequential run
+    import os
+    import sys
+    import threading
+    import time
+
+    n, threads = 16, 2 * (os.cpu_count() or 1) + 2
+    data = tuple(map(tuple, generate_source_data(n, n, 1, 31, GF256)[0]))
+    patterns = [NO_FAILURES, FailurePattern({1}), FailurePattern({2, 5}),
+                FailurePattern({4, 9}), FailurePattern({3, 16})]
+    jobs = [(scheme, pattern) for scheme in Scheme for pattern in patterns]
+    expected = [result_fields(run_session(scheme, n, GF256, pattern, data=data))
+                for scheme, pattern in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        deadline, rounds_run = time.monotonic() + 3.0, 0
+        while time.monotonic() < deadline and rounds_run < 20:
+            rows = nps2.simnet._SweepRows(data)  # as a sweep freezes them: nothing gathered yet
+            start, failures = threading.Barrier(threads), []
+
+            def work(offset):
+                start.wait(timeout=10)
+                for k in range(len(jobs)):
+                    j = (offset + k) % len(jobs)
+                    scheme, pattern = jobs[j]
+                    try:
+                        got = result_fields(run_session(scheme, n, GF256, pattern, data=rows))
+                    except Exception as exc:  # a thread's exception would not fail the test
+                        got = exc
+                    if got != expected[j]:
+                        failures.append((scheme, pattern, got))
+
+            workers = [threading.Thread(target=work, args=(i,)) for i in range(threads)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=30)
+            assert not any(w.is_alive() for w in workers)
+            assert failures == []
+            rounds_run += 1
+    finally:
+        sys.setswitchinterval(interval)
+    assert rounds_run > 0
+
+
 def test_run_session_refuses_untyped_inputs():
     # a scheme's string value is refused, not run as NPS2-II on an unchecked n
     with pytest.raises(TypeError, match="scheme must be a Scheme"):
