@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
-from .codec import build_rows, check_width
+from .codec import build_rows
 from .field import DEFAULT_GENERATOR, DEFAULT_M, DEFAULT_REDUCTION_POLY, FieldSpec
 from .schemes import Scheme, build_schedule, check_path_count, schedule_labels
 from .simnet import (
@@ -196,7 +196,7 @@ def parse_config(argv: Sequence[str] | None = None) -> RunConfig:
     try:
         check_path_count(cfg["scheme"], n)
         field = FieldSpec(cfg.pop("field_m"), cfg.pop("field_poly"), cfg.pop("field_gen"))
-        check_width(n - 2, field)
+        build_rows(n - 2, field)  # raises unless the field has room for the rows
     except ValueError as exc:
         parser.error(str(exc))
     if cfg["sessions"] < 1:
@@ -209,10 +209,12 @@ def parse_config(argv: Sequence[str] | None = None) -> RunConfig:
             parser.error(f"duplicate paths in --fail: {list(fail)}")
     if fail_random is not None and not 0 <= fail_random <= n:
         parser.error(f"--fail-random must be in 0..{n}, got {fail_random}")
-    if cfg["trace"] and cfg["report"]:
-        target = os.path.realpath(cfg["trace"])
-        if target == os.path.realpath(cfg["report"]) and not _in_place(target):
-            parser.error(f"--trace and --report name the same file {target}")
+    named = [(flag, os.path.realpath(path)) for flag, path in (
+        ("--trace", cfg["trace"]), ("--report", cfg["report"]), ("--config", args.config)) if path]
+    for i, (flag, target) in enumerate(named):  # no output may replace another or the config
+        for other, again in named[i + 1:]:
+            if target == again and not _in_place(target):
+                parser.error(f"{flag} and {other} name the same file {target}")
     return RunConfig(field=field, as_json=args.json, **cfg)
 
 

@@ -49,10 +49,14 @@ class CoefficientRows:
     sum_only: bool = False
 
     def __post_init__(self):
-        if self.width < 1:
-            raise ValueError(f"width must be positive, got {self.width}")
-        if not self.sum_only:
-            check_width(self.width, self.field)
+        width, field = self.width, self.field
+        if width < 1:
+            raise ValueError(f"width must be positive, got {width}")
+        if not self.sum_only and width > field.q - 1:
+            raise FieldCapacityError(
+                f"width {width} exceeds the {field.q - 1} distinct nonzero elements "
+                f"of GF(2^{field.m}); needs m >= {width.bit_length()}"
+            )
 
     @cached_property
     def row_sum(self) -> tuple[FieldElement, ...]:
@@ -64,26 +68,14 @@ class CoefficientRows:
         return self.row_sum if self.sum_only else tuple([*map(self.field.element, exp)])
 
 
-def check_width(width: int, field: FieldSpec) -> None:
-    """Raise FieldCapacityError unless the weighted row over ``width`` slots
-    can have pairwise distinct entries: width <= 2^m - 1."""
-    if width > field.q - 1:
-        raise FieldCapacityError(
-            f"width {width} exceeds the {field.q - 1} distinct nonzero elements "
-            f"of GF(2^{field.m}); needs m >= {width.bit_length()}"
-        )
-
-
 def build_rows(width: int, field: FieldSpec, *, sum_only: bool = False) -> CoefficientRows:
-    """The coefficient rows for ``width`` protected slots, held by ``field`` once built.
+    """New coefficient rows for ``width`` protected slots.
 
     Requires width <= 2^m - 1 so the weighted entries are pairwise
     distinct. With ``sum_only`` both rows are all ones and the bound is
     waived; this is the binary-field parity mode, good for one erasure.
     """
-    if (rows := field._rows.get((width, sum_only))) is None:  # a bad width raises each call
-        rows = field._rows[width, sum_only] = CoefficientRows(width, field, sum_only)
-    return rows
+    return CoefficientRows(width, field, sum_only)
 
 
 def encode_pair(
@@ -144,19 +136,6 @@ def residualize(
     return field.element(residual)
 
 
-def _check_ranks(ranks: Sequence[int], count: int, rows: CoefficientRows) -> tuple[int, ...]:
-    """``ranks`` in ascending order, once each is known to be one of
-    ``count`` distinct ranks in 0..width-1."""
-    if len(ranks) != count:
-        raise ValueError(f"expected {count} missing rank(s), got {len(ranks)}")
-    if len(set(ranks)) != count:
-        raise ValueError(f"missing ranks must be distinct, got {tuple(ranks)}")
-    for r in ranks:
-        if not 0 <= r < rows.width:
-            raise ValueError(f"rank {r} out of range for width {rows.width}")
-    return tuple(sorted(ranks))
-
-
 def solve_one(
     rank: int,
     residual_sum: FieldElement | None,
@@ -170,8 +149,8 @@ def solve_one(
     1, no inversion needed).
     """
     field = rows.field
-    if not (type(rank) is int and 0 <= rank < rows.width):
-        _check_ranks((rank,), 1, rows)
+    if not 0 <= rank < rows.width:
+        raise ValueError(f"rank {rank} out of range for width {rows.width}")
     if residual_sum is not None:
         if residual_sum.spec is not field:
             field._check(residual_sum)
@@ -201,9 +180,16 @@ def solve_two(
     second (w1*x1 + w2*x2 = rw), leaving (w1 + w2)*x2 = rw + w1*rs.
     Results come back in ascending rank order.
     """
-    if not (type(ranks) in (list, tuple) and len(ranks) == 2 and type(t1 := ranks[0]) is int
-            and type(t2 := ranks[1]) is int and 0 <= t1 < t2 < rows.width):
-        t1, t2 = _check_ranks(ranks, 2, rows)
+    if len(ranks) != 2:
+        raise ValueError(f"expected 2 missing rank(s), got {len(ranks)}")
+    t1, t2 = ranks
+    if t1 == t2:
+        raise ValueError(f"missing ranks must be distinct, got {tuple(ranks)}")
+    for t in (t1, t2):
+        if not 0 <= t < rows.width:
+            raise ValueError(f"rank {t} out of range for width {rows.width}")
+    if t1 > t2:
+        t1, t2 = t2, t1
     if residual_sum is None or residual_weighted is None:
         raise UnrecoverableError(f"two unknowns at ranks {(t1, t2)} but a residual is missing")
     field = rows.field

@@ -71,7 +71,7 @@ class FieldSpec:
     primitive, which the coefficient rows rely on for distinct weights.
     """
 
-    __slots__ = ("m", "q", "reduction_poly", "generator", "_exp", "_log", "_elements", "_rows")
+    __slots__ = ("m", "q", "reduction_poly", "generator", "_exp", "_log", "_elements")
 
     def __init__(
         self,
@@ -100,7 +100,6 @@ class FieldSpec:
         self.reduction_poly = reduction_poly
         self.generator = generator
         self._elements: dict[int, FieldElement] = {}  # values below 256, on first use
-        self._rows: dict = {}  # codec.build_rows' rows, by (width, sum_only)
         self._build_tables()
 
     def _build_tables(self) -> None:
@@ -160,16 +159,6 @@ class FieldSpec:
         """All q elements in value order."""
         return (self.element(v) for v in range(self.q))
 
-    # -- arithmetic on int values, shared by the boxed operations and codec --
-
-    def _mul(self, a: int, b: int) -> int:
-        return self._exp[self._log[a] + self._log[b]] if a and b else 0
-
-    def _div(self, a: int, b: int) -> int:
-        if b == 0:
-            raise ZeroDivisionError("0 has no multiplicative inverse")
-        return self._exp[self._log[a] - self._log[b] + self.q - 1] if a else 0
-
     # -- arithmetic on elements ------------------------------------------
 
     def _check(self, *elems: FieldElement) -> None:
@@ -187,11 +176,14 @@ class FieldSpec:
 
     def mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
         self._check(a, b)
-        return self.element(self._mul(a.value, b.value))
+        x, y = a.value, b.value
+        return self.element(self._exp[self._log[x] + self._log[y]] if x and y else 0)
 
     def inv(self, a: FieldElement) -> FieldElement:
         self._check(a)
-        return self.element(self._div(1, a.value))
+        if not a:
+            raise ZeroDivisionError("0 has no multiplicative inverse")
+        return self.element(self._exp[self.q - 1 - self._log[a.value]])
 
     def pow(self, a: FieldElement, e: int) -> FieldElement:
         """e-fold product; pow(a, 0) is 1 by convention, including a = 0."""

@@ -174,13 +174,33 @@ MUTANTS = (
         ("tests/test_simnet.py::test_sweep_sessions_equal_lone_sessions[nps2-ii]",),
     ),
     Mutant(
-        "solve-two-fast-path-unsorted", "src/nps2/codec.py",
-        "and type(t2 := ranks[1]) is int and 0 <= t1 < t2 < rows.width):",
-        "and type(t2 := ranks[1]) is int and t1 != t2 and 0 <= min(t1, t2)"
-        " and max(t1, t2) < rows.width):",
-        "solve_two's fast path takes two distinct in-range ranks in descending order"
-        " without sorting them, so it answers in the wrong rank order",
+        "solve-two-unsorted", "src/nps2/codec.py",
+        "        t1, t2 = t2, t1\n",
+        "        pass\n",
+        "solve_two takes two distinct in-range ranks in descending order without"
+        " sorting them, so it answers in the wrong rank order",
         ("tests/test_readme.py::test_readme_python_block_runs[block2]",),
+    ),
+    Mutant(
+        "solve-two-range-inclusive", "src/nps2/codec.py",
+        "if not 0 <= t < rows.width:",
+        "if not 0 <= t <= rows.width:",
+        "solve_two takes a rank equal to the width, one past the last protected slot",
+        ("tests/test_codec.py::test_solver_argument_validation",),
+    ),
+    Mutant(
+        "solve-one-range-inclusive", "src/nps2/codec.py",
+        "if not 0 <= rank < rows.width:",
+        "if not 0 <= rank <= rows.width:",
+        "solve_one takes a rank equal to the width, one past the last protected slot",
+        ("tests/test_codec.py::test_solver_argument_validation",),
+    ),
+    Mutant(
+        "output-may-replace-config", "src/nps2/cli.py",
+        ', ("--config", args.config)) if path]',
+        ") if path]",
+        "a trace or report naming the config file is written over it",
+        ("tests/test_cli_properties.py::test_trace_and_report_naming_one_file_exit_2",),
     ),
 )
 

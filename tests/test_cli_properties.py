@@ -223,16 +223,34 @@ def test_outputs_follow_symlinks_and_devices(tmp_path, capsys):
     assert sorted(os.listdir(tmp_path)) == ["link.json", "real.json"]
 
 
-@pytest.mark.parametrize("trace", ["same.json", "link.json"])
-def test_trace_and_report_naming_one_file_exit_2(trace, tmp_path, capsys, monkeypatch):
-    # the report would replace the trace, so the run is refused before it starts
+@pytest.mark.parametrize("outputs, flags", [
+    pytest.param(["--trace", "same.json", "--report", "same.json"], "--trace and --report",
+                 id="same.json"),
+    pytest.param(["--trace", "link.json", "--report", "same.json"], "--trace and --report",
+                 id="link.json"),
+    pytest.param(["--config", "c.json", "--trace", "c.json"], "--trace and --config",
+                 id="config-trace"),
+    pytest.param(["--config", "c.json", "--report", "c.json"], "--report and --config",
+                 id="config-report"),
+    pytest.param(["--config", "c.json", "--trace", "c-link.json"], "--trace and --config",
+                 id="config-link"),
+    pytest.param(["--config", "self.json"], "--report and --config", id="config-key"),
+])
+def test_trace_and_report_naming_one_file_exit_2(outputs, flags, tmp_path, capsys, monkeypatch):
+    # an output would replace the other output or the config file, so the run
+    # is refused before it starts, and every file is left as it was
     monkeypatch.chdir(tmp_path)
     (tmp_path / "link.json").symlink_to(tmp_path / "same.json")
+    (tmp_path / "c.json").write_text('{"seed": 1}\n')
+    (tmp_path / "c-link.json").symlink_to(tmp_path / "c.json")
+    (tmp_path / "self.json").write_text('{"report": "self.json"}\n')
+    before = {p.name: p.read_text() for p in tmp_path.iterdir() if p.exists()}
     with pytest.raises(SystemExit) as exc:
-        parse_config(["run", "--n", "6", "--fail", "2", "--trace", trace, "--report", "same.json"])
+        parse_config(["run", "--n", "6", "--fail", "2", *outputs])
     assert exc.value.code == 2
-    assert "nps2: error: --trace and --report name the same file" in capsys.readouterr().err
-    assert os.listdir(tmp_path) == ["link.json"]
+    assert f"nps2: error: {flags} name the same file" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["c-link.json", "c.json", "link.json", "self.json"]
+    assert {p.name: p.read_text() for p in tmp_path.iterdir() if p.exists()} == before
 
 
 def test_trace_and_report_may_share_a_device(capsys):

@@ -13,6 +13,7 @@ import weakref
 import pytest
 
 from nps2.codec import (
+    CoefficientRows,
     FieldCapacityError,
     Row,
     UnrecoverableError,
@@ -76,26 +77,28 @@ def test_build_rows_capacity_error_names_minimum_m():
         build_rows(0, GF8)
 
 
-def test_build_rows_holds_one_rows_per_field():
-    # the field holds its rows, keyed by (width, sum_only); an equal but
-    # distinct field gets rows of its own, which name it and not the first
+def test_build_rows_returns_new_equal_rows():
+    # nothing holds the rows: each call builds new ones, equal to and hashed
+    # as any others of the same (width, field, sum_only), naming the field given
     rows = build_rows(5, GF8)
-    assert build_rows(5, GF8) is rows
-    assert build_rows(5, GF8, sum_only=True) is build_rows(5, GF8, sum_only=True) is not rows
+    again = build_rows(5, GF8)
+    assert again == rows and hash(again) == hash(rows) and again is not rows
+    assert build_rows(5, GF8, sum_only=True) != rows and build_rows(4, GF8) != rows
     twin = FieldSpec(3, 0b1011, 0b10)
-    assert twin == GF8 and build_rows(5, twin) == rows
-    assert build_rows(5, twin) is not rows and build_rows(5, twin).field is twin
+    assert twin == GF8 and build_rows(5, twin) == rows and hash(build_rows(5, twin)) == hash(rows)
+    assert build_rows(5, twin).field is twin and rows.field is GF8
 
 
-def test_a_sweep_builds_no_coefficient_row():
+def test_a_sweep_builds_no_coefficient_row(monkeypatch):
     # the engine scales by the field's exp table, so the rows as elements are
-    # built only when something reads them
-    spec = FieldSpec(4, 0x13, 2)
-    sweep_failures(Scheme.NPS2_I, 8, spec)
-    rows = build_rows(6, spec)
-    assert "row_sum" not in vars(rows) and "row_weighted" not in vars(rows)
-    assert rows.row_weighted == tuple(spec.pow(spec.alpha(), t) for t in range(6))
-    assert rows.row_sum == (spec.one(),) * 6
+    # built only when something reads them, and a sweep reads neither
+    def unread(rows):
+        pytest.fail(f"a sweep read a coefficient row of width {rows.width}")
+
+    for name in ("row_sum", "row_weighted"):
+        monkeypatch.setattr(CoefficientRows, name, property(unread))
+    report = sweep_failures(Scheme.NPS2_I, 8, FieldSpec(4, 0x13, 2))
+    assert len(report.results) == 37
 
 
 def test_build_rows_bad_width_raises_every_call():
@@ -104,19 +107,22 @@ def test_build_rows_bad_width_raises_every_call():
             build_rows(4, GF4)
         with pytest.raises(ValueError, match="positive"):
             build_rows(0, GF8)
-    assert (4, False) not in GF4._rows and (0, False) not in GF8._rows
 
 
-def test_build_rows_die_with_their_field():
-    # the field holds its rows, so the rows outliving it would mean the
-    # field did too: both go at the next collection, as the field and its
-    # boxed elements do
+def test_build_rows_die_when_dropped():
+    # the field holds no rows, so with the collector off the rows go as soon
+    # as they are dropped, built elements and all, while their field lives on
     field = FieldSpec(16, 0x1100B, 2)
-    held = weakref.ref(build_rows(30, field))
-    assert held() is not None
-    del field
-    gc.collect()
-    assert held() is None
+    gc.disable()
+    try:
+        rows = build_rows(30, field)
+        assert len(rows.row_weighted) == 30
+        held = weakref.ref(rows)
+        del rows
+        assert held() is None
+    finally:
+        gc.enable()
+    assert field.element(3).spec is field
 
 
 def test_build_rows_minors_invertible():

@@ -15,7 +15,6 @@ from nps2.codec import (
     FieldCapacityError,
     Row,
     UnrecoverableError,
-    _check_ranks,
     build_rows,
     encode_pair,
     residualize,
@@ -161,9 +160,33 @@ def test_sum_only_encode_over_gf2(width, data):
     assert all(y.spec is field for y in encode_pair(symbols, rows))
 
 
+def _check_ranks(ranks, count, rows):
+    """``ranks`` in ascending order, once each is known to be one of
+    ``count`` distinct ranks in 0..width-1."""
+    if len(ranks) != count:
+        raise ValueError(f"expected {count} missing rank(s), got {len(ranks)}")
+    if len(set(ranks)) != count:
+        raise ValueError(f"missing ranks must be distinct, got {tuple(ranks)}")
+    for r in ranks:
+        if not 0 <= r < rows.width:
+            raise ValueError(f"rank {r} out of range for width {rows.width}")
+    return tuple(sorted(ranks))
+
+
+def _mul(field, a, b):
+    return field._exp[field._log[a] + field._log[b]] if a and b else 0
+
+
+def _div(field, a, b):
+    if b == 0:
+        raise ZeroDivisionError("0 has no multiplicative inverse")
+    return field._exp[field._log[a] - field._log[b] + field.q - 1] if a else 0
+
+
 def checked_solve_one(rank, residual_sum, residual_weighted, rows):
-    """solve_one with every check taken: the ranks through _check_ranks and
-    each residual through the field's _check."""
+    """solve_one with every check taken, by a route of its own: the ranks
+    through _check_ranks, each residual through the field's _check and
+    the division through _div."""
     _check_ranks((rank,), 1, rows)
     field = rows.field
     if residual_sum is not None:
@@ -172,7 +195,7 @@ def checked_solve_one(rank, residual_sum, residual_weighted, rows):
     if residual_weighted is not None:
         field._check(residual_weighted)
         w = 1 if rows.sum_only else field._exp[rank]
-        return field.element(field._div(residual_weighted.value, w))
+        return field.element(_div(field, residual_weighted.value, w))
     raise UnrecoverableError(f"no protection residual available for rank {rank}")
 
 
@@ -187,7 +210,7 @@ def checked_solve_two(ranks, residual_sum, residual_weighted, rows):
     if not (det := w1 ^ w2):
         raise UnrecoverableError(f"protection rows are not independent over ranks {t1}, {t2}")
     rs = residual_sum.value
-    x2 = field._div(residual_weighted.value ^ field._mul(w1, rs), det)
+    x2 = _div(field, residual_weighted.value ^ _mul(field, w1, rs), det)
     return field.element(rs ^ x2), field.element(x2)
 
 
@@ -208,10 +231,9 @@ RANK_CONTAINERS = {"list": list, "tuple": tuple, "set": set,
 @settings(max_examples=500, deadline=None)
 @given(st.data())
 def test_solvers_answer_as_their_checked_route(data):
-    # the solvers skip _check_ranks and _check only for inputs those would
-    # pass unchanged: any other rank container, order, count or range, or a
-    # residual of another spec instance, gets the checked route's answer,
-    # or its exception type and message
+    # any rank container, order, count or range, and a residual of any spec
+    # instance, gets the checked route's answer, or its exception type and
+    # message
     m = data.draw(st.sampled_from([1, 2, 3, 4, 8, 16]))
     field = FIELDS[m]
     sum_only = data.draw(st.booleans())
