@@ -83,7 +83,7 @@ class FieldSpec:
             raise ValueError(f"extension degree must be in 1..16, got {m}")
         if reduction_poly < 0 or reduction_poly.bit_length() != m + 1:
             raise ValueError(
-                f"reduction polynomial 0x{reduction_poly:x} does not have degree {m}"
+                f"reduction polynomial {reduction_poly:#x} does not have degree {m}"
             )
         if not reduction_poly & 1:
             raise ValueError(
@@ -91,7 +91,7 @@ class FieldSpec:
             )
         q = 1 << m
         if not 0 < generator < q:
-            raise ValueError(f"generator 0x{generator:x} is outside GF(2^{m})")
+            raise ValueError(f"generator {generator:#x} is outside GF(2^{m})")
         if generator == 1 and m > 1:
             raise ValueError("generator 1 cannot generate a field with more than 2 elements")
 
@@ -99,8 +99,8 @@ class FieldSpec:
         self.q = q
         self.reduction_poly = reduction_poly
         self.generator = generator
-        self._elements: dict[int, FieldElement] = {}  # values below 256, on first use
         self._build_tables()
+        self._elements = tuple([FieldElement(v, self) for v in range(min(q, 256))])  # shared
 
     def _build_tables(self) -> None:
         m, q, poly, g, order = self.m, self.q, self.reduction_poly, self.generator, self.q - 1
@@ -132,18 +132,16 @@ class FieldSpec:
     # -- element construction -------------------------------------------
 
     def element(self, value: int) -> FieldElement:
-        """The immutable element of this spec holding ``value``: one shared
-        instance per value below 256 (every value for m <= 8), a fresh one
-        above. ``value`` must be an int (a bool counts as 0 or 1)."""
-        element = self._elements.get(value)
-        if element is None:  # most GF(2^16) draws miss, and a KeyError costs more than .get
-            value = index(value)  # TypeError for a float, the plain int for a bool
-            if not 0 <= value < self.q:
-                raise ValueError(f"value 0x{value:x} is outside GF(2^{self.m})")
-            element = FieldElement(value, self)
-            if value < 256:
-                self._elements[value] = element
-        return element
+        """The immutable element of this spec holding ``value``, an int (a bool
+        counts as 0 or 1; a float or a Fraction raises TypeError): below 256 one
+        of the instances built with the spec (every value for m <= 8), above it a fresh one."""
+        shared = self._elements
+        if 0 <= value < len(shared):
+            return shared[value]
+        value = index(value)  # TypeError for a float
+        if not 0 <= value < self.q:
+            raise ValueError(f"value {value:#x} is outside GF(2^{self.m})")
+        return FieldElement(value, self)
 
     def zero(self) -> FieldElement:
         return self.element(0)

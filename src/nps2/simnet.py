@@ -65,6 +65,8 @@ class FailurePattern(tuple):
     __slots__ = ()
 
     def __new__(cls, failed_paths: Iterable[int] = ()):
+        if type(failed_paths) is cls:  # checked when it was made
+            return failed_paths
         paths = set(failed_paths)
         for p in paths:
             if not isinstance(p, int) or isinstance(p, bool) or p < 1:
@@ -178,7 +180,7 @@ def generate_source_data(
             r = getrandbits(bits)  # randrange(2^m) draws m + 1 bits until one is below 2^m
             while r >= q:
                 r = getrandbits(bits)
-            symbols.append(element(r) if r < 256 else FieldElement(r, field))  # not cached
+            symbols.append(element(r))
         return symbols
 
     return [[row() for _ in range(n)] for _ in range(sessions)]
@@ -188,14 +190,14 @@ def transmit_round(
     schedule: SessionSchedule,
     round_index: int,
     data: SessionData,
-    failure: FailurePattern,
+    failure: Iterable[int],
     rows: CoefficientRows,
 ) -> dict[int, FieldElement]:
-    """Payloads of one round's surviving packets by path, ascending.
-
-    The distributor is an ideal oracle over all sources' data, so the
-    protection payloads exist even when some sources' own paths failed.
-    """
+    """Payloads of one round's surviving packets by path, ascending, under
+    ``FailurePattern(failure)``. The distributor is an ideal oracle over all
+    sources' data, so the protection payloads exist even when some sources'
+    own paths failed."""
+    failure = FailurePattern(failure)
     sent = {p: data[p - 1][d - 1] for p, d in protected_slots(schedule, round_index)}
     sent.update(zip(schedule.pairs[round_index - 1], encode_pair(list(sent.values()), rows)))
     return {p: sent[p] for p in range(1, schedule.n + 1) if p not in failure}
@@ -259,10 +261,10 @@ def recover_round(
     schedule: SessionSchedule,
     round_index: int,
     rows: CoefficientRows,
-    failure: FailurePattern,
+    failure: Iterable[int],
 ) -> RoundRecovery:
-    """Collector-side recovery of one round, from ``survivors``, the
-    path -> payload map transmit_round returned under the same failure.
+    """Collector-side recovery of one round under ``FailurePattern(failure)``,
+    from ``survivors``, the path -> payload map transmit_round returned under it.
 
     Failed protection slots need no action; each failed working slot adds
     one unknown, solved from the residuals of the surviving protection
@@ -271,7 +273,7 @@ def recover_round(
     ``delivered`` holds only the symbols that arrived directly.
     """
     prot = protected_slots(schedule, round_index)
-    plan = scenario, missing, alive = _round_plan(schedule, round_index, failure)
+    plan = scenario, missing, alive = _round_plan(schedule, round_index, FailurePattern(failure))
     pair = schedule.pairs[round_index - 1]
     received = [survivors[p] if a else None for p, a in zip(pair, alive)]
     known = [(t, survivors[p]) for t, (p, _) in enumerate(prot) if p in survivors]
@@ -316,24 +318,24 @@ def run_session(
     scheme: Scheme,
     n: int,
     field: FieldSpec,
-    failure: FailurePattern = NO_FAILURES,
+    failure: Iterable[int] = NO_FAILURES,
     seed: int = 0,
     session_index: int = 0,
     *,
     sum_only: bool = False,
     data: SessionData | None = None,
 ) -> SessionResult:
-    """Transmit and recover one full session. The result keeps ``data``,
-    frozen into tuple rows (a tuple of tuple rows is not copied, nor are a
-    sweep's shared rows, whose rounds are gathered once for all its sessions),
-    the solved symbols and the arrived protection payloads as two flat tuples,
-    the lost rounds and each protection pair's scenario, from one plan per
-    pair; the rest is derived on read. The outcome is Complete exactly when no round
-    is lost and every solved symbol equals its source's."""
+    """Transmit and recover one session under ``FailurePattern(failure)``, whose
+    paths must be at most n. The result keeps ``data``, frozen into tuple rows (a
+    tuple of tuple rows is not copied, nor are a sweep's shared rows, whose rounds
+    are gathered once for all its sessions), the solved symbols and the arrived
+    protection payloads as two flat tuples, the lost rounds and each protection
+    pair's scenario, from one plan per pair; the rest is derived on read. The outcome
+    is Complete exactly when no round is lost and every solved symbol equals its source's."""
     schedule = build_schedule(scheme, n, session_index)
-    for p in failure:
-        if p > n:
-            raise ValueError(f"failed path {p} exceeds path count {n}")
+    failure = FailurePattern(failure)
+    if failure and failure[-1] > n:  # name the smallest path above n
+        raise ValueError(f"failed path {next(p for p in failure if p > n)} exceeds path count {n}")
     rows = build_rows(n - 2, field, sum_only=sum_only)
     if data is None:
         data = generate_source_data(n, schedule.rounds, session_index + 1, seed,

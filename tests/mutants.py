@@ -202,6 +202,22 @@ MUTANTS = (
         "a trace or report naming the config file is written over it",
         ("tests/test_cli_properties.py::test_trace_and_report_naming_one_file_exit_2",),
     ),
+    Mutant(
+        "run-session-trusts-failure-order", "src/nps2/simnet.py",
+        "    failure = FailurePattern(failure)\n    if failure and failure[-1] > n:",
+        "    if failure and failure[-1] > n:",
+        "run_session plans its rounds on the failed paths in the order and form given, so"
+        " descending or repeated labels solve the wrong slots",
+        ("tests/test_simnet_properties.py"
+         "::test_every_entry_point_runs_failed_labels_as_their_pattern",),
+    ),
+    Mutant(
+        "element-reads-float-as-int", "src/nps2/field.py",
+        "return shared[value]",
+        "return shared[int(value)]",
+        "element takes a float or a Fraction in the shared range as the int it equals",
+        ("tests/test_field.py::test_element_takes_ints_only",),
+    ),
 )
 
 

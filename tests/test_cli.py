@@ -57,6 +57,18 @@ def test_malformed_hex_rejected(capsys):
     assert "malformed hex" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["dump-rows", "--field-gen", "-1"], "generator -0x1 is outside GF(2^8)"),
+    (["dump-rows", "--field-gen", "100"], "generator 0x100 is outside GF(2^8)"),
+    (["--field-poly=-11d"], "reduction polynomial -0x11d does not have degree 8"),
+])
+def test_a_negative_field_value_prints_with_its_sign(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse_config(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"nps2: error: {message}\n")
+
+
 def test_fail_flag_validation(capsys):
     cfg = parse_config(["--fail", "1,3"])
     assert cfg.mode == "run"

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 from array import array
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -165,10 +166,17 @@ def test_spec_validation():
         FieldSpec(3, 0b011, 2)  # no degree-3 term
     with pytest.raises(ValueError):
         FieldSpec(3, 0b1010, 2)  # no constant term
-    with pytest.raises(ValueError):
+    # a negative value prints as -0x..., a positive one as before
+    with pytest.raises(ValueError, match=r"^reduction polynomial -0xb does not have degree 3$"):
         FieldSpec(3, -0b1011, 2)  # negative bitmask
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^reduction polynomial 0x1b does not have degree 3$"):
+        FieldSpec(3, 0b11011, 2)
+    with pytest.raises(ValueError, match=r"^generator 0x0 is outside GF\(2\^3\)$"):
         FieldSpec(3, 0b1011, 0)
+    with pytest.raises(ValueError, match=r"^generator -0x1 is outside GF\(2\^3\)$"):
+        FieldSpec(3, 0b1011, -1)
+    with pytest.raises(ValueError, match=r"^generator 0x8 is outside GF\(2\^3\)$"):
+        FieldSpec(3, 0b1011, 8)
     with pytest.raises(ValueError):
         FieldSpec(3, 0b1011, 1)  # 1 only generates itself when m > 1
     with pytest.raises(ValueError):
@@ -328,14 +336,23 @@ def test_tables_are_lists_to_gf256_and_16_bit_arrays_above():
 @pytest.mark.parametrize("m", [8, 16])
 def test_element_takes_ints_only(m):
     f = FieldSpec(m, PRIMITIVE_POLYS[m], 2)
-    one = f.element(True)  # before 1 is boxed
+    snapshot = list(f._elements)  # the shared elements, built with the spec
+    assert all(f.element(v) is f.element(v) for v in range(min(f.q, 256)))
+    one = f.element(True)
     assert type(one.value) is int and one.value == 1
-    assert type(f.element(True).value) is int and f.element(True) is one  # after
-    for value in (v for v in (3, 40000) if v < f.q):  # in the cached range and above it
-        with pytest.raises(TypeError):
-            f.element(float(value))
-    for value in (f.q, -1):
-        with pytest.raises(ValueError, match="is outside"):
+    assert type(f.element(True).value) is int and f.element(True) is one
+    # in the shared range and above it, before the value is boxed and after
+    for value in (v for v in (1, 3, 200, 40000) if v < f.q):
+        for _ in range(2):
+            for probe in (float(value), Fraction(value)):
+                with pytest.raises(TypeError):
+                    f.element(probe)
+            assert f.element(value).value == value
+    assert len(snapshot) == min(f.q, 256) and list(f._elements) == snapshot
+    assert all(a is b for a, b in zip(f._elements, snapshot))
+    outside = {8: ("0x100", "-0x1"), 16: ("0x10000", "-0x1")}[m]
+    for value, text in zip((f.q, -1), outside):
+        with pytest.raises(ValueError, match=rf"^value {text} is outside GF\(2\^{m}\)$"):
             f.element(value)
 
 

@@ -11,12 +11,15 @@ first read. run_session equals a session pieced together round by round
 from transmit_round and recover_round. generate_source_data draws the
 randrange stream, and a shared RNG drawn one session at a time continues
 it. The symbols a session recovers from a XOR b are those it recovers
-from a XOR those from b."""
+from a XOR those from b. Each engine entry runs failed path labels, in any
+order, form or repetition, as their FailurePattern, and refuses the labels
+it refuses with its ValueError."""
 
 import json
 import random
 import tracemalloc
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from nps2.codec import build_rows, encode_pair
@@ -232,6 +235,63 @@ def test_run_session_equals_the_one_round_api(case):
     assert result.outcome is outcome
     assert list(result.round_scenarios.items()) == list(scenarios.items())
     assert result.scenario is max(scenarios.values(), key=list(Scenario).index)
+
+
+# the forms a caller may pass failed path labels in, each built afresh per call
+LABEL_FORMS = {
+    "list": list,
+    "tuple": tuple,
+    "set": set,
+    "reversed": lambda labels: list(reversed(labels)),
+    "generator": lambda labels: (p for p in labels),
+}
+
+
+@st.composite
+def label_inputs(draw):
+    """A scheme, an n valid for it up to 12, a seed, 0-3 path labels from 1..n,
+    repeats allowed, and the form to pass them in."""
+    scheme = draw(st.sampled_from(Scheme))
+    n = draw(st.integers(2, 6)) * 2 if scheme is Scheme.NPS2_II else draw(st.integers(3, 12))
+    labels = draw(st.lists(st.integers(1, n), max_size=3))
+    return scheme, n, draw(st.integers(0, 2**32)), labels, LABEL_FORMS[draw(
+        st.sampled_from(sorted(LABEL_FORMS)))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(label_inputs())
+def test_every_entry_point_runs_failed_labels_as_their_pattern(case):
+    scheme, n, seed, labels, form = case
+    field, pattern = FIELDS[8], FailurePattern(labels)
+    result = run_session(scheme, n, field, form(labels), seed=seed)
+    expect = run_session(scheme, n, field, pattern, seed=seed)
+    assert type(result.failure) is FailurePattern and result.failure.failed_paths == pattern
+    for name in ("failure", "solved", "received", "outcome", "scenarios",
+                 "unrecoverable_rounds"):
+        assert getattr(result, name) == getattr(expect, name), name
+    assert list(result.delivered.items()) == list(expect.delivered.items())
+    schedule, data, rows = expect.schedule, expect.data, build_rows(n - 2, field)
+    r = seed % schedule.rounds + 1  # one round, transmitted then recovered
+    survivors = transmit_round(schedule, r, data, form(labels), rows)
+    expect_survivors = transmit_round(schedule, r, data, pattern, rows)
+    assert list(survivors.items()) == list(expect_survivors.items())
+    rec = recover_round(survivors, schedule, r, rows, form(labels))
+    expect_rec = recover_round(expect_survivors, schedule, r, rows, pattern)
+    assert rec == expect_rec and list(rec.delivered) == list(expect_rec.delivered)
+
+
+@pytest.mark.parametrize("label", [0, -1, 2.0, True, "2"], ids=repr)
+def test_every_entry_point_refuses_a_label_the_pattern_refuses(label):
+    schedule, field = build_schedule(Scheme.NPS2_II, 6), FIELDS[8]
+    rows, data = build_rows(4, field), generate_source_data(6, 3, 1, 7, field)[0]
+    survivors = transmit_round(schedule, 1, data, NO_FAILURES, rows)
+    calls = (lambda failure: run_session(Scheme.NPS2_II, 6, field, failure, seed=7),
+             lambda failure: transmit_round(schedule, 1, data, failure, rows),
+             lambda failure: recover_round(survivors, schedule, 1, rows, failure))
+    for call in calls:
+        with pytest.raises(ValueError) as exc:
+            call([label])
+        assert str(exc.value) == f"path labels are positive integers, got {label!r}"
 
 
 def eager_delivered(schedule, data, failure, sum_only) -> list[list[tuple]]:

@@ -10,14 +10,21 @@ CLI's documented draw rule, only to judge what arrived and what was
 solved. Any disagreement is an AssertionError.
 """
 
+import contextlib
+import io
 import json
 import random
+import tempfile
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nps2.cli import parse_config, run
 from nps2.field import FieldSpec
+from nps2.schemes import Scheme
+from test_codec_properties import PRIMITIVE_POLYS
 from test_oracle import dot, generator_rows, rounds, solve
 
 SEVERITY = ["no-failure", "protection-only", "single-working", "double-working", "excess-loss"]
@@ -35,13 +42,13 @@ def schedule(scheme, n, session):
 
 
 def patterns(config):
-    """Each session's failed paths as the report must list them, or None
-    where a random draw picks them."""
+    """Each session's failed paths as the report must list them, ascending
+    whatever order the config echoes, or None where a random draw picks them."""
     n, failure = config["n"], config["failure"]
     if "sweep" in failure:
         paths = range(1, n + 1)
         return [[], *([p] for p in paths), *([a, b] for a in paths for b in paths if a < b)]
-    return [failure["paths"] if "paths" in failure else None]
+    return [sorted(failure["paths"]) if "paths" in failure else None]
 
 
 def round_tag(missing, alive):
@@ -171,6 +178,36 @@ def cli_run(argv, tmp_path):
 def test_a_run_decodes_from_its_trace_alone(name, tmp_path, capsys):
     code, trace, report = cli_run(ARGV[name], tmp_path)
     assert code == EXITS.get(name, 0)
+    assert check_run(trace, report) is (code == 0)
+
+
+@st.composite
+def argvs(draw):
+    """CLI argv of a run or a sweep: either scheme, GF(2^m) for m in {3, 8, 16}
+    with the table's polynomials, a small n valid for the scheme, for a run
+    no failure flag, --fail with 0-3 paths in any order or --fail-random K,
+    and 1-3 sessions and a seed."""
+    mode, scheme = draw(st.sampled_from(["run", "sweep"])), draw(st.sampled_from(Scheme))
+    m = draw(st.sampled_from([3, 8, 16]))
+    n = draw(st.integers(2, 4)) * 2 if scheme is Scheme.NPS2_II else draw(st.integers(3, 8))
+    argv = [mode, "--scheme", scheme.value, "--n", str(n), "--field-m", str(m),
+            "--field-poly", f"{PRIMITIVE_POLYS[m]:x}", "--sessions", str(draw(st.integers(1, 3))),
+            "--seed", str(draw(st.integers(0, 2**32)))]
+    failure = draw(st.sampled_from(["none", "fail", "fail-random"])) if mode == "run" else "none"
+    if failure == "fail":
+        paths = draw(st.permutations(range(1, n + 1)))[:draw(st.integers(0, 3))]
+        argv += ["--fail", ",".join(map(str, paths))]
+    elif failure == "fail-random":
+        argv += ["--fail-random", str(draw(st.integers(0, 3)))]
+    return argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(argvs())
+def test_any_run_decodes_from_its_trace_alone(argv):
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        code, trace, report = cli_run(argv, Path(tmp))
+    assert code in (0, 1)
     assert check_run(trace, report) is (code == 0)
 
 
