@@ -33,6 +33,11 @@ class UnrecoverableError(Exception):
     """Fewer usable protection residuals than erased symbols."""
 
 
+def _not_an_element(symbol) -> TypeError:
+    """The error for a symbol without an element's spec and value, such as an int."""
+    return TypeError(f"expected a FieldElement, got {type(symbol).__name__}")
+
+
 @dataclass(frozen=True)
 class CoefficientRows:
     """The two generator rows over ``width`` protected slots, fixed by
@@ -86,20 +91,23 @@ def encode_pair(
     if len(data) != rows.width:
         raise ValueError(f"expected {rows.width} data symbols, got {len(data)}")
     field = rows.field
+    exp, log = field._exp, field._log
     y_sum = y_weighted = 0
-    if rows.sum_only:  # decided once: GF(2)'s exp table is shorter than a sum-only row
-        for d in data:
+    try:
+        if rows.sum_only:  # decided once: GF(2)'s exp table is shorter than a sum-only row
+            for d in data:
+                if d.spec is not field:
+                    field._check(d)
+                y_sum ^= d.value
+            return field.element(y_sum), field.element(y_sum)
+        for t, d in enumerate(data):
             if d.spec is not field:
                 field._check(d)
-            y_sum ^= d.value
-        return field.element(y_sum), field.element(y_sum)
-    exp, log = field._exp, field._log
-    for t, d in enumerate(data):
-        if d.spec is not field:
-            field._check(d)
-        if v := d.value:
-            y_sum ^= v
-            y_weighted ^= exp[log[v] + t]
+            if v := d.value:
+                y_sum ^= v
+                y_weighted ^= exp[log[v] + t]
+    except AttributeError:
+        raise _not_an_element(d) from None
     return field.element(y_sum), field.element(y_weighted)
 
 
@@ -116,23 +124,28 @@ def residualize(
     v at rank t goes out as v from the sum row, generator^t * v from the other.
     """
     field = rows.field
-    if y_received.spec is not field:
-        field._check(y_received)
-    if not isinstance(row, Row):
-        raise KeyError(row)
-    exp, log = field._exp, field._log
-    weighted = row is _WEIGHTED and not rows.sum_only
-    residual, prev, width = y_received.value, -1, rows.width
-    for rank, value in known:
-        if not prev < rank < width:
-            raise ValueError(f"rank {rank} out of range for width {width}" if not 0 <= rank < width
-                             else f"duplicate rank {rank} in known contributions" if rank == prev
-                             else f"rank {rank} follows rank {prev}: known ranks must ascend")
-        prev = rank
-        if value.spec is not field:
-            field._check(value)
-        if v := value.value:
-            residual ^= exp[log[v] + rank] if weighted else v
+    exp, log, width = field._exp, field._log, rows.width
+    prev, value = -1, y_received  # value: the symbol being read, named if it is no element
+    try:
+        if y_received.spec is not field:
+            field._check(y_received)
+        if not isinstance(row, Row):
+            raise KeyError(row)
+        weighted = row is _WEIGHTED and not rows.sum_only
+        residual = y_received.value
+        for rank, value in known:
+            if not prev < rank < width:
+                raise ValueError(
+                    f"rank {rank} out of range for width {width}" if not 0 <= rank < width
+                    else f"duplicate rank {rank} in known contributions" if rank == prev
+                    else f"rank {rank} follows rank {prev}: known ranks must ascend")
+            prev = rank
+            if value.spec is not field:
+                field._check(value)
+            if v := value.value:
+                residual ^= exp[log[v] + rank] if weighted else v
+    except AttributeError:
+        raise _not_an_element(value) from None
     return field.element(residual)
 
 
@@ -151,20 +164,23 @@ def solve_one(
     field = rows.field
     if not 0 <= rank < rows.width:
         raise ValueError(f"rank {rank} out of range for width {rows.width}")
-    if residual_sum is not None:
-        if residual_sum.spec is not field:
-            field._check(residual_sum)
-        return residual_sum
-    if residual_weighted is not None:
+    try:
+        if residual_sum is not None:
+            if residual_sum.spec is not field:
+                field._check(residual_sum)
+            return residual_sum
+        if residual_weighted is None:
+            raise UnrecoverableError(f"no protection residual available for rank {rank}")
         if residual_weighted.spec is not field:
             field._check(residual_weighted)
         v = residual_weighted.value
-        if rows.sum_only:
-            return field.element(v)
-        exp, log = field._exp, field._log
-        w = exp[rank]  # generator^rank: v / w is a read of the tables
-        return field.element(exp[log[v] - log[w] + field.q - 1] if v else 0)
-    raise UnrecoverableError(f"no protection residual available for rank {rank}")
+    except AttributeError:
+        raise _not_an_element(residual_weighted if residual_sum is None else residual_sum) from None
+    if rows.sum_only:
+        return field.element(v)
+    exp, log = field._exp, field._log
+    w = exp[rank]  # generator^rank: v / w is a read of the tables
+    return field.element(exp[log[v] - log[w] + field.q - 1] if v else 0)
 
 
 def solve_two(
@@ -193,13 +209,17 @@ def solve_two(
     if residual_sum is None or residual_weighted is None:
         raise UnrecoverableError(f"two unknowns at ranks {(t1, t2)} but a residual is missing")
     field = rows.field
-    if residual_sum.spec is not field or residual_weighted.spec is not field:
-        field._check(residual_sum, residual_weighted)
+    try:
+        if residual_sum.spec is not field or residual_weighted.spec is not field:
+            field._check(residual_sum, residual_weighted)
+        rs, rw = residual_sum.value, residual_weighted.value
+    except AttributeError:
+        raise _not_an_element(residual_weighted if isinstance(residual_sum, FieldElement)
+                              else residual_sum) from None
     exp, log = field._exp, field._log
     w1, w2 = (1, 1) if rows.sum_only else (exp[t1], exp[t2])
     if not (det := w1 ^ w2):
         raise UnrecoverableError(f"protection rows are not independent over ranks {t1}, {t2}")
-    rs = residual_sum.value
-    y = residual_weighted.value ^ (exp[log[w1] + log[rs]] if rs else 0)  # rw + w1 * rs
+    y = rw ^ (exp[log[w1] + log[rs]] if rs else 0)  # rw + w1 * rs
     x2 = exp[log[y] - log[det] + field.q - 1] if y else 0  # y / det
     return field.element(rs ^ x2), field.element(x2)

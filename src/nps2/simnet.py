@@ -170,7 +170,13 @@ def generate_source_data(
     """Deterministic symbol tensor indexed [session][source-1][data_index-1],
     filled in that order with the draws of ``rng.randrange(field.q)``, where
     rng is ``seed`` itself if it is a ``random.Random``, whose stream the
-    draw continues, else ``random.Random(seed)``."""
+    draw continues, else ``random.Random(seed)``. Each count is an int, at least 0."""
+    for name, count in (("n", n), ("rounds_per_session", rounds_per_session),
+                        ("sessions", sessions)):
+        if isinstance(count, bool) or not isinstance(count, int):
+            raise TypeError(f"{name} must be an int, got {count!r}")
+        if count < 0:
+            raise ValueError(f"{name} must be nonnegative, got {count}")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     q, bits, getrandbits, element = field.q, field.m + 1, rng.getrandbits, field.element
 
@@ -294,24 +300,23 @@ def _gather(data, schedule):
         yield r, pair, working, payloads, enumerate(payloads)
 
 
+def _check_shape(data, schedule):
+    """Raise ValueError unless ``data`` has a row per path, as long as the units it sends."""
+    if len(data) != schedule.n or any(map(int.__gt__, schedule.units, map(len, data))):
+        raise ValueError(f"data must be {schedule.n} rows at least {list(schedule.units)} long, "
+                         f"got {list(map(len, data))}")
+
+
 class _SweepRows(tuple):
-    """A sweep's frozen source rows, equal to the tuple of its tuple rows, that
-    keep each schedule's gathered rounds for every session run on them."""
+    """A sweep's frozen source rows, equal to the tuple of its tuple rows, with its
+    one ``schedule`` and all of that schedule's ``_gather`` rounds, items as tuples."""
 
-    def __new__(cls, data: SessionData):
+    def __new__(cls, data: SessionData, schedule: SessionSchedule):
         rows = super().__new__(cls, [*map(tuple, data)])  # a map has no length hint
-        rows._rounds = {}  # by schedule
+        _check_shape(rows, schedule)
+        rows.schedule = schedule
+        rows.rounds = tuple([(*head, tuple(items)) for *head, items in _gather(rows, schedule)])
         return rows
-
-    def rounds(self, schedule: SessionSchedule) -> tuple:
-        """``_gather``'s rounds of ``schedule``, with each round's items as a
-        tuple: kept from the first session that asks, filled in one pass and
-        stored in one assignment, so sessions that run at once may gather twice
-        but never read a partial list."""
-        if (rounds := self._rounds.get(schedule)) is None:
-            rounds = self._rounds[schedule] = tuple([
-                (*head, tuple(items)) for *head, items in _gather(self, schedule)])
-        return rounds
 
 
 def run_session(
@@ -328,7 +333,7 @@ def run_session(
     """Transmit and recover one session under ``FailurePattern(failure)``, whose
     paths must be at most n. The result keeps ``data``, frozen into tuple rows (a
     tuple of tuple rows is not copied, nor are a sweep's shared rows, whose rounds
-    are gathered once for all its sessions), the solved symbols and the arrived
+    it reads when they are of its own schedule), the solved symbols and the arrived
     protection payloads as two flat tuples, the lost rounds and each protection
     pair's scenario, from one plan per pair; the rest is derived on read. The outcome
     is Complete exactly when no round is lost and every solved symbol equals its source's."""
@@ -340,12 +345,13 @@ def run_session(
     if data is None:
         data = generate_source_data(n, schedule.rounds, session_index + 1, seed,
                                     field)[session_index]
-    if type(data) is not _SweepRows and not (
-            type(data) is tuple and all(type(row) is tuple for row in data)):
-        data = tuple([*map(tuple, data)])  # from a list: a map has no length hint
-    if len(data) != n or any(map(int.__gt__, schedule.units, map(len, data))):
-        raise ValueError(f"data must be {n} rows at least {list(schedule.units)} long, "
-                         f"got {list(map(len, data))}")
+    if type(data) is _SweepRows and data.schedule is schedule:
+        rounds = data.rounds
+    else:
+        if not (type(data) in (tuple, _SweepRows) and all(type(row) is tuple for row in data)):
+            data = tuple([*map(tuple, data)])  # from a list: a map has no length hint
+        _check_shape(data, schedule)
+        rounds = _gather(data, schedule)
 
     solved: list[FieldElement] = []
     received: list[FieldElement | None] = []
@@ -353,7 +359,6 @@ def run_session(
     exact = True
     plans = {}  # by protection pair: one per NPS2-I session, one a round for NPS2-II
 
-    rounds = data.rounds(schedule) if type(data) is _SweepRows else _gather(data, schedule)
     for r, pair, working, payloads, items in rounds:
         y_sum, y_weighted = encode_pair(payloads, rows)
         if (plan := plans.get(pair)) is None:
@@ -424,7 +429,8 @@ class SweepReport:
 
     @property
     def complete_rate(self) -> float:
-        return self.complete_count / self.session_count
+        total, completed, _, _ = self._fold()
+        return completed / total
 
     @property
     def scenario_histogram(self) -> dict[str, int]:
@@ -449,11 +455,12 @@ def sweep_failures(
     """Run one session per failure pattern of size 0, 1, and 2, all on one
     data tensor: ``data`` if given, else the one run_session would draw,
     frozen once into rows that every result holds and that gather each
-    round's working payloads once for all the sessions."""
+    round's working payloads of the sweep's one schedule before its first session."""
+    schedule = build_schedule(scheme, n, session_index)
     if data is None:
-        data = generate_source_data(n, build_schedule(scheme, n, session_index).rounds,
-                                    session_index + 1, seed, field)[session_index]
-    data = _SweepRows(data)
+        data = generate_source_data(n, schedule.rounds, session_index + 1, seed,
+                                    field)[session_index]
+    data = _SweepRows(data, schedule)
     results = tuple(
         run_session(scheme, n, field, pattern, seed=seed, session_index=session_index,
                     sum_only=sum_only, data=data)

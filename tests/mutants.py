@@ -166,8 +166,8 @@ MUTANTS = (
     ),
     Mutant(
         "sweep-rounds-ignore-carried", "src/nps2/simnet.py",
-        "(*head, tuple(items)) for *head, items in _gather(self, schedule)])",
-        "(r, pair, working, (ps := [self[p - 1][r - 1] for p in working]),"
+        "(*head, tuple(items)) for *head, items in _gather(rows, schedule)])",
+        "(r, pair, working, (ps := [rows[p - 1][r - 1] for p in working]),"
         " tuple(enumerate(ps))) for r, pair, working, _ in _unit_rounds(schedule)])",
         "a sweep's shared rounds send unit r on every working path, ignoring its carried"
         " rounds, while a lone session still gathers them right",
@@ -217,6 +217,30 @@ MUTANTS = (
         "return shared[int(value)]",
         "element takes a float or a Fraction in the shared range as the int it equals",
         ("tests/test_field.py::test_element_takes_ints_only",),
+    ),
+    Mutant(
+        "sweep-rounds-for-any-schedule", "src/nps2/simnet.py",
+        "if type(data) is _SweepRows and data.schedule is schedule:",
+        "if type(data) is _SweepRows:",
+        "a session on a sweep's rows reads the rounds gathered for the sweep's schedule"
+        " under any schedule, so another session index sends the wrong working paths",
+        ("tests/test_simnet.py"
+         "::test_a_sweeps_rows_under_another_schedule_run_as_a_lone_session[i-session-3]",),
+    ),
+    Mutant(
+        "source-data-takes-negative-counts", "src/nps2/simnet.py",
+        "        if count < 0:\n",
+        "        if count < -1:\n",
+        "generate_source_data draws nothing for a count of -1 instead of refusing it",
+        ("tests/test_simnet.py"
+         "::test_generate_source_data_refuses_a_count_that_is_no_size[negative-rounds]",),
+    ),
+    Mutant(
+        "residualize-leaks-attribute-error", "src/nps2/codec.py",
+        "    except AttributeError:\n        raise _not_an_element(value) from None",
+        "    except TypeError:\n        raise _not_an_element(value) from None",
+        "residualize lets an int symbol's AttributeError out instead of naming its type",
+        ("tests/test_codec.py::test_a_symbol_that_is_no_element_raises_type_error",),
     ),
 )
 

@@ -519,6 +519,29 @@ def test_file_report_run_loads_no_tempfile(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["r.json", "t.jsonl"]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--config", "cfg"], "cannot read config file cfg: [Errno 21] Is a directory: 'cfg'"),
+    (["--config", "array.json"], "config file array.json must hold a JSON object"),
+    (["--sessions", "0"], "--sessions must be positive, got 0"),
+], ids=["config-directory", "config-array", "sessions-0"])
+def test_config_and_count_errors_exit_2_with_one_line(argv, message, tmp_path):
+    # each ends in one error line after the usage, without a traceback, and
+    # writes neither the trace nor the report it names
+    (tmp_path / "cfg").mkdir()
+    (tmp_path / "array.json").write_text("[1, 2]")
+    src = os.path.dirname(os.path.dirname(nps2.cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nps2.cli", *argv, "--trace", "t.jsonl", "--report", "r.json"],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert [line for line in proc.stderr.splitlines() if not line.startswith(("usage:", " "))] \
+        == [f"nps2: error: {message}"]
+    assert sorted(os.listdir(tmp_path)) == ["array.json", "cfg"]
+    assert os.listdir(tmp_path / "cfg") == []
+
+
 def test_help_reads_the_terminal_width(monkeypatch, capsys):
     # the parser adds its arguments under a fixed width, but help wraps to
     # the terminal's, as argparse's default formatter does

@@ -25,7 +25,7 @@ from nps2.codec import (
 )
 from nps2.field import FieldMismatchError, FieldSpec
 from nps2.schemes import Scheme
-from nps2.simnet import sweep_failures
+from nps2.simnet import run_session, sweep_failures
 
 GF4 = FieldSpec(2, 0b111, 0b10)
 GF8 = FieldSpec(3, 0b1011, 0b010)
@@ -263,6 +263,35 @@ def test_solver_argument_validation():
     for call, message in cases:
         with pytest.raises(ValueError, match=message):
             call()
+
+
+def test_a_symbol_that_is_no_element_raises_type_error():
+    # an int where an element belongs is named by its type at every entry point
+    # that reads symbols; an element of another field is still a mismatch
+    rows, sum_rows, y = build_rows(4, GF8), build_rows(4, GF8, sum_only=True), GF8.element(3)
+
+    def calls(bad):
+        tensor = [[y] * 3, [y] * 3, [bad, y, y], *[[y] * 3] * 3]  # path 3 sends unit 1 first
+        yield lambda: run_session(Scheme.NPS2_II, 6, GF8, data=tensor)
+        yield lambda: sweep_failures(Scheme.NPS2_II, 6, GF8, data=tensor)
+        yield lambda: encode_pair([y, y, bad, y], rows)
+        yield lambda: encode_pair([y, bad, y, y], sum_rows)
+        yield lambda: residualize(bad, [(0, y)], Row.SUM, rows)
+        yield lambda: residualize(y, [(0, y), (2, bad)], Row.WEIGHTED, rows)
+        yield lambda: solve_one(1, bad, y, rows)
+        yield lambda: solve_one(1, None, bad, rows)
+        yield lambda: solve_two((0, 2), bad, y, rows)
+        yield lambda: solve_two((0, 2), y, bad, rows)
+
+    for bad, error, message in ((1, TypeError, "expected a FieldElement, got int"),
+                                (1.5, TypeError, "expected a FieldElement, got float"),
+                                (GF16.element(3), FieldMismatchError,
+                                 "element of GF(2^4)/0x13 used in GF(2^3)/0xb")):
+        for call in calls(bad):
+            with pytest.raises(error) as info:
+                call()
+            assert type(info.value) is error and str(info.value) == message
+            assert error is not TypeError or info.value.__suppress_context__  # no chained error
 
 
 def test_solve_one_prefers_sum_row():

@@ -1,6 +1,7 @@
 """Session engine: transmission, per-round recovery, sweeps."""
 
 import json
+import random
 import tracemalloc
 from dataclasses import fields
 from fractions import Fraction
@@ -516,54 +517,83 @@ def test_sweep_sessions_equal_lone_sessions(scheme):
     assert all(type(row) is tuple for row in listed.data)
 
 
-def test_threads_share_a_sweeps_rows():
-    # more threads than cores, switching every microsecond, each running
-    # sessions of both schemes on one sweep's rows before any has gathered a
-    # round: a thread that read a schedule's rounds while another was still
-    # filling them would see too few rounds and differ from the sequential run
-    import os
-    import sys
-    import threading
-    import time
+@pytest.mark.parametrize("scheme, other, index", [
+    (Scheme.NPS2_I, Scheme.NPS2_II, 0), (Scheme.NPS2_II, Scheme.NPS2_I, 0),
+    (Scheme.NPS2_I, Scheme.NPS2_I, 3)], ids=["i-then-ii", "ii-then-i", "i-session-3"])
+def test_a_sweeps_rows_under_another_schedule_run_as_a_lone_session(scheme, other, index):
+    # a sweep's rows hold the rounds of its one schedule only: a session under
+    # another schedule, the other scheme's or another NPS2-I session's, gathers
+    # its own rounds as a lone session does and leaves the rows as they were
+    n = 8
+    data = tuple(map(tuple, generate_source_data(n, n, 1, 17, GF256)[0]))
+    rows = sweep_failures(scheme, n, GF256, data=data).results[0].data
+    assert rows.schedule is build_schedule(scheme, n) and rows == data
+    kept = dict(vars(rows))
+    assert kept.keys() == {"schedule", "rounds"}
+    for pattern in all_patterns(n):
+        on_rows = run_session(other, n, GF256, pattern, session_index=index, data=rows)
+        lone = run_session(other, n, GF256, pattern, session_index=index, data=data)
+        assert on_rows.data is rows and on_rows.schedule is not rows.schedule
+        assert result_fields(on_rows) == result_fields(lone)
+    assert vars(rows).keys() == kept.keys()
+    assert all(vars(rows)[key] is value for key, value in kept.items())
+    # nothing of the other schedules stays once their results are dropped
+    def sessions(data):
+        for session in range(1, n):
+            run_session(Scheme.NPS2_I, n, GF256, FailurePattern({3, 5}), session_index=session,
+                        data=data)
 
-    n, threads = 16, 2 * (os.cpu_count() or 1) + 2
-    data = tuple(map(tuple, generate_source_data(n, n, 1, 31, GF256)[0]))
-    patterns = [NO_FAILURES, FailurePattern({1}), FailurePattern({2, 5}),
-                FailurePattern({4, 9}), FailurePattern({3, 16})]
-    jobs = [(scheme, pattern) for scheme in Scheme for pattern in patterns]
-    expected = [result_fields(run_session(scheme, n, GF256, pattern, data=data))
-                for scheme, pattern in jobs]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
+    sessions(data)  # builds the schedules, which the builder keeps
+    tracemalloc.start()
     try:
-        deadline, rounds_run = time.monotonic() + 3.0, 0
-        while time.monotonic() < deadline and rounds_run < 20:
-            rows = nps2.simnet._SweepRows(data)  # as a sweep freezes them: nothing gathered yet
-            start, failures = threading.Barrier(threads), []
-
-            def work(offset):
-                start.wait(timeout=10)
-                for k in range(len(jobs)):
-                    j = (offset + k) % len(jobs)
-                    scheme, pattern = jobs[j]
-                    try:
-                        got = result_fields(run_session(scheme, n, GF256, pattern, data=rows))
-                    except Exception as exc:  # a thread's exception would not fail the test
-                        got = exc
-                    if got != expected[j]:
-                        failures.append((scheme, pattern, got))
-
-            workers = [threading.Thread(target=work, args=(i,)) for i in range(threads)]
-            for w in workers:
-                w.start()
-            for w in workers:
-                w.join(timeout=30)
-            assert not any(w.is_alive() for w in workers)
-            assert failures == []
-            rounds_run += 1
+        before = tracemalloc.get_traced_memory()[0]
+        sessions(rows)
+        left = tracemalloc.get_traced_memory()[0] - before
     finally:
-        sys.setswitchinterval(interval)
-    assert rounds_run > 0
+        tracemalloc.stop()
+    assert left < 2_000
+
+
+def test_complete_rate_folds_the_results_once():
+    class Counted(tuple):
+        def __iter__(self):
+            self.iterations += 1
+            return super().__iter__()
+
+    report = sweep_failures(Scheme.NPS2_II, 6, GF256, seed=3)
+    counted = Counted(report.results)
+    for name in ("complete_rate", "session_count", "complete_count", "recovered_total",
+                 "scenario_histogram"):
+        counted.iterations = 0
+        assert getattr(SweepReport(counted), name) == getattr(report, name)
+        assert counted.iterations == 1, name
+    assert report.complete_rate == 1.0
+
+
+@pytest.mark.parametrize("counts, error, message", [
+    ((2, -1, 1), ValueError, "rounds_per_session must be nonnegative, got -1"),
+    ((-2, 1, 1), ValueError, "n must be nonnegative, got -2"),
+    ((2, 1, -1), ValueError, "sessions must be nonnegative, got -1"),
+    ((True, 1, 1), TypeError, "n must be an int, got True"),
+    ((2, 1.0, 1), TypeError, "rounds_per_session must be an int, got 1.0"),
+    ((2, 1, "1"), TypeError, "sessions must be an int, got '1'"),
+    ((2, False, -1), TypeError, "rounds_per_session must be an int, got False"),
+], ids=["negative-rounds", "negative-n", "negative-sessions", "bool-n", "float-rounds",
+        "str-sessions", "type-before-sign"])
+def test_generate_source_data_refuses_a_count_that_is_no_size(counts, error, message):
+    # the counts are checked before the first draw: a shared RNG keeps its state
+    rng = random.Random(4)
+    state = rng.getstate()
+    with pytest.raises(error) as info:
+        generate_source_data(*counts, rng, GF256)
+    assert type(info.value) is error and str(info.value) == message
+    assert rng.getstate() == state
+    # zero is an empty draw, and a draw after one keeps the stream
+    assert generate_source_data(0, 3, 2, rng, GF256) == [[], []]
+    assert generate_source_data(2, 0, 1, rng, GF256) == [[[], []]]
+    assert generate_source_data(2, 3, 0, rng, GF256) == []
+    assert rng.getstate() == state
+    assert generate_source_data(2, 3, 1, rng, GF256) == generate_source_data(2, 3, 1, 4, GF256)
 
 
 def test_run_session_refuses_untyped_inputs():

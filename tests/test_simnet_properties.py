@@ -20,7 +20,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nps2.codec import build_rows, encode_pair
 from nps2.schemes import (
@@ -260,6 +260,7 @@ def label_inputs(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(label_inputs())
+@example((Scheme.NPS2_II, 6, 5, [5, 3, 5], list))  # descending and repeated labels, first
 def test_every_entry_point_runs_failed_labels_as_their_pattern(case):
     scheme, n, seed, labels, form = case
     field, pattern = FIELDS[8], FailurePattern(labels)
