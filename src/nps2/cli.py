@@ -18,7 +18,6 @@ from .codec import build_rows
 from .field import DEFAULT_GENERATOR, DEFAULT_M, DEFAULT_REDUCTION_POLY, FieldSpec
 from .schemes import Scheme, build_schedule, check_path_count, schedule_labels
 from .simnet import (
-    FailurePattern,
     SessionResult,
     _totals,
     generate_source_data,
@@ -410,7 +409,7 @@ def _sessions(config: RunConfig) -> Iterator[SessionResult]:
         failed = config.fail or ()
         if config.fail_random is not None:
             failed = pattern_rng.sample(range(1, config.n + 1), config.fail_random)
-        yield run_session(config.scheme, config.n, config.field, FailurePattern(failed),
+        yield run_session(config.scheme, config.n, config.field, failed,
                           session_index=idx, data=data)
 
 

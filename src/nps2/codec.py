@@ -130,7 +130,7 @@ def residualize(
         if y_received.spec is not field:
             field._check(y_received)
         if not isinstance(row, Row):
-            raise KeyError(row)
+            raise TypeError(f"row must be a Row, got {row!r}")
         weighted = row is _WEIGHTED and not rows.sum_only
         residual = y_received.value
         for rank, value in known:

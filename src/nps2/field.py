@@ -162,6 +162,9 @@ class FieldSpec:
     def _check(self, *elems: FieldElement) -> None:
         for e in elems:
             if e.spec is not self and e.spec != self:
+                if not isinstance(e.spec, FieldSpec):
+                    raise TypeError(
+                        f"element spec must be a FieldSpec, got {type(e.spec).__name__}")
                 raise FieldMismatchError(
                     f"element of GF(2^{e.spec.m})/0x{e.spec.reduction_poly:x} "
                     f"used in GF(2^{self.m})/0x{self.reduction_poly:x}"

@@ -117,11 +117,12 @@ class SessionResult:
     def delivered(self) -> dict[tuple[int, int], FieldElement]:
         """Every delivered symbol by (source, data_index), built on first read
         and this result's own after that: per round, direct then recovered."""
-        data = self.data
-        live = set(range(1, self.schedule.n + 1)).difference(self.failure)
-        return dict(item for r, _, working, carried in _unit_rounds(self.schedule)
-                    for item in _delivered([(p, r - carried[p]) for p in working], live,
-                                           lambda s: data[s[0] - 1][s[1] - 1], self.recovered))
+        data, failed, recovered, delivered = self.data, set(self.failure), self.recovered, {}
+        for r, _, working, carried in _unit_rounds(self.schedule):
+            slots = [(p, r - carried[p]) for p in working]
+            delivered.update((s, data[s[0] - 1][s[1] - 1]) for s in slots if s[0] not in failed)
+            delivered.update((s, recovered[s]) for s in slots if s in recovered)
+        return delivered
 
     @property
     def recovered_count(self) -> int:
@@ -192,6 +193,25 @@ def generate_source_data(
     return [[row() for _ in range(n)] for _ in range(sessions)]
 
 
+def _pattern(failure, n):
+    """``FailurePattern(failure)``; ValueError unless its paths are at most ``n``."""
+    pattern = FailurePattern(failure)
+    if pattern and pattern[-1] > n:  # name the smallest path above n
+        raise ValueError(f"failed path {next(p for p in pattern if p > n)} exceeds path count {n}")
+    return pattern
+
+
+def _source_rows(data, schedule):
+    """``data`` frozen into tuple rows (a tuple of tuple rows, or a sweep's shared rows,
+    as it is); ValueError unless it has a row per path, as long as the units it sends."""
+    if not (type(data) in (tuple, _SweepRows) and all(type(row) is tuple for row in data)):
+        data = tuple([*map(tuple, data)])  # from a list: a map has no length hint
+    if len(data) != schedule.n or any(map(int.__gt__, schedule.units, map(len, data))):
+        raise ValueError(f"data must be {schedule.n} rows at least {list(schedule.units)} long, "
+                         f"got {list(map(len, data))}")
+    return data
+
+
 def transmit_round(
     schedule: SessionSchedule,
     round_index: int,
@@ -200,20 +220,13 @@ def transmit_round(
     rows: CoefficientRows,
 ) -> dict[int, FieldElement]:
     """Payloads of one round's surviving packets by path, ascending, under
-    ``FailurePattern(failure)``. The distributor is an ideal oracle over all
-    sources' data, so the protection payloads exist even when some sources'
-    own paths failed."""
-    failure = FailurePattern(failure)
+    ``FailurePattern(failure)``, under run_session's rules for ``failure`` and
+    ``data``. The distributor is an ideal oracle over all sources' data, so the
+    protection payloads exist even when some sources' own paths failed."""
+    failure, data = _pattern(failure, schedule.n), _source_rows(data, schedule)
     sent = {p: data[p - 1][d - 1] for p, d in protected_slots(schedule, round_index)}
     sent.update(zip(schedule.pairs[round_index - 1], encode_pair(list(sent.values()), rows)))
     return {p: sent[p] for p in range(1, schedule.n + 1) if p not in failure}
-
-
-def _delivered(slots, live, symbol, recovered):
-    """One round's delivered (slot, symbol) items, in rank order: each slot on
-    a ``live`` path with its direct ``symbol(slot)``, then those in ``recovered``."""
-    yield from ((s, symbol(s)) for s in slots if s[0] in live)
-    yield from ((s, recovered[s]) for s in slots if s in recovered)
 
 
 @dataclass
@@ -226,13 +239,12 @@ class RoundRecovery:
 
 
 def _round_plan(schedule, round_index, failed):
-    """The one case analysis of a round under the ascending ``failed`` paths,
-    a function of its protection pair alone: its Scenario, the ascending ranks
-    of its failed working slots, and whether each carrier lives."""
+    """The one case analysis of a round under the ascending ``failed`` paths, each
+    at most n, a function of its protection pair alone: its Scenario, the ascending
+    ranks of its failed working slots, and whether each carrier lives."""
     p_sum, p_wtd = schedule.pairs[round_index - 1]
     # a round's working slots are its other paths in path order: p's rank counts those below
-    missing = [p - 1 - (p_sum < p) - (p_wtd < p) for p in failed
-               if p != p_sum and p != p_wtd and p <= schedule.n]
+    missing = [p - 1 - (p_sum < p) - (p_wtd < p) for p in failed if p != p_sum and p != p_wtd]
     alive = p_sum not in failed, p_wtd not in failed
     if len(missing) > sum(alive):
         scenario = Scenario.EXCESS_LOSS
@@ -267,10 +279,10 @@ def recover_round(
     schedule: SessionSchedule,
     round_index: int,
     rows: CoefficientRows,
-    failure: Iterable[int],
 ) -> RoundRecovery:
-    """Collector-side recovery of one round under ``FailurePattern(failure)``,
-    from ``survivors``, the path -> payload map transmit_round returned under it.
+    """Collector-side recovery of one round from ``survivors``, the path -> payload
+    map of the packets that arrived, as transmit_round returns it: a path of the
+    schedule with no packet in ``survivors`` failed.
 
     Failed protection slots need no action; each failed working slot adds
     one unknown, solved from the residuals of the surviving protection
@@ -279,14 +291,14 @@ def recover_round(
     ``delivered`` holds only the symbols that arrived directly.
     """
     prot = protected_slots(schedule, round_index)
-    plan = scenario, missing, alive = _round_plan(schedule, round_index, FailurePattern(failure))
-    pair = schedule.pairs[round_index - 1]
-    received = [survivors[p] if a else None for p, a in zip(pair, alive)]
+    failed = [p for p in range(1, schedule.n + 1) if p not in survivors]
+    plan = scenario, missing, _ = _round_plan(schedule, round_index, failed)
+    received = [survivors.get(p) for p in schedule.pairs[round_index - 1]]
     known = [(t, survivors[p]) for t, (p, _) in enumerate(prot) if p in survivors]
     values, lost = _decode(plan, schedule.working[round_index - 1], received, known, rows)
     solved = tuple(prot[t] for t in missing) if values else ()
-    delivered = dict(_delivered(prot, survivors, lambda s: survivors[s[0]],
-                                dict(zip(solved, values))))
+    delivered = {s: survivors[s[0]] for s in prot if s[0] in survivors}
+    delivered.update(zip(solved, values))
     return RoundRecovery(scenario, solved, values, lost, delivered)
 
 
@@ -300,20 +312,12 @@ def _gather(data, schedule):
         yield r, pair, working, payloads, enumerate(payloads)
 
 
-def _check_shape(data, schedule):
-    """Raise ValueError unless ``data`` has a row per path, as long as the units it sends."""
-    if len(data) != schedule.n or any(map(int.__gt__, schedule.units, map(len, data))):
-        raise ValueError(f"data must be {schedule.n} rows at least {list(schedule.units)} long, "
-                         f"got {list(map(len, data))}")
-
-
 class _SweepRows(tuple):
     """A sweep's frozen source rows, equal to the tuple of its tuple rows, with its
     one ``schedule`` and all of that schedule's ``_gather`` rounds, items as tuples."""
 
     def __new__(cls, data: SessionData, schedule: SessionSchedule):
-        rows = super().__new__(cls, [*map(tuple, data)])  # a map has no length hint
-        _check_shape(rows, schedule)
+        rows = super().__new__(cls, _source_rows(data, schedule))
         rows.schedule = schedule
         rows.rounds = tuple([(*head, tuple(items)) for *head, items in _gather(rows, schedule)])
         return rows
@@ -338,9 +342,7 @@ def run_session(
     pair's scenario, from one plan per pair; the rest is derived on read. The outcome
     is Complete exactly when no round is lost and every solved symbol equals its source's."""
     schedule = build_schedule(scheme, n, session_index)
-    failure = FailurePattern(failure)
-    if failure and failure[-1] > n:  # name the smallest path above n
-        raise ValueError(f"failed path {next(p for p in failure if p > n)} exceeds path count {n}")
+    failure = _pattern(failure, n)
     rows = build_rows(n - 2, field, sum_only=sum_only)
     if data is None:
         data = generate_source_data(n, schedule.rounds, session_index + 1, seed,
@@ -348,9 +350,7 @@ def run_session(
     if type(data) is _SweepRows and data.schedule is schedule:
         rounds = data.rounds
     else:
-        if not (type(data) in (tuple, _SweepRows) and all(type(row) is tuple for row in data)):
-            data = tuple([*map(tuple, data)])  # from a list: a map has no length hint
-        _check_shape(data, schedule)
+        data = _source_rows(data, schedule)
         rounds = _gather(data, schedule)
 
     solved: list[FieldElement] = []

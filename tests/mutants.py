@@ -111,8 +111,8 @@ MUTANTS = (
     ),
     Mutant(
         "round-delivers-no-recovered", "src/nps2/simnet.py",
-        "dict(zip(solved, values))))",
-        "{}))",
+        "delivered.update(zip(solved, values))",
+        "delivered.update(())",
         "a round's delivered map leaves out the symbols it recovered",
         ("tests/test_simnet.py::test_round_recovery_keeps_only_what_recover_round_computed",),
     ),
@@ -204,10 +204,10 @@ MUTANTS = (
     ),
     Mutant(
         "run-session-trusts-failure-order", "src/nps2/simnet.py",
-        "    failure = FailurePattern(failure)\n    if failure and failure[-1] > n:",
-        "    if failure and failure[-1] > n:",
-        "run_session plans its rounds on the failed paths in the order and form given, so"
-        " descending or repeated labels solve the wrong slots",
+        "    pattern = FailurePattern(failure)\n",
+        "    pattern = failure\n",
+        "run_session (and transmit_round) take the failed paths in the order and form given,"
+        " so descending or repeated labels solve the wrong slots",
         ("tests/test_simnet_properties.py"
          "::test_every_entry_point_runs_failed_labels_as_their_pattern",),
     ),
@@ -234,6 +234,21 @@ MUTANTS = (
         "generate_source_data draws nothing for a count of -1 instead of refusing it",
         ("tests/test_simnet.py"
          "::test_generate_source_data_refuses_a_count_that_is_no_size[negative-rounds]",),
+    ),
+    Mutant(
+        "collector-infers-failures-among-carriers", "src/nps2/simnet.py",
+        "failed = [p for p in range(1, schedule.n + 1) if p not in survivors]",
+        "failed = [p for p in schedule.pairs[round_index - 1] if p not in survivors]",
+        "recover_round reads a missing packet as a failed path only on the round's carriers,"
+        " so a working path whose packet is missing is neither solved nor named lost",
+        ("tests/test_simnet.py::test_recover_round_reads_a_missing_packet_as_a_failed_path",),
+    ),
+    Mutant(
+        "transmit-round-skips-bound-check", "src/nps2/simnet.py",
+        "failure, data = _pattern(failure, schedule.n), _source_rows(data, schedule)",
+        "failure, data = FailurePattern(failure), _source_rows(data, schedule)",
+        "transmit_round takes a failed path above n that run_session refuses",
+        ("tests/test_simnet.py::test_transmit_round_refuses_a_failed_path_beyond_n",),
     ),
     Mutant(
         "residualize-leaks-attribute-error", "src/nps2/codec.py",

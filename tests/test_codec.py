@@ -23,7 +23,7 @@ from nps2.codec import (
     solve_one,
     solve_two,
 )
-from nps2.field import FieldMismatchError, FieldSpec
+from nps2.field import FieldElement, FieldMismatchError, FieldSpec
 from nps2.schemes import Scheme
 from nps2.simnet import run_session, sweep_failures
 
@@ -199,7 +199,8 @@ def test_residualize_duplicate_rank_rejected():
         residualize(one, [(0, one), (0, one)], Row.SUM, rows)
     with pytest.raises(ValueError, match="range"):
         residualize(one, [(3, one)], Row.SUM, rows)
-    with pytest.raises(KeyError):  # a row is Row.SUM or Row.WEIGHTED, not its value
+    # a row is Row.SUM or Row.WEIGHTED, not its value
+    with pytest.raises(TypeError, match=r"^row must be a Row, got 'sum'$"):
         residualize(one, [(0, one)], "sum", rows)
 
 
@@ -292,6 +293,20 @@ def test_a_symbol_that_is_no_element_raises_type_error():
                 call()
             assert type(info.value) is error and str(info.value) == message
             assert error is not TypeError or info.value.__suppress_context__  # no chained error
+
+
+def test_an_element_whose_spec_is_no_field_spec_raises_type_error():
+    # its spec is named by its type at every codec entry point, not read as a
+    # field's degree, nor blamed on the symbol as if it were no element
+    rows, y, bad = build_rows(4, GF8), GF8.element(3), FieldElement(3, "x")
+    for call in (lambda: encode_pair([y, bad, y, y], rows),
+                 lambda: residualize(y, [(0, y), (2, bad)], Row.WEIGHTED, rows),
+                 lambda: solve_one(1, bad, None, rows),
+                 lambda: solve_two((0, 2), y, bad, rows)):
+        with pytest.raises(TypeError) as info:
+            call()
+        assert type(info.value) is TypeError
+        assert str(info.value) == "element spec must be a FieldSpec, got str"
 
 
 def test_solve_one_prefers_sum_row():

@@ -193,6 +193,17 @@ def test_binary_field():
     assert gf.pow(gf.one(), 5) == 1
 
 
+def test_an_element_whose_spec_is_no_field_spec_raises_type_error():
+    # the check names the spec's type before it would read a field's degree from it
+    bad = nps2.FieldElement(1, "x")
+    for call in (lambda: GF8.add(GF8.one(), bad), lambda: GF8.mul(bad, GF8.one()),
+                 lambda: GF8.inv(bad)):
+        with pytest.raises(TypeError) as info:
+            call()
+        assert type(info.value) is TypeError
+        assert str(info.value) == "element spec must be a FieldSpec, got str"
+
+
 def test_mismatched_specs_rejected():
     with pytest.raises(FieldMismatchError):
         GF8.element(1) + GF4.element(1)

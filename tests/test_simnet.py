@@ -97,7 +97,7 @@ def test_recover_round_two_working_exhaustive_oracle():
     data = generate_source_data(4, 2, 1, 21, GF4)[0]
     failure = FailurePattern({3, 4})
     packets = transmit_round(sched, 1, data, failure, rows)
-    rec = recover_round(packets, sched, 1, rows, failure)
+    rec = recover_round(packets, sched, 1, rows)
     assert rec.scenario is Scenario.DOUBLE_WORKING
     assert rec.delivered[(3, 1)] == data[2][0]
     assert rec.delivered[(4, 1)] == data[3][0]
@@ -129,7 +129,7 @@ def test_recover_round_sum_row_failed_uses_weighted():
     data = generate_source_data(4, 2, 1, 13, GF256)[0]
     failure = FailurePattern({1, 4})  # round 1: sum carrier and one working slot
     packets = transmit_round(sched, 1, data, failure, rows)
-    rec = recover_round(packets, sched, 1, rows, failure)
+    rec = recover_round(packets, sched, 1, rows)
     assert rec.scenario is Scenario.SINGLE_WORKING
     assert rec.delivered[(4, 1)] == data[3][0]
 
@@ -141,7 +141,7 @@ def test_recover_round_excess_loss_keeps_direct_survivors():
     rows = build_rows(4, GF256)
     data = generate_source_data(6, 6, 1, 11, GF256)[0]
     failure = FailurePattern({3, 4, 5})
-    rec = recover_round(transmit_round(sched, 2, data, failure, rows), sched, 2, rows, failure)
+    rec = recover_round(transmit_round(sched, 2, data, failure, rows), sched, 2, rows)
     assert rec.scenario is Scenario.EXCESS_LOSS
     assert rec.recovered == ()
     assert rec.lost == (3, 4, 5)
@@ -151,16 +151,63 @@ def test_recover_round_excess_loss_keeps_direct_survivors():
     assert result.recovered_count == 0
 
 
-def test_recover_round_ignores_failed_paths_beyond_n():
-    # a pattern may name paths the schedule does not have; they are on no
-    # round's working slots, so path 3 is the round's one unknown
+def test_transmit_round_refuses_a_failed_path_beyond_n():
+    # one failed-path rule for the engine and the one-round API: a path the
+    # schedule does not have is refused with run_session's message
     sched = build_schedule(Scheme.NPS2_I, 6)
     rows = build_rows(4, GF256)
     data = generate_source_data(6, 6, 1, 11, GF256)[0]
-    failure = FailurePattern({3, 9})
-    rec = recover_round(transmit_round(sched, 1, data, failure, rows), sched, 1, rows, failure)
-    assert rec.scenario is Scenario.SINGLE_WORKING
-    assert rec.recovered == ((3, 1),) and rec.values == (data[2][0],) and rec.lost == ()
+    message = r"^failed path 9 exceeds path count 6$"
+    with pytest.raises(ValueError, match=message):
+        transmit_round(sched, 1, data, [3, 9], rows)
+    with pytest.raises(ValueError, match=message):
+        run_session(Scheme.NPS2_I, 6, GF256, [3, 9], data=data)
+
+
+def round_one_without_path_3():
+    """NPS2-I n=6 session 0 over GF(2^8), where x_p^d = 10(p-1) + d: round 1's
+    schedule, rows, data and the packets that arrive when path 3 fails."""
+    sched, rows = build_schedule(Scheme.NPS2_I, 6), build_rows(4, GF256)
+    data = [[GF256.element(10 * (p - 1) + d) for d in range(1, 7)] for p in range(1, 7)]
+    return sched, rows, data, transmit_round(sched, 1, data, [3], rows)
+
+
+def test_recover_round_reads_a_missing_packet_as_a_failed_path():
+    # path 5's packet is gone too: the round has two unknowns, x_3^1 and x_5^1,
+    # and both come back exact from the two carriers
+    sched, rows, data, survivors = round_one_without_path_3()
+    del survivors[5]
+    rec = recover_round(survivors, sched, 1, rows)
+    assert rec.scenario is Scenario.DOUBLE_WORKING and rec.lost == ()
+    assert rec.recovered == ((3, 1), (5, 1))
+    assert [v.value for v in rec.values] == [0x15, 0x29]
+    assert list(rec.delivered.items()) == [((p, 1), data[p - 1][0]) for p in (4, 6, 3, 5)]
+
+
+@pytest.mark.parametrize("payload", [0x15, 0x63], ids=hex)
+def test_recover_round_reads_an_arrived_packet_as_a_live_path(payload):
+    # a packet on path 3 means path 3 delivered: the collector solves nothing and
+    # delivers what arrived, x_3^1 = 0x15 when path 3 sends its own symbol
+    sched, rows, data, survivors = round_one_without_path_3()
+    survivors[3] = GF256.element(payload)
+    rec = recover_round(survivors, sched, 1, rows)
+    assert rec.scenario is Scenario.NO_FAILURE and rec.lost == ()
+    assert rec.recovered == () and rec.values == ()
+    assert rec.delivered == {(3, 1): GF256.element(payload),
+                             **{(p, 1): data[p - 1][0] for p in (4, 5, 6)}}
+
+
+def test_transmit_round_refuses_rows_too_short_for_their_units():
+    # run_session's shape rule: path 3 sends 6 units, so a 5-unit row is refused
+    sched, rows = build_schedule(Scheme.NPS2_I, 6), build_rows(4, GF256)
+    data = generate_source_data(6, 6, 1, 11, GF256)[0]
+    data[2] = data[2][:5]
+    message = (r"^data must be 6 rows at least \[0, 0, 6, 6, 6, 6\] long, "
+               r"got \[6, 6, 5, 6, 6, 6\]$")
+    for call in (lambda: transmit_round(sched, 1, data, NO_FAILURES, rows),
+                 lambda: run_session(Scheme.NPS2_I, 6, GF256, data=data)):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_recover_round_sum_only_double_working_is_lost():
@@ -169,7 +216,7 @@ def test_recover_round_sum_only_double_working_is_lost():
     rows = build_rows(4, GF2, sum_only=True)
     data = generate_source_data(6, 3, 1, 12, GF2)[0]
     failure = FailurePattern({3, 5})
-    rec = recover_round(transmit_round(sched, 1, data, failure, rows), sched, 1, rows, failure)
+    rec = recover_round(transmit_round(sched, 1, data, failure, rows), sched, 1, rows)
     assert rec.scenario is Scenario.DOUBLE_WORKING
     assert rec.recovered == ()
     assert rec.lost == (3, 5)
@@ -190,7 +237,7 @@ def test_recovered_round_loses_nothing():
     rows = build_rows(4, GF256)
     data = generate_source_data(6, 3, 1, 13, GF256)[0]
     for failure in (NO_FAILURES, FailurePattern({1}), FailurePattern({3}), FailurePattern({3, 5})):
-        rec = recover_round(transmit_round(sched, 1, data, failure, rows), sched, 1, rows, failure)
+        rec = recover_round(transmit_round(sched, 1, data, failure, rows), sched, 1, rows)
         assert rec.lost == ()
         assert rec.delivered == {(p, d): data[p - 1][d - 1] for p, d in rec.delivered}
         assert len(rec.delivered) == 4
@@ -416,7 +463,7 @@ def test_round_recovery_keeps_only_what_recover_round_computed():
     data = generate_source_data(6, sched.rounds, 1, 5, GF256)[0]
     failure = FailurePattern({3, 5})
     survivors = transmit_round(sched, 1, data, failure, rows)
-    rec = recover_round(survivors, sched, 1, rows, failure)
+    rec = recover_round(survivors, sched, 1, rows)
     assert [f.name for f in fields(rec)] == ["scenario", "recovered", "values", "lost",
                                              "delivered"]
     assert rec.delivered is rec.delivered
