@@ -8,6 +8,7 @@ import contextlib
 import json
 import os
 import random
+import signal
 import sys
 import time
 from dataclasses import dataclass
@@ -468,8 +469,31 @@ def run(config: RunConfig) -> int:
         return 2
 
 
+def _interrupt(signum, frame):
+    raise KeyboardInterrupt(signum)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    sys.exit(run(parse_config(argv)))
+    """Run the CLI and exit with its status. SIGTERM and SIGHUP, where they would end
+    the process, raise KeyboardInterrupt inside the run, as SIGINT does, so that its
+    outputs are cleaned up; each of the three then exits 128 + signum after one line on
+    stderr. The handlers are set only on the main thread and put back on the way out."""
+    old, stopped = {}, None
+    with contextlib.suppress(ValueError):  # only the main thread may set a handler
+        for signum in (signal.SIGTERM, signal.SIGHUP):
+            if signal.getsignal(signum) is signal.SIG_DFL:  # an ignored signal stays ignored
+                old[signum] = signal.signal(signum, _interrupt)
+    try:
+        status = run(parse_config(argv))
+    except KeyboardInterrupt as exc:
+        stopped = signal.Signals(exc.args[0] if exc.args else signal.SIGINT)
+        status = 128 + stopped
+    finally:
+        for signum, handler in old.items():
+            signal.signal(signum, handler)
+    if stopped is not None:
+        print(f"nps2: interrupted by {stopped.name}", file=sys.stderr)
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -45,8 +45,8 @@ class CoefficientRows:
 
     row_sum is all ones (RAID-6's P, added by XOR); row_weighted holds
     generator^t at rank t (Q), so any two columns form an invertible 2x2
-    minor; in sum-only mode both are all ones (parity, one erasure only).
-    Both are built on first read: the coder reads the field's exp table.
+    minor, or under sum_only generator^0 (parity, one erasure only). Both are
+    built on first read from _exponents, the weighted row's one rule.
     """
 
     width: int
@@ -55,6 +55,12 @@ class CoefficientRows:
 
     def __post_init__(self):
         width, field = self.width, self.field
+        if isinstance(width, bool) or not isinstance(width, int):
+            raise TypeError(f"width must be an int, got {width!r}")
+        if not isinstance(field, FieldSpec):
+            raise TypeError(f"field must be a FieldSpec, got {field!r}")
+        if not isinstance(self.sum_only, bool):
+            raise TypeError(f"sum_only must be a bool, got {self.sum_only!r}")
         if width < 1:
             raise ValueError(f"width must be positive, got {width}")
         if not self.sum_only and width > field.q - 1:
@@ -64,13 +70,16 @@ class CoefficientRows:
             )
 
     @cached_property
+    def _exponents(self) -> Sequence[int]:  # rank t's weighted coefficient is g^_exponents[t]
+        return (0,) * self.width if self.sum_only else range(self.width)
+
+    @cached_property
     def row_sum(self) -> tuple[FieldElement, ...]:
         return (self.field.one(),) * self.width
 
     @cached_property
     def row_weighted(self) -> tuple[FieldElement, ...]:
-        exp = self.field._exp[:self.width]  # generator^t, via a list: a map has no length hint
-        return self.row_sum if self.sum_only else tuple([*map(self.field.element, exp)])
+        return tuple([self.field.element(self.field._exp[e]) for e in self._exponents])
 
 
 def build_rows(width: int, field: FieldSpec, *, sum_only: bool = False) -> CoefficientRows:
@@ -87,25 +96,19 @@ def encode_pair(
     data: Sequence[FieldElement], rows: CoefficientRows
 ) -> tuple[FieldElement, FieldElement]:
     """Form the (sum, weighted) protection pair over one round's data: v at
-    rank t adds v to the sum and generator^t * v (v if sum-only) to the other."""
+    rank t adds v to the sum and its weighted coefficient times v to the other."""
     if len(data) != rows.width:
         raise ValueError(f"expected {rows.width} data symbols, got {len(data)}")
     field = rows.field
     exp, log = field._exp, field._log
     y_sum = y_weighted = 0
     try:
-        if rows.sum_only:  # decided once: GF(2)'s exp table is shorter than a sum-only row
-            for d in data:
-                if d.spec is not field:
-                    field._check(d)
-                y_sum ^= d.value
-            return field.element(y_sum), field.element(y_sum)
-        for t, d in enumerate(data):
+        for e, d in zip(rows._exponents, data):
             if d.spec is not field:
                 field._check(d)
             if v := d.value:
                 y_sum ^= v
-                y_weighted ^= exp[log[v] + t]
+                y_weighted ^= exp[log[v] + e]
     except AttributeError:
         raise _not_an_element(d) from None
     return field.element(y_sum), field.element(y_weighted)
@@ -121,7 +124,8 @@ def residualize(
 
     ``known`` ascends strictly by rank. What remains is the row's sum over
     the missing ranks (subtraction is addition in characteristic 2): a known
-    v at rank t goes out as v from the sum row, generator^t * v from the other.
+    v at rank t goes out as v from the sum row, generator^t * v from the other,
+    which for sum-only rows is the sum row.
     """
     field = rows.field
     exp, log, width = field._exp, field._log, rows.width
@@ -176,11 +180,8 @@ def solve_one(
         v = residual_weighted.value
     except AttributeError:
         raise _not_an_element(residual_weighted if residual_sum is None else residual_sum) from None
-    if rows.sum_only:
-        return field.element(v)
-    exp, log = field._exp, field._log
-    w = exp[rank]  # generator^rank: v / w is a read of the tables
-    return field.element(exp[log[v] - log[w] + field.q - 1] if v else 0)
+    e = rows._exponents[rank]  # v / generator^e is a read of the tables
+    return field.element(field._exp[field._log[v] - e + field.q - 1] if v else 0)
 
 
 def solve_two(
@@ -216,8 +217,8 @@ def solve_two(
     except AttributeError:
         raise _not_an_element(residual_weighted if isinstance(residual_sum, FieldElement)
                               else residual_sum) from None
-    exp, log = field._exp, field._log
-    w1, w2 = (1, 1) if rows.sum_only else (exp[t1], exp[t2])
+    exp, log, e = field._exp, field._log, rows._exponents
+    w1, w2 = exp[e[t1]], exp[e[t2]]
     if not (det := w1 ^ w2):
         raise UnrecoverableError(f"protection rows are not independent over ranks {t1}, {t2}")
     y = rw ^ (exp[log[w1] + log[rs]] if rs else 0)  # rw + w1 * rs

@@ -171,13 +171,16 @@ def generate_source_data(
     """Deterministic symbol tensor indexed [session][source-1][data_index-1],
     filled in that order with the draws of ``rng.randrange(field.q)``, where
     rng is ``seed`` itself if it is a ``random.Random``, whose stream the
-    draw continues, else ``random.Random(seed)``. Each count is an int, at least 0."""
+    draw continues, else ``random.Random(seed)``. Each count is an int, at least 0,
+    and ``field`` a FieldSpec."""
     for name, count in (("n", n), ("rounds_per_session", rounds_per_session),
                         ("sessions", sessions)):
         if isinstance(count, bool) or not isinstance(count, int):
             raise TypeError(f"{name} must be an int, got {count!r}")
         if count < 0:
             raise ValueError(f"{name} must be nonnegative, got {count}")
+    if not isinstance(field, FieldSpec):
+        raise TypeError(f"field must be a FieldSpec, got {field!r}")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     q, bits, getrandbits, element = field.q, field.m + 1, rng.getrandbits, field.element
 

@@ -204,6 +204,23 @@ test ! -e "$RUNNER_TEMP/f.jsonl"
 code=0; nps2 run --n 6 --fail 2 --trace /dev/full 2> "$RUNNER_TEMP/full.err" > /dev/null || code=$?
 test "$code" -eq 2
 grep -qF 'cannot write /dev/full' "$RUNNER_TEMP/full.err"
+# a run stopped by SIGTERM once its trace has grown exits 143 with one stderr
+# line, leaves no temp file and keeps the output it found
+mkdir "$RUNNER_TEMP/sig"
+echo old > "$RUNNER_TEMP/sig/t.jsonl"
+nps2 run --n 8 --sessions 2000000 --fail-random 2 --trace "$RUNNER_TEMP/sig/t.jsonl" \
+  --report "$RUNNER_TEMP/sig/r.json" > /dev/null 2> "$RUNNER_TEMP/sig.err" &
+pid=$!
+for _ in $(seq 600); do
+  [ -n "$(find "$RUNNER_TEMP/sig" -name 't.jsonl.*.tmp' -size +0)" ] && break
+  sleep 0.1
+done
+kill -TERM "$pid"
+code=0; wait "$pid" || code=$?
+test "$code" -eq 143
+test "$(cat "$RUNNER_TEMP/sig.err")" = "nps2: interrupted by SIGTERM"
+test "$(ls -A "$RUNNER_TEMP/sig")" = t.jsonl
+test "$(cat "$RUNNER_TEMP/sig/t.jsonl")" = old
 # the reports printed to stdout are pinned too, apart from generated_at
 nps2 sweep --n 8 --sessions 3 | sed '/"generated_at"/d' > "$RUNNER_TEMP/o1.scrubbed"
 echo "d58c90cc38a2c123db52129f11e4b52eece1a30b48fe7e2ffddace769245bc0f  $RUNNER_TEMP/o1.scrubbed" | sha256sum -c -

@@ -257,6 +257,37 @@ MUTANTS = (
         "residualize lets an int symbol's AttributeError out instead of naming its type",
         ("tests/test_codec.py::test_a_symbol_that_is_no_element_raises_type_error",),
     ),
+    Mutant(
+        "sum-only-rows-take-papers-exponents", "src/nps2/codec.py",
+        "return (0,) * self.width if self.sum_only else range(self.width)",
+        "return range(self.width)",
+        "sum-only rows weight rank t by generator^t, as the paper's rows do, so their"
+        " weighted symbol is no longer the sum",
+        ("tests/test_codec_properties.py::test_sum_only_recovers_single_erasures",),
+    ),
+    Mutant(
+        "residualize-weights-sum-only-rows", "src/nps2/codec.py",
+        "weighted = row is _WEIGHTED and not rows.sum_only",
+        "weighted = row is _WEIGHTED",
+        "residualize strips a known symbol from a sum-only weighted row scaled by"
+        " generator^t, where the row's coefficient is generator^0",
+        ("tests/test_codec_properties.py::test_sum_only_recovers_single_erasures",),
+    ),
+    Mutant(
+        "rows-take-any-width", "src/nps2/codec.py",
+        "if isinstance(width, bool) or not isinstance(width, int):",
+        "if False:",
+        "rows take a float or a bool width, and every encode over them then fails",
+        ("tests/test_codec.py::test_rows_refuse_an_argument_of_the_wrong_type[float-width]",),
+    ),
+    Mutant(
+        "stop-handlers-never-installed", "src/nps2/cli.py",
+        "old[signum] = signal.signal(signum, _interrupt)",
+        "old[signum] = signal.getsignal(signum)",
+        "SIGTERM ends a run without cleanup, leaving its temp files behind",
+        ("tests/test_cli.py"
+         "::test_a_signalled_run_exits_128_plus_signum_and_leaves_no_temp_file[SIGTERM-new]",),
+    ),
 )
 
 

@@ -6,9 +6,12 @@ import itertools
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 import tracemalloc
 from datetime import datetime, timezone
 
@@ -540,6 +543,83 @@ def test_config_and_count_errors_exit_2_with_one_line(argv, message, tmp_path):
         == [f"nps2: error: {message}"]
     assert sorted(os.listdir(tmp_path)) == ["array.json", "cfg"]
     assert os.listdir(tmp_path / "cfg") == []
+
+
+# the child starts with every stop signal at its default action, as a command
+# typed at a terminal does, whatever its parent ignores
+STOPPABLE = ("import signal, sys\n"
+             "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
+             "for signum in (signal.SIGTERM, signal.SIGHUP):\n"
+             "    signal.signal(signum, signal.SIG_DFL)\n"
+             "from nps2.cli import main\n"
+             "main(sys.argv[1:])\n")
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGHUP, signal.SIGINT],
+                         ids=lambda signum: signum.name)
+def test_a_signalled_run_exits_128_plus_signum_and_leaves_no_temp_file(signum, existing,
+                                                                      tmp_path):
+    # the child is signalled once its trace's temp file has grown, so mid-run: it
+    # prints one line, leaves no temp file, and any old outputs byte for byte
+    for name in ("t.jsonl", "r.json") if existing else ():
+        (tmp_path / name).write_bytes(f"old {name}\n".encode())
+    old = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    src = os.path.dirname(os.path.dirname(nps2.cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = ["run", "--n", "8", "--sessions", "2000000", "--fail-random", "2",
+            "--trace", "t.jsonl", "--report", "r.json"]
+    with subprocess.Popen([sys.executable, "-c", STOPPABLE, *argv], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": path}, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True) as child:
+        try:
+            deadline = time.monotonic() + 60
+            while not any(tmp.stat().st_size for tmp in tmp_path.glob("t.jsonl.*.tmp")):
+                assert child.poll() is None and time.monotonic() < deadline, child.returncode
+                time.sleep(0.01)
+            child.send_signal(signum)
+            out, err = child.communicate(timeout=60)
+        finally:
+            child.kill()  # only if it is still running
+    assert child.returncode == 128 + signum
+    assert (out, err) == ("", f"nps2: interrupted by {signum.name}\n")
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == old
+
+
+def test_main_sets_the_stop_handlers_for_the_run_only(monkeypatch, capsys):
+    # during the run SIGTERM raises as SIGINT does, an ignored SIGHUP stays
+    # ignored, and both are put back after; off the main thread none is set
+    seen = []
+
+    def run(config):
+        seen.append((signal.getsignal(signal.SIGTERM), signal.getsignal(signal.SIGHUP)))
+        return 0
+
+    monkeypatch.setattr(nps2.cli, "run", run)
+    before = signal.signal(signal.SIGTERM, signal.SIG_DFL), signal.signal(signal.SIGHUP,
+                                                                          signal.SIG_IGN)
+    try:
+        with pytest.raises(SystemExit) as exc:
+            main(["dump-rows"])
+        assert exc.value.code == 0
+        assert seen == [(nps2.cli._interrupt, signal.SIG_IGN)]
+        assert (signal.getsignal(signal.SIGTERM), signal.getsignal(signal.SIGHUP)) \
+            == (signal.SIG_DFL, signal.SIG_IGN)
+        codes = []
+
+        def off_main():
+            with pytest.raises(SystemExit) as exc:
+                main(["dump-rows"])
+            codes.append(exc.value.code)
+
+        thread = threading.Thread(target=off_main)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive() and codes == [0]
+        assert seen[1:] == [(signal.SIG_DFL, signal.SIG_IGN)]
+    finally:
+        signal.signal(signal.SIGTERM, before[0])
+        signal.signal(signal.SIGHUP, before[1])
 
 
 def test_help_reads_the_terminal_width(monkeypatch, capsys):

@@ -25,7 +25,7 @@ from nps2.codec import (
 )
 from nps2.field import FieldElement, FieldMismatchError, FieldSpec
 from nps2.schemes import Scheme
-from nps2.simnet import run_session, sweep_failures
+from nps2.simnet import generate_source_data, run_session, sweep_failures
 
 GF4 = FieldSpec(2, 0b111, 0b10)
 GF8 = FieldSpec(3, 0b1011, 0b010)
@@ -75,6 +75,26 @@ def test_build_rows_capacity_error_names_minimum_m():
         build_rows(256, FieldSpec())
     with pytest.raises(ValueError):
         build_rows(0, GF8)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: build_rows(1.5, GF8), "width must be an int, got 1.5"),
+    (lambda: build_rows(True, GF8), "width must be an int, got True"),
+    (lambda: CoefficientRows(4, "x"), "field must be a FieldSpec, got 'x'"),
+    (lambda: build_rows(4, GF8, sum_only="no"), "sum_only must be a bool, got 'no'"),
+    (lambda: run_session(Scheme.NPS2_I, 6, "x"), "field must be a FieldSpec, got 'x'"),
+    (lambda: sweep_failures(Scheme.NPS2_I, 6, FieldSpec(), sum_only="no"),
+     "sum_only must be a bool, got 'no'"),
+    (lambda: sweep_failures(Scheme.NPS2_I, 6, "x"), "field must be a FieldSpec, got 'x'"),
+    (lambda: generate_source_data(2, 2, 1, 1, "x"), "field must be a FieldSpec, got 'x'"),
+], ids=["float-width", "bool-width", "str-field", "str-sum-only", "session-str-field",
+        "sweep-str-sum-only", "sweep-str-field", "draw-str-field"])
+def test_rows_refuse_an_argument_of_the_wrong_type(call, message):
+    # the rows check their own arguments, so every entry point that builds them
+    # names the argument, and a sweep's draw checks its field as the rows do
+    with pytest.raises(TypeError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_build_rows_returns_new_equal_rows():
