@@ -11,13 +11,13 @@ import random
 import signal
 import sys
 import time
-from dataclasses import dataclass
 from functools import cache
+from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .codec import build_rows
 from .field import DEFAULT_GENERATOR, DEFAULT_M, DEFAULT_REDUCTION_POLY, FieldSpec
-from .schemes import Scheme, build_schedule, check_path_count, schedule_labels
+from .schemes import Scheme, build_schedule, schedule_labels
 from .simnet import (
     SessionResult,
     _totals,
@@ -30,21 +30,9 @@ from .simnet import (
 MODES = ("run", "sweep", "dump-schedule", "dump-rows")
 
 
-@dataclass
-class RunConfig:
-    """A validated config: a field per config key, but field_m, _poly and _gen make field."""
-
-    mode: str
-    scheme: Scheme
-    n: int
-    field: FieldSpec
-    sessions: int
-    fail: tuple[int, ...] | None
-    fail_random: int | None
-    seed: int
-    trace: str | None
-    report: str | None
-    as_json: bool = False
+class RunConfig(SimpleNamespace):
+    """A validated config, filled by parse_config: an attribute per config key, but
+    field_m, _poly and _gen make field, and as_json is --json."""
 
     def field_echo(self) -> dict:
         return {
@@ -110,7 +98,7 @@ def _mode(value) -> str:
     return value
 
 
-# config key and RunConfig field -> (coercion, default, argparse options of its flag
+# config key and RunConfig attribute -> (coercion, default, argparse options of its flag
 # --key-with-dashes, or for mode of the positional command). parse_config resolves each
 # key from the flag, the file, the environment (NPS2_SEED), the default; null is absent.
 CONFIG_KEYS = {
@@ -194,7 +182,7 @@ def parse_config(argv: Sequence[str] | None = None) -> RunConfig:
 
     # -- cross-field validation -------------------------------------------
     try:
-        check_path_count(cfg["scheme"], n)
+        build_schedule(cfg["scheme"], n)  # raises unless the scheme runs on n paths
         field = FieldSpec(cfg.pop("field_m"), cfg.pop("field_poly"), cfg.pop("field_gen"))
         build_rows(n - 2, field)  # raises unless the field has room for the rows
     except ValueError as exc:
@@ -469,19 +457,30 @@ def run(config: RunConfig) -> int:
         return 2
 
 
+# the stop signals main routes to _interrupt, each where its handler is this default
+_STOPS = {signal.SIGINT: signal.default_int_handler, signal.SIGTERM: signal.SIG_DFL,
+          signal.SIGHUP: signal.SIG_DFL}
+
+
 def _interrupt(signum, frame):
+    """Ignore every stop signal routed here, so that a second one cannot break the
+    cleanup that the KeyboardInterrupt raised for this one starts."""
+    for other in _STOPS:
+        if signal.getsignal(other) is _interrupt:
+            signal.signal(other, signal.SIG_IGN)
     raise KeyboardInterrupt(signum)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Run the CLI and exit with its status. SIGTERM and SIGHUP, where they would end
-    the process, raise KeyboardInterrupt inside the run, as SIGINT does, so that its
-    outputs are cleaned up; each of the three then exits 128 + signum after one line on
-    stderr. The handlers are set only on the main thread and put back on the way out."""
+    """Run the CLI and exit with its status. SIGINT, SIGTERM and SIGHUP, where Python
+    keeps its default action for them, raise KeyboardInterrupt inside the run, so that
+    its outputs are cleaned up, and any later one is ignored; the run then exits 128 +
+    the first signum after one line on stderr. The handlers are set only on the main
+    thread and put back on the way out."""
     old, stopped = {}, None
     with contextlib.suppress(ValueError):  # only the main thread may set a handler
-        for signum in (signal.SIGTERM, signal.SIGHUP):
-            if signal.getsignal(signum) is signal.SIG_DFL:  # an ignored signal stays ignored
+        for signum, default in _STOPS.items():
+            if signal.getsignal(signum) is default:  # an ignored signal stays ignored
                 old[signum] = signal.signal(signum, _interrupt)
     try:
         status = run(parse_config(argv))

@@ -14,7 +14,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .field import FieldElement, FieldSpec
+from .field import FieldElement, FieldSpec, _check_int
 
 
 class Row(Enum):
@@ -55,8 +55,7 @@ class CoefficientRows:
 
     def __post_init__(self):
         width, field = self.width, self.field
-        if isinstance(width, bool) or not isinstance(width, int):
-            raise TypeError(f"width must be an int, got {width!r}")
+        _check_int("width", width)
         if not isinstance(field, FieldSpec):
             raise TypeError(f"field must be a FieldSpec, got {field!r}")
         if not isinstance(self.sum_only, bool):

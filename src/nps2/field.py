@@ -21,6 +21,13 @@ class FieldMismatchError(ValueError):
     """Elements from differently configured fields were combined."""
 
 
+def _check_int(name: str, value) -> None:
+    """The library's int-argument rule: TypeError naming ``name`` unless ``value``
+    is an int, and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, got {value!r}")
+
+
 def _spans(c: int, poly: int, q: int, low: int, high: int) -> tuple[list[int], list[int]]:
     """c * x as lo[x % 2^low] ^ hi[x >> low], since it is GF(2)-linear in x."""
     lo, hi = [0], [0]
@@ -57,7 +64,7 @@ class FieldSpec:
     Parameters
     ----------
     m : int
-        Extension degree, 1 <= m <= 16.
+        Extension degree, 1 <= m <= 16. Each argument is an int, not a bool.
     reduction_poly : int
         Bitmask of the degree-m irreducible polynomial (bit i is the
         coefficient of x^i); bits m and 0 must be set.
@@ -79,6 +86,8 @@ class FieldSpec:
         reduction_poly: int = DEFAULT_REDUCTION_POLY,
         generator: int = DEFAULT_GENERATOR,
     ):
+        for name, value in (("m", m), ("reduction_poly", reduction_poly), ("generator", generator)):
+            _check_int(name, value)
         if not 1 <= m <= 16:
             raise ValueError(f"extension degree must be in 1..16, got {m}")
         if reduction_poly < 0 or reduction_poly.bit_length() != m + 1:
@@ -92,8 +101,6 @@ class FieldSpec:
         q = 1 << m
         if not 0 < generator < q:
             raise ValueError(f"generator {generator:#x} is outside GF(2^{m})")
-        if generator == 1 and m > 1:
-            raise ValueError("generator 1 cannot generate a field with more than 2 elements")
 
         self.m = m
         self.q = q
@@ -132,15 +139,12 @@ class FieldSpec:
     # -- element construction -------------------------------------------
 
     def element(self, value: int) -> FieldElement:
-        """The immutable element of this spec holding ``value``, an int (a bool
-        counts as 0 or 1; a float or a Fraction raises TypeError): below 256 one
-        of the instances built with the spec (every value for m <= 8), above it a fresh one."""
+        """The immutable element of this spec holding ``value``, as FieldElement checks
+        it: below 256 one of the instances built with the spec (every value for m <= 8),
+        above it a fresh one."""
         shared = self._elements
         if 0 <= value < len(shared):
-            return shared[value]
-        value = index(value)  # TypeError for a float
-        if not 0 <= value < self.q:
-            raise ValueError(f"value {value:#x} is outside GF(2^{self.m})")
+            return shared[value]  # a float or a Fraction is no index
         return FieldElement(value, self)
 
     def zero(self) -> FieldElement:
@@ -162,9 +166,6 @@ class FieldSpec:
     def _check(self, *elems: FieldElement) -> None:
         for e in elems:
             if e.spec is not self and e.spec != self:
-                if not isinstance(e.spec, FieldSpec):
-                    raise TypeError(
-                        f"element spec must be a FieldSpec, got {type(e.spec).__name__}")
                 raise FieldMismatchError(
                     f"element of GF(2^{e.spec.m})/0x{e.spec.reduction_poly:x} "
                     f"used in GF(2^{self.m})/0x{self.reduction_poly:x}"
@@ -219,12 +220,18 @@ class FieldSpec:
 @dataclass(frozen=True, slots=True)
 class FieldElement:
     """A value of the ambient FieldSpec, kept reduced below 2^m: the boundary
-    type of the library, whose engine computes on the int values."""
+    type of the library, whose engine computes on the int values: an int (a bool
+    counts as 0 or 1) in 0..2^m - 1 of a FieldSpec, else ValueError or TypeError."""
 
     value: int
     spec: FieldSpec
 
     def __init__(self, value: int, spec: FieldSpec):
+        if not isinstance(spec, FieldSpec):
+            raise TypeError(f"element spec must be a FieldSpec, got {type(spec).__name__}")
+        value = index(value)  # TypeError for a float or a Fraction
+        if value >> spec.m:  # 0 exactly when 0 <= value < 2^m
+            raise ValueError(f"value {value:#x} is outside GF(2^{spec.m})")
         # the slots' own setters: the frozen dataclass's __init__ goes through
         # object.__setattr__, ~0.9 us an element against ~0.45 us for these
         _set_value(self, value)

@@ -18,6 +18,8 @@ from enum import Enum
 from functools import cache
 from itertools import chain, islice
 
+from .field import _check_int
+
 
 class Scheme(Enum):
     NPS2_I = "nps2-i"
@@ -66,31 +68,24 @@ class SessionSchedule:
         return len(self.pairs)
 
 
-def check_path_count(scheme: Scheme, n: int) -> None:
-    """Raise ValueError unless ``scheme`` can run on n paths: NPS2-I needs
-    its two protection paths plus a working path, NPS2-II an even n >= 4
-    for its (2L-1, 2L) pairs."""
-    if scheme is Scheme.NPS2_II and n % 2:
-        raise ValueError(f"{scheme.value} needs an even number of paths, got n={n}")
-    min_n = 4 if scheme is Scheme.NPS2_II else 3
-    if n < min_n:
-        raise ValueError(f"{scheme.value} needs n >= {min_n}, got n={n}")
-
-
 def build_schedule(scheme: Scheme, n: int, session_index: int = 0) -> SessionSchedule:
     """Session ``session_index``'s schedule, one shared object per (scheme,
     n, protection pair). NPS2-I runs n rounds on the pair (2d mod n,
     2d+1 mod n), 1-based, of session d; for odd n it wraps to (n, 1) once
     per n sessions. NPS2-II runs n/2 rounds, protection on (2L-1, 2L) in
     round L, so path i protects once, in round ceil(i/2), and sends data
-    unit r before that round and unit r-1 after it.
+    unit r before that round and unit r-1 after it. ValueError unless n >= 3
+    (NPS2-I: two protection paths and a working one), or even and >= 4 (NPS2-II).
     """
     if not isinstance(scheme, Scheme):
         raise TypeError(f"scheme must be a Scheme, got {scheme!r}")
     for name, value in (("n", n), ("session_index", session_index)):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise TypeError(f"{name} must be an int, got {value!r}")
-    check_path_count(scheme, n)
+        _check_int(name, value)
+    if scheme is Scheme.NPS2_II and n % 2:
+        raise ValueError(f"{scheme.value} needs an even number of paths, got n={n}")
+    min_n = 4 if scheme is Scheme.NPS2_II else 3
+    if n < min_n:
+        raise ValueError(f"{scheme.value} needs n >= {min_n}, got n={n}")
     if session_index < 0:
         raise ValueError(f"session_index must be nonnegative, got {session_index}")
     if scheme is Scheme.NPS2_II:
@@ -125,6 +120,7 @@ def protected_slots(schedule: SessionSchedule, round_index: int) -> tuple[tuple[
     Their position in this tuple is the rank used for the weighted
     coefficient row, so coefficients are a pure function of the schedule.
     """
+    _check_int("round_index", round_index)
     if not 1 <= round_index <= schedule.rounds:
         raise ValueError(f"round {round_index} out of range 1..{schedule.rounds}")
     r, _, working, carried = next(islice(_unit_rounds(schedule), round_index - 1, None))

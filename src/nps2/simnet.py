@@ -25,7 +25,7 @@ from .codec import (
     solve_one,
     solve_two,
 )
-from .field import FieldElement, FieldSpec
+from .field import FieldElement, FieldSpec, _check_int
 from .schemes import (
     Scheme,
     SessionSchedule,
@@ -175,8 +175,7 @@ def generate_source_data(
     and ``field`` a FieldSpec."""
     for name, count in (("n", n), ("rounds_per_session", rounds_per_session),
                         ("sessions", sessions)):
-        if isinstance(count, bool) or not isinstance(count, int):
-            raise TypeError(f"{name} must be an int, got {count!r}")
+        _check_int(name, count)
         if count < 0:
             raise ValueError(f"{name} must be nonnegative, got {count}")
     if not isinstance(field, FieldSpec):

@@ -160,6 +160,12 @@ exits_2() {  # the message, then the arguments
 exits_2 "cannot read config file" --config "$RUNNER_TEMP/cfgdir"
 exits_2 "must hold a JSON object" --config "$RUNNER_TEMP/array.json"
 exits_2 "--sessions must be positive" --sessions 0
+# generator 1 is refused by the table walk, which finds its order as any generator's
+code=0; nps2 dump-rows --field-gen 1 > "$RUNNER_TEMP/gen1.out" 2> "$RUNNER_TEMP/gen1.err" || code=$?
+test "$code" -eq 2
+test ! -s "$RUNNER_TEMP/gen1.out"
+test "$(grep -c '^nps2: error:' "$RUNNER_TEMP/gen1.err")" -eq 1
+grep '^nps2: error:' "$RUNNER_TEMP/gen1.err" | grep -qF 'has order 1, expected 255; not primitive'
 # the command is the only action flag, and each setting has one config key
 code=0; nps2 --sweep 2> /dev/null || code=$?
 test "$code" -eq 2

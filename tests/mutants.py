@@ -275,8 +275,8 @@ MUTANTS = (
     ),
     Mutant(
         "rows-take-any-width", "src/nps2/codec.py",
-        "if isinstance(width, bool) or not isinstance(width, int):",
-        "if False:",
+        '_check_int("width", width)',
+        "pass",
         "rows take a float or a bool width, and every encode over them then fails",
         ("tests/test_codec.py::test_rows_refuse_an_argument_of_the_wrong_type[float-width]",),
     ),
@@ -287,6 +287,30 @@ MUTANTS = (
         "SIGTERM ends a run without cleanup, leaving its temp files behind",
         ("tests/test_cli.py"
          "::test_a_signalled_run_exits_128_plus_signum_and_leaves_no_temp_file[SIGTERM-new]",),
+    ),
+    Mutant(
+        "second-stop-signal-armed", "src/nps2/cli.py",
+        "            signal.signal(other, signal.SIG_IGN)\n",
+        "            pass\n",
+        "a second stop signal raises inside the cleanup that the first one started, so the"
+        " run exits as the second one stopped it and leaves a temp file behind",
+        ("tests/test_cli.py::test_a_second_stop_signal_cannot_break_the_cleanup",),
+    ),
+    Mutant(
+        "element-range-unchecked", "src/nps2/field.py",
+        "if value >> spec.m:",
+        "if False:",
+        "FieldElement holds a value outside its field, which the field's operations and the"
+        " solvers read as a wrong symbol",
+        ("tests/test_field.py::test_an_element_outside_its_field_cannot_be_built",),
+    ),
+    Mutant(
+        "parse-config-skips-schedule", "src/nps2/cli.py",
+        '        build_schedule(cfg["scheme"], n)  # raises unless the scheme runs on n paths\n',
+        "",
+        "the CLI takes a path count its scheme cannot run on, and fails with a traceback"
+        " once the run builds the schedule",
+        ("tests/test_cli.py::test_odd_n_rejected",),
     ),
 )
 

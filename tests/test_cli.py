@@ -1,4 +1,3 @@
-import dataclasses
 import errno
 import functools
 import gc
@@ -120,12 +119,14 @@ def test_config_file_field_keys(tmp_path):
 
 
 def test_each_setting_has_one_flag_one_key_and_one_field():
-    # a key's flag is --key-with-dashes, but mode's is the command; RunConfig's
-    # fields are the keys, with field_m, field_poly and field_gen in field
+    # a key's flag is --key-with-dashes, but mode's is the command; a parsed
+    # config's attributes are the keys, with field_m, field_poly and field_gen in field
     flags = {s for action in _build_parser()._actions for s in action.option_strings}
     keyed = {"--" + key.replace("_", "-") for key in CONFIG_KEYS.keys() - {"mode"}}
     assert flags == {"-h", "--help", "--config", "--json"} | keyed
-    names = {f.name for f in dataclasses.fields(RunConfig)}
+    config = parse_config([])
+    assert type(config) is RunConfig
+    names = set(vars(config))
     assert names == (CONFIG_KEYS.keys() - {"field_m", "field_poly", "field_gen"}) | {
         "field", "as_json"}
 
@@ -547,12 +548,33 @@ def test_config_and_count_errors_exit_2_with_one_line(argv, message, tmp_path):
 
 # the child starts with every stop signal at its default action, as a command
 # typed at a terminal does, whatever its parent ignores
-STOPPABLE = ("import signal, sys\n"
-             "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
-             "for signum in (signal.SIGTERM, signal.SIGHUP):\n"
-             "    signal.signal(signum, signal.SIG_DFL)\n"
-             "from nps2.cli import main\n"
-             "main(sys.argv[1:])\n")
+DEFAULT_STOPS = ("import signal, sys\n"
+                 "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
+                 "for signum in (signal.SIGTERM, signal.SIGHUP):\n"
+                 "    signal.signal(signum, signal.SIG_DFL)\n")
+STOPPABLE = DEFAULT_STOPS + "from nps2.cli import main\nmain(sys.argv[1:])\n"
+# and this one sends itself SIGINT in its 4th session, then SIGTERM from inside the
+# first os.remove of the cleanup that SIGINT starts; it fails unless it sent both
+SIGNALLED_TWICE = DEFAULT_STOPS + (
+    "import os\n"
+    "import nps2.cli\n"
+    "run_session, remove, sessions, stops = nps2.cli.run_session, os.remove, [], []\n"
+    "def run_session_stopped_in_the_4th(*args, **kwargs):\n"
+    "    sessions.append(args)\n"
+    "    if len(sessions) == 4:\n"
+    "        stops.append(signal.SIGINT)\n"
+    "        os.kill(os.getpid(), signal.SIGINT)\n"
+    "    return run_session(*args, **kwargs)\n"
+    "def remove_stopped_again(path):\n"
+    "    if stops == [signal.SIGINT]:\n"
+    "        stops.append(signal.SIGTERM)\n"
+    "        os.kill(os.getpid(), signal.SIGTERM)\n"
+    "    remove(path)\n"
+    "nps2.cli.run_session, os.remove = run_session_stopped_in_the_4th, remove_stopped_again\n"
+    "try:\n"
+    "    nps2.cli.main(sys.argv[1:])\n"
+    "finally:\n"
+    "    assert stops == [signal.SIGINT, signal.SIGTERM], stops\n")
 
 
 @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
@@ -586,25 +608,41 @@ def test_a_signalled_run_exits_128_plus_signum_and_leaves_no_temp_file(signum, e
     assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == old
 
 
+def test_a_second_stop_signal_cannot_break_the_cleanup(tmp_path):
+    # the second signal is ignored: the run exits as the first one stopped it,
+    # names only that one, and its cleanup removes every temp file
+    src = os.path.dirname(os.path.dirname(nps2.cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = ["run", "--n", "6", "--sessions", "10", "--fail-random", "2",
+            "--trace", "t.jsonl", "--report", "r.json"]
+    proc = subprocess.run([sys.executable, "-c", SIGNALLED_TWICE, *argv], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+                          text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) \
+        == (130, "", "nps2: interrupted by SIGINT\n")
+    assert os.listdir(tmp_path) == []
+
+
 def test_main_sets_the_stop_handlers_for_the_run_only(monkeypatch, capsys):
-    # during the run SIGTERM raises as SIGINT does, an ignored SIGHUP stays
-    # ignored, and both are put back after; off the main thread none is set
+    # during the run SIGINT and SIGTERM raise, an ignored SIGHUP stays ignored,
+    # and all are put back after; off the main thread none is set
     seen = []
+    stops = (signal.SIGINT, signal.SIGTERM, signal.SIGHUP)
 
     def run(config):
-        seen.append((signal.getsignal(signal.SIGTERM), signal.getsignal(signal.SIGHUP)))
+        seen.append(tuple(map(signal.getsignal, stops)))
         return 0
 
     monkeypatch.setattr(nps2.cli, "run", run)
-    before = signal.signal(signal.SIGTERM, signal.SIG_DFL), signal.signal(signal.SIGHUP,
-                                                                          signal.SIG_IGN)
+    before = [signal.signal(signum, handler) for signum, handler in zip(
+        stops, (signal.default_int_handler, signal.SIG_DFL, signal.SIG_IGN))]
     try:
         with pytest.raises(SystemExit) as exc:
             main(["dump-rows"])
         assert exc.value.code == 0
-        assert seen == [(nps2.cli._interrupt, signal.SIG_IGN)]
-        assert (signal.getsignal(signal.SIGTERM), signal.getsignal(signal.SIGHUP)) \
-            == (signal.SIG_DFL, signal.SIG_IGN)
+        assert seen == [(nps2.cli._interrupt, nps2.cli._interrupt, signal.SIG_IGN)]
+        assert tuple(map(signal.getsignal, stops)) \
+            == (signal.default_int_handler, signal.SIG_DFL, signal.SIG_IGN)
         codes = []
 
         def off_main():
@@ -616,10 +654,10 @@ def test_main_sets_the_stop_handlers_for_the_run_only(monkeypatch, capsys):
         thread.start()
         thread.join(timeout=60)
         assert not thread.is_alive() and codes == [0]
-        assert seen[1:] == [(signal.SIG_DFL, signal.SIG_IGN)]
+        assert seen[1:] == [(signal.default_int_handler, signal.SIG_DFL, signal.SIG_IGN)]
     finally:
-        signal.signal(signal.SIGTERM, before[0])
-        signal.signal(signal.SIGHUP, before[1])
+        for signum, handler in zip(stops, before):
+            signal.signal(signum, handler)
 
 
 def test_help_reads_the_terminal_width(monkeypatch, capsys):

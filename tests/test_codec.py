@@ -316,17 +316,29 @@ def test_a_symbol_that_is_no_element_raises_type_error():
 
 
 def test_an_element_whose_spec_is_no_field_spec_raises_type_error():
-    # its spec is named by its type at every codec entry point, not read as a
-    # field's degree, nor blamed on the symbol as if it were no element
-    rows, y, bad = build_rows(4, GF8), GF8.element(3), FieldElement(3, "x")
-    for call in (lambda: encode_pair([y, bad, y, y], rows),
-                 lambda: residualize(y, [(0, y), (2, bad)], Row.WEIGHTED, rows),
-                 lambda: solve_one(1, bad, None, rows),
-                 lambda: solve_two((0, 2), y, bad, rows)):
+    # its spec is named by its type when it is built, so no codec entry point
+    # reads it as a field's degree, nor blames the symbol as if it were no element
+    rows, y = build_rows(4, GF8), GF8.element(3)
+    for call in (lambda: encode_pair([y, FieldElement(3, "x"), y, y], rows),
+                 lambda: residualize(y, [(0, y), (2, FieldElement(3, "x"))], Row.WEIGHTED, rows),
+                 lambda: solve_one(1, FieldElement(3, "x"), None, rows),
+                 lambda: solve_two((0, 2), y, FieldElement(3, "x"), rows)):
         with pytest.raises(TypeError) as info:
             call()
         assert type(info.value) is TypeError
         assert str(info.value) == "element spec must be a FieldSpec, got str"
+
+
+def test_a_solver_never_reads_an_element_outside_its_field():
+    # the element -1 of GF(2^8) cannot be built, where solve_one once answered 0xf1
+    # for it and solve_two (0xa0, 0xa1)
+    f = FieldSpec()
+    rows = build_rows(4, f)
+    for call in (lambda: solve_one(1, None, FieldElement(-1, f), rows),
+                 lambda: solve_two((0, 1), f.one(), FieldElement(-1, f), rows)):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == "value -0x1 is outside GF(2^8)"
 
 
 def test_solve_one_prefers_sum_row():

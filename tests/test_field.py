@@ -177,7 +177,7 @@ def test_spec_validation():
         FieldSpec(3, 0b1011, -1)
     with pytest.raises(ValueError, match=r"^generator 0x8 is outside GF\(2\^3\)$"):
         FieldSpec(3, 0b1011, 8)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^generator 0x1 has order 1, expected 7; not primitive$"):
         FieldSpec(3, 0b1011, 1)  # 1 only generates itself when m > 1
     with pytest.raises(ValueError):
         GF8.element(8)
@@ -193,15 +193,83 @@ def test_binary_field():
     assert gf.pow(gf.one(), 5) == 1
 
 
+def test_generator_one_is_refused_by_the_table_walk():
+    # the walk finds 1's order as it finds any other generator's; GF(2) is the one
+    # field that 1 generates
+    for m, poly, order in ((8, 0x11D, 255), (16, 0x1100B, 65535)):
+        with pytest.raises(ValueError) as exc:
+            FieldSpec(m, poly, 1)
+        assert str(exc.value) == f"generator 0x1 has order 1, expected {order}; not primitive"
+    assert [e.value for e in FieldSpec(1, 0b11, 1).elements()] == [0, 1]
+
+
+@pytest.mark.parametrize("args, message", [
+    ((8.0,), "m must be an int, got 8.0"),
+    ((8, "11d"), "reduction_poly must be an int, got '11d'"),
+    ((8, 0x11D, 2.0), "generator must be an int, got 2.0"),
+    ((True, 3, 1), "m must be an int, got True"),
+], ids=["float-m", "str-poly", "float-generator", "bool-m"])
+def test_spec_arguments_are_ints(args, message):
+    # each is named before any value check or table walk reads it
+    with pytest.raises(TypeError) as exc:
+        FieldSpec(*args)
+    assert type(exc.value) is TypeError and str(exc.value) == message
+
+
 def test_an_element_whose_spec_is_no_field_spec_raises_type_error():
-    # the check names the spec's type before it would read a field's degree from it
-    bad = nps2.FieldElement(1, "x")
-    for call in (lambda: GF8.add(GF8.one(), bad), lambda: GF8.mul(bad, GF8.one()),
-                 lambda: GF8.inv(bad)):
+    # the constructor names the spec's type, so no operation ever reads a field's
+    # degree from it
+    for call in (lambda: GF8.add(GF8.one(), nps2.FieldElement(1, "x")),
+                 lambda: GF8.mul(nps2.FieldElement(1, "x"), GF8.one()),
+                 lambda: GF8.inv(nps2.FieldElement(1, "x"))):
         with pytest.raises(TypeError) as info:
             call()
         assert type(info.value) is TypeError
         assert str(info.value) == "element spec must be a FieldSpec, got str"
+
+
+def test_an_element_outside_its_field_cannot_be_built():
+    # mul, inv and pow once answered 0xe3, 0xfd and 0x26 for the element -1 of GF(2^8)
+    f = FieldSpec()
+    cases = [
+        (lambda: nps2.FieldElement(-1, f), ValueError, "value -0x1 is outside GF(2^8)"),
+        (lambda: nps2.FieldElement(256, FieldSpec()), ValueError,
+         "value 0x100 is outside GF(2^8)"),
+        (lambda: nps2.FieldElement(1.5, f), TypeError,
+         "'float' object cannot be interpreted as an integer"),
+        (lambda: nps2.FieldElement(1, "x"), TypeError,
+         "element spec must be a FieldSpec, got str"),
+        (lambda: f.mul(nps2.FieldElement(-1, f), f.alpha()), ValueError,
+         "value -0x1 is outside GF(2^8)"),
+        (lambda: f.inv(nps2.FieldElement(-1, f)), ValueError, "value -0x1 is outside GF(2^8)"),
+        (lambda: f.pow(nps2.FieldElement(-1, f), 3), ValueError,
+         "value -0x1 is outside GF(2^8)"),
+    ]
+    for call, error, message in cases:
+        with pytest.raises(error) as exc:
+            call()
+        assert type(exc.value) is error and str(exc.value) == message
+
+
+ELEMENT_FIELDS = {m: FieldSpec(m, PRIMITIVE_POLYS[m], 1 if m == 1 else 2) for m in (1, 3, 8, 16)}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(ELEMENT_FIELDS)), st.data())
+def test_an_element_is_built_as_element_builds_it(m, data):
+    # the constructor and element share one rule: either both refuse the value,
+    # with the same exception type, or both hold it
+    f = ELEMENT_FIELDS[m]
+    value = data.draw(st.one_of(
+        st.integers(max_value=-1), st.integers(0, f.q - 1), st.integers(min_value=f.q),
+        st.booleans(), st.floats(), st.integers(-2, f.q + 1).map(float)))
+    try:
+        built = nps2.FieldElement(value, f)
+    except (TypeError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            f.element(value)
+    else:
+        assert built == f.element(value) and built.value == value and built.spec is f
 
 
 def test_mismatched_specs_rejected():

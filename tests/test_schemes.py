@@ -175,6 +175,14 @@ def test_protected_slots_round_range():
         protected_slots(sched, 3)
 
 
+@pytest.mark.parametrize("round_index", [True, 1.0], ids=["bool", "float"])
+def test_protected_slots_takes_an_int_round(round_index):
+    # True is not read as round 1, and 1.0 is named, not left to islice
+    with pytest.raises(TypeError) as exc:
+        protected_slots(build_schedule(Scheme.NPS2_II, 4), round_index)
+    assert str(exc.value) == f"round_index must be an int, got {round_index!r}"
+
+
 def test_rotating_protection_coverage():
     # rounds L: sources up to 2(L-1) already sent unit L-1; sources from
     # 2L+1 up are concurrently sending unit L
