@@ -182,9 +182,9 @@ def parse_config(argv: Sequence[str] | None = None) -> RunConfig:
 
     # -- cross-field validation -------------------------------------------
     try:
-        build_schedule(cfg["scheme"], n)  # raises unless the scheme runs on n paths
         field = FieldSpec(cfg.pop("field_m"), cfg.pop("field_poly"), cfg.pop("field_gen"))
-        build_rows(n - 2, field)  # raises unless the field has room for the rows
+        build_rows(max(n - 2, 1), field)  # O(1): caps n at 2^m + 1 before any schedule
+        build_schedule(cfg["scheme"], n)  # raises unless the scheme runs on n paths
     except ValueError as exc:
         parser.error(str(exc))
     if cfg["sessions"] < 1:

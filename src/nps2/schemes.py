@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
-from functools import cache
+from functools import cache, cached_property
 from itertools import chain, islice
 
 from .field import _check_int
@@ -46,7 +46,6 @@ class SessionSchedule:
     scheme: Scheme
     n: int
     pairs: tuple[tuple[int, int], ...]
-    working: tuple[tuple[int, ...], ...] = dc_field(init=False, repr=False, compare=False)
     units: tuple[int, ...] = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -57,11 +56,14 @@ class SessionSchedule:
             valid = all(type(p) is int and 1 <= p <= n for p in pair)
             if len(pair) != 2 or pair[0] == pair[1] or not valid:
                 raise ValueError(f"a protection pair is two distinct paths in 1..{n}, got {pair}")
-        paths = tuple(range(1, n + 1))  # the ints every working tuple holds
-        working = {pair: tuple([p for p in paths if p not in pair]) for pair in set(self.pairs)}
         carries = Counter(chain.from_iterable(self.pairs))  # rounds each path carries in
-        object.__setattr__(self, "working", tuple(map(working.__getitem__, self.pairs)))
-        object.__setattr__(self, "units", tuple(rounds - carries[p] for p in paths))
+        object.__setattr__(self, "units", tuple(rounds - carries[p] for p in range(1, n + 1)))
+
+    @cached_property
+    def working(self) -> tuple[tuple[int, ...], ...]:  # on first read: NPS2-II's is O(n^2)
+        paths = tuple(range(1, self.n + 1))  # the ints every working tuple holds
+        working = {pair: tuple([p for p in paths if p not in pair]) for pair in set(self.pairs)}
+        return tuple(map(working.__getitem__, self.pairs))
 
     @property
     def rounds(self) -> int:
@@ -88,9 +90,8 @@ def build_schedule(scheme: Scheme, n: int, session_index: int = 0) -> SessionSch
         raise ValueError(f"{scheme.value} needs n >= {min_n}, got n={n}")
     if session_index < 0:
         raise ValueError(f"session_index must be nonnegative, got {session_index}")
-    if scheme is Scheme.NPS2_II:
-        return _schedule(scheme, n, None)
-    return _schedule(scheme, n, (2 * session_index % n + 1, (2 * session_index + 1) % n + 1))
+    d = 2 * session_index  # NPS2-I's pair, 0-based, is (d mod n, d+1 mod n)
+    return _schedule(scheme, n, None if scheme is Scheme.NPS2_II else (d % n + 1, (d + 1) % n + 1))
 
 
 @cache

@@ -312,6 +312,24 @@ MUTANTS = (
         " once the run builds the schedule",
         ("tests/test_cli.py::test_odd_n_rejected",),
     ),
+    Mutant(
+        "parse-config-schedule-first", "src/nps2/cli.py",
+        "        build_rows(max(n - 2, 1), field)  # O(1): caps n at 2^m + 1 before any schedule\n",
+        "        build_schedule(cfg[\"scheme\"], n)\n"
+        "        build_rows(max(n - 2, 1), field)  # O(1): caps n at 2^m + 1 before any schedule\n",
+        "the CLI builds an O(n) schedule before the O(1) check that the field has room for"
+        " n, so a huge --n costs memory and time before it exits 2",
+        ("tests/test_cli.py::test_a_path_count_beyond_the_field_fails_before_any_schedule",),
+    ),
+    Mutant(
+        "schedule-builds-working-eagerly", "src/nps2/schemes.py",
+        "        carries = Counter(chain.from_iterable(self.pairs))  # rounds each path carries in\n",
+        "        self.working\n"
+        "        carries = Counter(chain.from_iterable(self.pairs))  # rounds each path carries in\n",
+        "every schedule builds its O(n^2) working tuples, so checking a large n (dump-rows in"
+        " GF(2^16)) costs gigabytes",
+        ("tests/test_cli.py::test_checking_n_builds_no_working_paths",),
+    ),
 )
 
 

@@ -53,6 +53,32 @@ def test_field_capacity_rejected(capsys):
     assert "255" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--scheme", "nps2-ii", "--n", "1000000"], "width 999998 exceeds the 255 distinct"),
+    (["--scheme", "nps2-i", "--n", "1000001", "--field-m", "16", "--field-poly", "1100b"],
+     "width 999999 exceeds the 65535 distinct"),
+])
+def test_a_path_count_beyond_the_field_fails_before_any_schedule(argv, message, capsys,
+                                                                 monkeypatch):
+    # the O(1) capacity check caps n at 2^m + 1 first, so an n the field cannot serve
+    # costs no schedule, however large
+    def refuse(scheme, n, session_index=0):
+        raise AssertionError(f"built a schedule for n={n} before the capacity check")
+    monkeypatch.setattr(nps2.cli, "build_schedule", refuse)
+    with pytest.raises(SystemExit) as exc:
+        parse_config(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith(f"nps2: error: {message}")
+
+
+def test_checking_n_builds_no_working_paths():
+    # parse_config checks n with build_schedule; NPS2-II's working tuples are O(n^2),
+    # about 17 GB at n = 65536, so they are built only when a run reads them
+    argv = ["dump-rows", "--n", "1002", "--field-m", "16", "--field-poly", "1100b"]
+    assert parse_config(argv).n == 1002
+    assert "working" not in vars(build_schedule(Scheme.NPS2_II, 1002))
+
+
 def test_malformed_hex_rejected(capsys):
     with pytest.raises(SystemExit):
         parse_config(["--field-poly", "0xzz"])

@@ -177,8 +177,13 @@ def test_spec_validation():
         FieldSpec(3, 0b1011, -1)
     with pytest.raises(ValueError, match=r"^generator 0x8 is outside GF\(2\^3\)$"):
         FieldSpec(3, 0b1011, 8)
-    with pytest.raises(ValueError, match=r"^generator 0x1 has order 1, expected 7; not primitive$"):
-        FieldSpec(3, 0b1011, 1)  # 1 only generates itself when m > 1
+    # the table walk finds 1's order as it finds any other generator's; GF(2) is the
+    # one field that 1 generates
+    for m, poly, order in ((3, 0b1011, 7), (8, 0x11D, 255), (16, 0x1100B, 65535)):
+        with pytest.raises(ValueError) as exc:
+            FieldSpec(m, poly, 1)
+        assert str(exc.value) == f"generator 0x1 has order 1, expected {order}; not primitive"
+    assert [e.value for e in FieldSpec(1, 0b11, 1).elements()] == [0, 1]
     with pytest.raises(ValueError):
         GF8.element(8)
     with pytest.raises(ValueError):
@@ -191,16 +196,6 @@ def test_binary_field():
     assert gf.one() + gf.one() == 0
     assert gf.inv(gf.one()) == 1
     assert gf.pow(gf.one(), 5) == 1
-
-
-def test_generator_one_is_refused_by_the_table_walk():
-    # the walk finds 1's order as it finds any other generator's; GF(2) is the one
-    # field that 1 generates
-    for m, poly, order in ((8, 0x11D, 255), (16, 0x1100B, 65535)):
-        with pytest.raises(ValueError) as exc:
-            FieldSpec(m, poly, 1)
-        assert str(exc.value) == f"generator 0x1 has order 1, expected {order}; not primitive"
-    assert [e.value for e in FieldSpec(1, 0b11, 1).elements()] == [0, 1]
 
 
 @pytest.mark.parametrize("args, message", [
